@@ -21,8 +21,6 @@ from .roots import (
     SturmChain,
     certified_rational_roots,
     gcd_univariate,
-    isolate_real_roots,
-    refine_interval,
     sign_at_root,
     simplest_rational_between,
     squarefree_part,
@@ -79,8 +77,8 @@ __all__ = [
     "VAR_LAMBDA", "VAR_X", "SparsePoly", "as_fraction", "parse_rational",
     "poly_from_json", "poly_to_json",
     "IsolatingInterval", "RootIsolator", "SturmChain",
-    "certified_rational_roots", "gcd_univariate", "isolate_real_roots",
-    "refine_interval", "sign_at_root", "simplest_rational_between",
+    "certified_rational_roots", "gcd_univariate", "sign_at_root",
+    "simplest_rational_between",
     "squarefree_part", "sturm_count",
     "det_polymatrix", "resultant", "sylvester_matrix",
     "FAIL", "OUT_OF_RANGE", "PASS", "UNRESOLVED", "CheckReport",

@@ -61,6 +61,16 @@ def _rational_list(text: str):
     return tuple(_rational(piece) for piece in parts)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _window_corners(text: str):
     values = _rational_list(text)
     if len(values) != 4:
@@ -88,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("check", choices=(
         "symmetry", "support", "faces", "lemma1", "torsion", "singular"))
     verify.add_argument("--k", type=int)
-    verify.add_argument("--k-max", type=int, dest="k_max")
+    verify.add_argument("--k-max", type=_positive_int, dest="k_max")
     verify.add_argument("--mu", type=int)
     verify.add_argument("--lambda", type=_rational, dest="lambda0")
 
@@ -148,6 +158,8 @@ def _verify_reports(args):
     if check == "faces":
         ks = [args.k] if args.k is not None else \
             list(range(2, (args.k_max or FACES_K_MAX) + 1))
+        if not ks:
+            raise _UsageError("faces starts at k = 2; --k-max must be at least 2")
         return [check_face_structure(k) for k in ks]
     if check == "lemma1":
         if (args.mu is None) != (args.k is None):

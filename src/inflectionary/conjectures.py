@@ -342,10 +342,11 @@ def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     if p.is_zero:
         raise RuntimeError(f"inflection polynomial vanished at lambda = {lambda0}")
     f_here = legendre_f().specialize(VAR_LAMBDA, lambda0)
-    intervals = RootIsolator(p).isolate()
+    iso = RootIsolator(p)
+    intervals = iso.isolate()
     positive = 0
     for iv in intervals:
-        if sign_at_root(f_here, p, iv) > 0:
+        if sign_at_root(f_here, iso, iv) > 0:
             positive += 1
     separable, _ = _separability(p)
     census = RootCensus(

@@ -234,8 +234,12 @@ def q_template(mu: int, n: int) -> QTemplate:
     return QTemplate(mu, n, det_polymatrix(rows))
 
 
+_GENERAL_LOCK = threading.Lock()
+_GENERAL_CACHE = {}
+
+
 def general_inflection(mu: int, k: int) -> InflectionPoly:
-    """P(mu, k) by substituting the mu = 1 family into the q template.
+    """P(mu, k) by substituting the mu = 1 family into the q template, memoized.
 
     For mu = 1 this delegates to the recurrence.  For mu >= 2 the series
     parameters must satisfy k > mu, which puts k in the template's proven
@@ -249,14 +253,18 @@ def general_inflection(mu: int, k: int) -> InflectionPoly:
         return basic_inflection(k)
     if k <= mu:
         raise ValueError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
-    n = k + 1
-    template = q_template(mu, n)
-    assignments = {
-        shift_var_name(off): basic_inflection(n + off - 1).poly
-        for off in range(1 - mu, mu)
-    }
-    poly = substitute_polys(template.poly, assignments)
-    return InflectionPoly(mu, k, poly)
+    with _GENERAL_LOCK:
+        cached = _GENERAL_CACHE.get((mu, k))
+        if cached is None:
+            n = k + 1
+            template = q_template(mu, n)
+            assignments = {
+                shift_var_name(off): basic_inflection(n + off - 1).poly
+                for off in range(1 - mu, mu)
+            }
+            poly = substitute_polys(template.poly, assignments)
+            cached = _GENERAL_CACHE[(mu, k)] = InflectionPoly(mu, k, poly)
+        return cached
 
 
 def _wronskian_poly(mu: int, k: int) -> SparsePoly:

@@ -1,8 +1,13 @@
 """Univariate machinery: gcd, Sturm chains, root isolation, exact signs.
 
-Everything operates on one-variable :class:`~inflectionary.poly.SparsePoly`
-inputs with Fraction coefficients and is exact.  Internally polynomials
-travel as ascending coefficient lists.
+Inputs are one-variable :class:`~inflectionary.poly.SparsePoly` values with
+Fraction coefficients, and every result is exact.  Internally polynomials
+travel as ascending coefficient lists.  The gcd and the Sturm chains run on
+primitive integer lists: denominators and content are cleared by positive
+factors and pseudo-remainders are scaled by a positive power of the divisor's
+leading coefficient, so every sign is kept and coefficients do not swell.
+An integer list is evaluated at a rational a/b (b > 0) by homogeneous
+Horner, sum c_i a^i b^(d-i), which has the sign of its value at a/b.
 """
 
 from __future__ import annotations
@@ -33,65 +38,65 @@ def _degree(c):
     return len(c) - 1
 
 
-def _eval(c, t: Fraction) -> Fraction:
-    value = Fraction(0)
-    for coeff in reversed(c):
-        value = value * t + coeff
-    return value
-
-
 def _derive(c):
     return [c[i] * i for i in range(1, len(c))]
 
 
-def _neg_rem(a, b):
-    """Return -(a mod b) for Fraction coefficient lists."""
-    a = list(a)
-    db = _degree(b)
-    lead = b[-1]
-    while _degree(a) >= db and a:
-        shift = _degree(a) - db
-        factor = a[-1] / lead
-        for i in range(db + 1):
-            a[shift + i] -= factor * b[i]
-        a.pop()
-        _strip(a)
-    return [-v for v in a]
+def _primitive(c):
+    """The coprime integer list that is a positive multiple of ``c``.
 
-
-def _to_int_primitive(c):
-    """Clear denominators and content; normalize the leading sign to +."""
-    if not c:
-        return []
-    denom = 1
-    for v in c:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in c]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    ``c`` holds Fractions or ints.  Denominators and content are cleared by
+    positive factors, so the sign of every coefficient is kept.
+    """
+    denom = math.lcm(*(v.denominator for v in c))
+    ints = [v.numerator * (denom // v.denominator) for v in c]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def _pseudo_rem_int(a, b):
-    """Pseudo-remainder of integer coefficient lists (content removed)."""
-    a = list(a)
+    """|lc(b)|^(deg a - deg b + 1) * (a mod b) for integer lists, deg a >= deg b.
+
+    The scale factor is positive, so the result is a positive multiple of
+    the remainder.
+    """
     db = _degree(b)
     lead = b[-1]
-    steps = _degree(a) - db + 1
-    a = [v * lead ** steps for v in a]
+    scale = abs(lead) ** (_degree(a) - db + 1)
+    a = [v * scale for v in a]
     while a and _degree(a) >= db:
         shift = _degree(a) - db
         factor, rem = divmod(a[-1], lead)
-        assert not rem
+        if rem:
+            raise RuntimeError(
+                "internal fault: inexact step in integer pseudo-division")
         for i in range(db + 1):
             a[shift + i] -= factor * b[i]
         a.pop()
         _strip(a)
     return a
+
+
+def _powers(base, n):
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
+
+
+def _scaled_value(c, a, b_powers):
+    """b^deg(c) * c(a/b) for an integer list ``c``, given b's powers."""
+    d = len(c) - 1
+    value = c[d]
+    for i in range(d - 1, -1, -1):
+        value = value * a + c[i] * b_powers[d - i]
+    return value
+
+
+def _sign_at(c, t: Fraction) -> int:
+    """Exact sign of the nonzero integer list ``c`` at the rational ``t``."""
+    value = _scaled_value(c, t.numerator, _powers(t.denominator, _degree(c)))
+    return (value > 0) - (value < 0)
 
 
 def _gcd_lists(a, b):
@@ -105,13 +110,12 @@ def _gcd_lists(a, b):
     if not b:
         lead = a[-1]
         return [v / lead for v in a]
-    a = _to_int_primitive(a)
-    b = _to_int_primitive(b)
+    a = _primitive(a)
+    b = _primitive(b)
     if _degree(a) < _degree(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem_int(a, b)
-        a, b = b, _to_int_primitive(r) if r else []
+        a, b = b, _primitive(_pseudo_rem_int(a, b))
     lead = Fraction(a[-1])
     return [Fraction(v) / lead for v in a]
 
@@ -199,23 +203,25 @@ def root_multiplicity(p: SparsePoly, r) -> int:
 # -- Sturm chains -------------------------------------------------------------
 
 class SturmChain:
-    """Standard Sturm remainder chain of a nonzero polynomial.
+    """Sturm remainder chain of a nonzero polynomial, kept over the integers.
 
-    ``polys[0]`` is the input, ``polys[1]`` its derivative, and each later
-    entry is the negated remainder of the two before it.  The chain ends at
-    the last nonzero element, a constant multiple of gcd(p, p').
+    Element i is a coprime integer coefficient list that is a positive
+    multiple of the standard element: the input, its derivative, then the
+    negated remainder of the two before it.  Positive factors keep every
+    sign, so the sign variations are those of the standard chain.  The chain
+    ends at the last nonzero element, a constant multiple of gcd(p, p').
     """
 
     def __init__(self, p: SparsePoly):
         if p.is_zero:
             raise ValueError("Sturm chain of the zero polynomial")
-        self.var, c0 = _coeffs(p)
-        chain = [c0]
-        c1 = _derive(c0)
-        if c1:
-            chain.append(c1)
+        self.var, coeffs = _coeffs(p)
+        chain = [_primitive(coeffs)]
+        derivative = _primitive(_derive(chain[0]))
+        if derivative:
+            chain.append(derivative)
             while _degree(chain[-1]) > 0:
-                nxt = _neg_rem(chain[-2], chain[-1])
+                nxt = _primitive([-v for v in _pseudo_rem_int(chain[-2], chain[-1])])
                 if not nxt:
                     break
                 chain.append(nxt)
@@ -223,19 +229,24 @@ class SturmChain:
 
     @property
     def polys(self):
+        """The elements as integer polynomials, each a positive multiple of
+        the matching element of the standard chain."""
         return [SparsePoly.from_univariate(self.var, c) for c in self._chain]
 
     def variations_at(self, t) -> int:
+        """Sign changes along the chain at the rational ``t``, zeros skipped."""
         t = as_fraction(t)
-        signs = []
-        for c in self._chain:
-            v = _eval(c, t)
-            if v:
-                signs.append(1 if v > 0 else -1)
+        a = t.numerator
+        b_powers = _powers(t.denominator, _degree(self._chain[0]))
         flips = 0
-        for a, b in zip(signs, signs[1:]):
-            if a != b:
-                flips += 1
+        last = 0
+        for c in self._chain:
+            value = _scaled_value(c, a, b_powers)
+            if value:
+                sign = 1 if value > 0 else -1
+                if last and sign != last:
+                    flips += 1
+                last = sign
         return flips
 
     def count(self, lo, hi) -> int:
@@ -259,10 +270,14 @@ class IsolatingInterval:
 
 
 class RootIsolator:
-    """Isolates and refines the distinct real roots of one polynomial.
+    """Isolates, refines, signs and certifies the real roots of one polynomial.
 
-    The Sturm chain is built once on the squarefree part, so multiple roots
-    of the input are counted once and endpoint degeneracies cannot occur.
+    The squarefree part, its Sturm chain and its root bound are built once
+    and reused by every query, ``sign_at_root`` and
+    ``certified_rational_roots`` included; multiple roots of the input are
+    counted once and endpoint degeneracies cannot occur.  Each bisection
+    carries the variation counts of the endpoints it already knows, so a
+    step evaluates the chain only at the new midpoint.
     """
 
     def __init__(self, p: SparsePoly):
@@ -290,34 +305,48 @@ class RootIsolator:
         """Disjoint isolating intervals, in ascending order of the roots."""
         if self.reduced.degree(self.chain.var) < 1:
             return []
+        variations = self.chain.variations_at
         out = []
-        stack = [(-self.bound, self.bound, self.chain.count(-self.bound, self.bound))]
+        stack = [(-self.bound, variations(-self.bound), self.bound, variations(self.bound))]
         while stack:
-            lo, hi, n = stack.pop()
+            lo, vlo, hi, vhi = stack.pop()
+            n = vlo - vhi
             if n == 0:
                 continue
             if n == 1:
                 out.append(IsolatingInterval(lo, hi))
                 continue
             mid = (lo + hi) / 2
-            left = self.chain.count(lo, mid)
-            stack.append((mid, hi, n - left))
-            stack.append((lo, mid, left))
+            vmid = variations(mid)
+            stack.append((mid, vmid, hi, vhi))
+            stack.append((lo, vlo, mid, vmid))
         out.sort(key=lambda iv: iv.lo)
         return out
 
     def refine(self, iv: IsolatingInterval, target_width=DEFAULT_REFINE_WIDTH):
         """Shrink an isolating interval below ``target_width`` by bisection."""
-        lo, hi = iv.lo, iv.hi
-        if self.chain.count(lo, hi) != 1:
-            raise ValueError("interval does not isolate a root of this polynomial")
-        while hi - lo > target_width:
-            mid = (lo + hi) / 2
-            if self.chain.count(lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
+        vlo, vhi = self._isolating_variations(iv)
+        lo, _, hi, _ = self._shrink(iv.lo, vlo, iv.hi, vhi, target_width)
         return IsolatingInterval(lo, hi)
+
+    def _isolating_variations(self, iv: IsolatingInterval):
+        """Variation counts at the endpoints of ``iv``, which must hold one root."""
+        vlo = self.chain.variations_at(iv.lo)
+        vhi = self.chain.variations_at(iv.hi)
+        if vlo - vhi != 1:
+            raise ValueError("interval does not isolate a root of this polynomial")
+        return vlo, vhi
+
+    def _shrink(self, lo, vlo, hi, vhi, width):
+        """Bisect (lo, hi], which holds one root, until hi - lo <= width."""
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            vmid = self.chain.variations_at(mid)
+            if vlo - vmid == 1:
+                hi, vhi = mid, vmid
+            else:
+                lo, vlo = mid, vmid
+        return lo, vlo, hi, vhi
 
 
 def sturm_count(p: SparsePoly, lo=None, hi=None) -> int:
@@ -336,47 +365,39 @@ def sturm_count(p: SparsePoly, lo=None, hi=None) -> int:
     return RootIsolator(p).count(lo, hi)
 
 
-def isolate_real_roots(p: SparsePoly):
-    return RootIsolator(p).isolate()
-
-
-def refine_interval(p: SparsePoly, iv: IsolatingInterval, target_width=DEFAULT_REFINE_WIDTH):
-    return RootIsolator(p).refine(iv, target_width)
-
-
-def sign_at_root(q: SparsePoly, p: SparsePoly, iv: IsolatingInterval) -> int:
-    """Exact sign of q at the root of p isolated by ``iv``.
+def sign_at_root(q: SparsePoly, iso: RootIsolator, iv: IsolatingInterval) -> int:
+    """Exact sign of q at the root of ``iso``'s polynomial p isolated by ``iv``.
 
     A zero sign is certified through gcd(p, q); otherwise the interval is
-    refined until q provably has no root inside, making its sign constant.
+    refined with iso's chain until q provably has no root inside, making its
+    sign constant.
     """
-    iso = RootIsolator(p)
-    if iso.count(iv.lo, iv.hi) != 1:
-        raise ValueError("interval does not isolate a root of p")
-    name = iso.chain.var
+    vlo, _ = iso._isolating_variations(iv)
     if q.is_zero:
         return 0
+    name = iso.chain.var
     qname, qc = _coeffs(q)
     if qname != name:
         raise ValueError(f"variable mismatch: {name!r} vs {qname!r}")
-    if _degree(qc) >= 1:
-        shared = gcd_univariate(iso.reduced, q)
-        if shared.degree(name) >= 1 and SturmChain(shared).count(iv.lo, iv.hi) == 1:
-            return 0
-        qchain = SturmChain(squarefree_part(q))
-    else:
-        qchain = None
+    q_ints = _primitive(qc)
+    if _degree(qc) < 1:
+        return 1 if q_ints[0] > 0 else -1
     lo, hi = iv.lo, iv.hi
-    while True:
-        if qchain is None or qchain.count(lo, hi) == 0:
-            value = _eval(qc, hi)
-            if value:
-                return 1 if value > 0 else -1
+    shared = gcd_univariate(iso.reduced, q)
+    if shared.degree(name) >= 1 and SturmChain(shared).count(lo, hi) == 1:
+        return 0
+    qchain = SturmChain(squarefree_part(q))
+    qlo, qhi = qchain.variations_at(lo), qchain.variations_at(hi)
+    while qlo != qhi:
         mid = (lo + hi) / 2
-        if iso.chain.count(lo, mid) == 1:
-            hi = mid
+        vmid = iso.chain.variations_at(mid)
+        qmid = qchain.variations_at(mid)
+        if vlo - vmid == 1:
+            hi, qhi = mid, qmid
         else:
-            lo = mid
+            lo, vlo, qlo = mid, vmid, qmid
+    # q has no root in (lo, hi], so q(hi) is nonzero
+    return _sign_at(q_ints, hi)
 
 
 # -- rational root certification ----------------------------------------------
@@ -410,23 +431,18 @@ def certified_rational_roots(p: SparsePoly, max_denominator=2 ** 24):
     if p.is_zero:
         raise ValueError("zero polynomial")
     iso = RootIsolator(p)
-    name = iso.chain.var
-    _, coeffs = _coeffs(iso.reduced)
+    reduced = _primitive(_coeffs(iso.reduced)[1])
     rationals = []
     unresolved = []
     for iv in iso.isolate():
         found = None
         lo, hi = iv.lo, iv.hi
+        vlo, vhi = iso._isolating_variations(iv)
         width = Fraction(1, max_denominator ** 2)
         for _ in range(4):
-            while hi - lo > width:
-                mid = (lo + hi) / 2
-                if iso.chain.count(lo, mid) == 1:
-                    hi = mid
-                else:
-                    lo = mid
+            lo, vlo, hi, vhi = iso._shrink(lo, vlo, hi, vhi, width)
             cand = simplest_rational_between(lo, hi)
-            if lo < cand <= hi and not _eval(coeffs, cand):
+            if lo < cand <= hi and not _sign_at(reduced, cand):
                 found = cand
                 break
             width /= 2 ** 8

@@ -46,6 +46,8 @@ LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5))
 TORSION_LAMBDAS = (Fraction(-1), Fraction(-1, 2), Fraction(1, 3),
                    Fraction(2), Fraction(5))
 SEPARABILITY_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3))
+# Both parities of k - mu for mu = 1, 2, 3, up to P(3, 6) of x-degree 42.
+DICHOTOMY_PAIRS = SEPARABILITY_PAIRS + ((2, 4), (2, 5), (3, 4), (3, 5), (3, 6))
 ALLOWED_SINGULAR_KEYS = {"[0:0:1]", "[0:1:0]", "[1:1:1]"}
 
 # Ten sampled grid rows of the default 512-row window, avoiding the two
@@ -171,7 +173,7 @@ def test_criterion_09_root_count_dichotomy(capsys):
     failures = []
     if PARITY_COUNT_MULTIPLIER != {"even": 1, "odd": 2}:
         failures.append("pinned parity direction changed")
-    for mu, k in SEPARABILITY_PAIRS:
+    for mu, k in DICHOTOMY_PAIRS:
         report = conjecture4_scan(mu, k)
         expected = mu * (1 if (k - mu) % 2 == 0 else 2)
         if report.verdict != "PASS":

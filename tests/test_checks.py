@@ -26,6 +26,7 @@ from inflectionary.conjectures import (
 from inflectionary.inflection import basic_inflection
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
 from inflectionary.reports import FAIL, OUT_OF_RANGE, PASS, CheckReport, jsonable
+from inflectionary.roots import RootIsolator
 
 XL = (VAR_X, VAR_LAMBDA)
 
@@ -186,6 +187,19 @@ class TestRootCensus:
     def test_degenerate_parameter_rejected(self):
         with pytest.raises(ValueError):
             real_root_census(1, 2, 1)
+
+    def test_one_isolator_per_fiber(self, monkeypatch):
+        built = []
+        init = RootIsolator.__init__
+
+        def counting_init(self, p):
+            built.append(p)
+            init(self, p)
+
+        monkeypatch.setattr(RootIsolator, "__init__", counting_init)
+        census = real_root_census(1, 4, Fraction(-3, 2))
+        assert census.total_real_roots > 1
+        assert len(built) == 1
 
 
 class TestScan:

@@ -89,6 +89,16 @@ class TestVerify:
         assert code == 0
         assert json_lines(out)[0]["check"] == "singular_locus"
 
+    @pytest.mark.parametrize("family,k_max", [
+        ("symmetry", "0"), ("support", "0"), ("faces", "0"), ("symmetry", "-2"),
+        ("faces", "1"),  # the face sweep starts at k = 2: nothing to run
+    ])
+    def test_empty_k_max_sweep_is_exit_2(self, capsys, family, k_max):
+        code, out, err = run(capsys, "verify", family, "--k-max", k_max)
+        assert code == 2
+        assert out == ""
+        assert "--k-max" in err
+
     def test_unknown_family_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 2

@@ -164,6 +164,9 @@ class TestRouteAgreement:
         with pytest.raises(ValueError):
             general_inflection(0, 3)
 
+    def test_general_is_memoized(self):
+        assert general_inflection(2, 4) is general_inflection(2, 4)
+
     def test_general_degrees(self):
         p = general_inflection(2, 3)
         assert p.poly.degree(VAR_X) == 2 * 2 * 4

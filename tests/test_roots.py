@@ -14,8 +14,6 @@ from inflectionary.roots import (
     cauchy_root_bound,
     certified_rational_roots,
     gcd_univariate,
-    isolate_real_roots,
-    refine_interval,
     root_multiplicity,
     sign_at_root,
     simplest_rational_between,
@@ -128,7 +126,7 @@ class TestSturm:
 class TestIsolation:
     def test_intervals_are_ordered_and_disjoint(self):
         p = from_roots(-3, Fraction(1, 4), 2)
-        ivs = isolate_real_roots(p)
+        ivs = RootIsolator(p).isolate()
         assert len(ivs) == 3
         for a, b in zip(ivs, ivs[1:]):
             assert a.hi <= b.lo
@@ -136,47 +134,44 @@ class TestIsolation:
             assert iv.lo < root <= iv.hi
 
     def test_multiple_roots_isolated_once(self):
-        assert len(isolate_real_roots(from_roots(5, 5, 5))) == 1
+        assert len(RootIsolator(from_roots(5, 5, 5)).isolate()) == 1
 
     def test_refine_hits_target_width(self):
-        p = T * T - 2
-        iv = isolate_real_roots(p)[1]
-        tight = refine_interval(p, iv)
+        iso = RootIsolator(T * T - 2)
+        tight = iso.refine(iso.isolate()[1])
         assert tight.width <= DEFAULT_REFINE_WIDTH
         assert tight.lo < tight.hi
         sq = (tight.lo * tight.lo - 2, tight.hi * tight.hi - 2)
         assert sq[0] < 0 < sq[1]
 
     def test_refine_rejects_non_isolating_interval(self):
-        p = from_roots(1, 2)
+        iso = RootIsolator(from_roots(1, 2))
         with pytest.raises(ValueError):
-            refine_interval(p, IsolatingInterval(Fraction(0), Fraction(3)))
+            iso.refine(IsolatingInterval(Fraction(0), Fraction(3)))
 
 
 class TestSignAtRoot:
     def test_sign_of_offset_at_sqrt2(self):
-        p = T * T - 2
-        pos, neg = isolate_real_roots(p)[1], isolate_real_roots(p)[0]
-        assert sign_at_root(T - 1, p, pos) == 1
-        assert sign_at_root(T - 2, p, pos) == -1
-        assert sign_at_root(T, p, neg) == -1
+        iso = RootIsolator(T * T - 2)
+        neg, pos = iso.isolate()
+        assert sign_at_root(T - 1, iso, pos) == 1
+        assert sign_at_root(T - 2, iso, pos) == -1
+        assert sign_at_root(T, iso, neg) == -1
 
     def test_certified_zero_through_gcd(self):
-        p = from_roots(2, 5)
-        iv = isolate_real_roots(p)[0]
-        assert sign_at_root(T - 2, p, iv) == 0
+        iso = RootIsolator(from_roots(2, 5))
+        assert sign_at_root(T - 2, iso, iso.isolate()[0]) == 0
 
     def test_zero_poly_and_constants(self):
-        p = T * T - 3
-        iv = isolate_real_roots(p)[1]
-        assert sign_at_root(SparsePoly.zero(("t",)), p, iv) == 0
-        assert sign_at_root(-2 * ONE, p, iv) == -1
+        iso = RootIsolator(T * T - 3)
+        iv = iso.isolate()[1]
+        assert sign_at_root(SparsePoly.zero(("t",)), iso, iv) == 0
+        assert sign_at_root(-2 * ONE, iso, iv) == -1
 
     def test_shared_irrational_root(self):
-        p = T * T - 2
+        iso = RootIsolator(T * T - 2)
         q = (T * T - 2) * (T - 10)
-        iv = isolate_real_roots(p)[1]
-        assert sign_at_root(q, p, iv) == 0
+        assert sign_at_root(q, iso, iso.isolate()[1]) == 0
 
 
 class TestSimplestRational:

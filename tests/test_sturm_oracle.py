@@ -1,0 +1,181 @@
+"""The integer Sturm machinery against a plain Fraction Sturm chain.
+
+``FractionSturmChain`` is the textbook chain: Euclid over Fractions, each
+element the negated remainder of the two before it.  It is slow and its
+coefficients swell, but it is obviously right, so it serves as the oracle
+for the primitive integer chain in ``inflectionary.roots``.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from inflectionary import roots
+from inflectionary.poly import SparsePoly
+from inflectionary.roots import (
+    RootIsolator,
+    SturmChain,
+    cauchy_root_bound,
+    sign_at_root,
+    squarefree_part,
+)
+
+T = SparsePoly.variable(("t",), "t")
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+# -- the oracle ----------------------------------------------------------------
+
+def _eval(c, t: Fraction) -> Fraction:
+    value = Fraction(0)
+    for coeff in reversed(c):
+        value = value * t + coeff
+    return value
+
+
+def _neg_rem(a, b):
+    """Return -(a mod b) for Fraction coefficient lists."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while a and len(a) - 1 >= db:
+        shift = len(a) - 1 - db
+        factor = a[-1] / lead
+        for i in range(db + 1):
+            a[shift + i] -= factor * b[i]
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return [-v for v in a]
+
+
+class FractionSturmChain:
+    """Standard Sturm chain over Fractions: p, p', then negated remainders."""
+
+    def __init__(self, p: SparsePoly):
+        _, c0 = p.univariate_coeffs()
+        chain = [c0]
+        c1 = [c0[i] * i for i in range(1, len(c0))]
+        if c1:
+            chain.append(c1)
+            while len(chain[-1]) > 1:
+                nxt = _neg_rem(chain[-2], chain[-1])
+                if not nxt:
+                    break
+                chain.append(nxt)
+        self.chain = chain
+
+    def variations_at(self, t: Fraction) -> int:
+        signs = [v > 0 for v in (_eval(c, t) for c in self.chain) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def oracle_isolate(p: SparsePoly):
+    """(lo, hi] pairs by plain bisection with two oracle counts per step."""
+    reduced = squarefree_part(p)
+    if reduced.degree("t") < 1:
+        return []
+    chain = FractionSturmChain(reduced)
+
+    def count(lo, hi):
+        return chain.variations_at(lo) - chain.variations_at(hi)
+
+    bound = cauchy_root_bound(reduced)
+    out = []
+    stack = [(-bound, bound, count(-bound, bound))]
+    while stack:
+        lo, hi, n = stack.pop()
+        if n == 1:
+            out.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            left = count(lo, mid)
+            stack.append((mid, hi, n - left))
+            stack.append((lo, mid, left))
+    return sorted(out)
+
+
+# -- strategies ----------------------------------------------------------------
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+nonzero = rationals.filter(bool)
+
+
+@st.composite
+def rooted_polys(draw):
+    """A nonzero multiple of prod (t - r)^m, optionally times an irrational
+    or a root-free quadratic; returns the polynomial and its rational roots."""
+    roots_ = draw(st.lists(rationals, min_size=1, max_size=5, unique=True))
+    p = SparsePoly.constant(("t",), draw(nonzero))
+    for r in roots_:
+        p = p * (T - r) ** draw(st.integers(1, 3))
+    extra = draw(st.sampled_from([None, 2, 3, -1, -5]))
+    if extra is not None:
+        p = p * (T * T - extra)
+    return p, roots_
+
+
+# Zero coefficients make the remainder degrees skip, the case where only a
+# positive scale factor keeps the signs of the chain.
+random_polys = st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                        min_size=2, max_size=8).filter(
+    lambda c: any(c[1:])).map(lambda c: SparsePoly.from_univariate("t", c))
+
+any_polys = st.one_of(rooted_polys().map(lambda pr: pr[0]), random_polys)
+
+
+# -- properties ----------------------------------------------------------------
+
+@PROPERTY
+@given(any_polys, st.lists(rationals, min_size=1, max_size=6))
+@example(T ** 4 + T - 1, [Fraction(-2), Fraction(0), Fraction(1, 2)])
+def test_variation_counts_match_the_oracle(p, points):
+    chain = SturmChain(p)
+    oracle = FractionSturmChain(p)
+    for t in points:
+        assert chain.variations_at(t) == oracle.variations_at(t), t
+
+
+@PROPERTY
+@given(any_polys)
+def test_elements_are_positive_multiples_of_the_standard_chain(p):
+    elements = [poly.univariate_coeffs()[1] for poly in SturmChain(p).polys]
+    oracle = FractionSturmChain(p).chain
+    assert len(elements) == len(oracle)
+    for ints, exact in zip(elements, oracle):
+        assert len(ints) == len(exact)
+        scale = ints[-1] / exact[-1]
+        assert scale > 0
+        assert [v * scale for v in exact] == ints
+
+
+@PROPERTY
+@given(any_polys)
+def test_isolate_matches_the_oracle(p):
+    got = [(iv.lo, iv.hi) for iv in RootIsolator(p).isolate()]
+    assert got == oracle_isolate(p)
+
+
+@PROPERTY
+@given(rooted_polys(), random_polys)
+def test_sign_at_rational_root_is_exact(rooted, q):
+    p, known = rooted
+    iso = RootIsolator(p)
+    intervals = iso.isolate()
+    for iv in intervals:
+        inside = [r for r in known if iv.lo < r <= iv.hi]
+        if not inside:
+            continue  # a root of the quadratic factor
+        (r,) = inside
+        value = _eval(q.univariate_coeffs()[1], r)
+        assert sign_at_root(q, iso, iv) == (value > 0) - (value < 0)
+
+
+def test_inexact_pseudo_division_raises(monkeypatch):
+    # The check must hold under ``python -O`` too, so it cannot be an assert.
+    monkeypatch.setattr(roots, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(RuntimeError, match="inexact"):
+        SturmChain(T ** 3 - 2 * T + 1)
