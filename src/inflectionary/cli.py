@@ -46,6 +46,18 @@ LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5))
 
 OUTDIR_ENV = "INFLECTIONARY_OUTDIR"
 
+# The flags each verify family reads.  Any other flag is a usage error, not
+# silently dropped; --k and --k-max together are one too, since --k wins.
+_VERIFY_FLAG_NAMES = {"k": "--k", "k_max": "--k-max", "mu": "--mu", "lambda0": "--lambda"}
+_VERIFY_FLAGS = {
+    "symmetry": ("k", "k_max"),
+    "support": ("k", "k_max"),
+    "faces": ("k", "k_max"),
+    "lemma1": ("mu", "k"),
+    "torsion": ("k", "lambda0"),
+    "singular": ("k",),
+}
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -139,6 +151,12 @@ def cmd_compute(args) -> int:
 
 def _verify_reports(args):
     check = args.check
+    unread = [flag for dest, flag in _VERIFY_FLAG_NAMES.items()
+              if getattr(args, dest) is not None and dest not in _VERIFY_FLAGS[check]]
+    if unread:
+        raise _UsageError(f"verify {check} does not read {', '.join(unread)}")
+    if args.k is not None and args.k_max is not None:
+        raise _UsageError("--k and --k-max are exclusive")
     if check == "symmetry":
         ks = [args.k] if args.k is not None else \
             list(range(1, (args.k_max or SYMMETRY_K_MAX) + 1))

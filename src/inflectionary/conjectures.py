@@ -14,20 +14,18 @@ from .inflection import (
     basic_inflection,
     general_inflection,
     legendre_f,
-    q_template,
-    shift_var_name,
+    template_substitution,
     wronskian_direct,
     _wronskian_poly,
 )
 from .newton import face_restriction, lattice_points_in_hull, newton_data
-from .poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json, substitute_polys
+from .poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json
 from .reports import FAIL, OUT_OF_RANGE, PASS, UNRESOLVED, CheckReport
 from .roots import (
-    IsolatingInterval,
     RootIsolator,
     certified_rational_roots,
+    deflate,
     gcd_univariate,
-    root_multiplicity,
     sign_at_root,
     sturm_count,
 )
@@ -243,50 +241,29 @@ def check_face_structure(k: int) -> CheckReport:
 
 # -- separability and root censuses -------------------------------------------
 
-def _separability(p_at_lambda: SparsePoly):
-    """Shared detail of separability checks: is gcd(p, p') supported on {0,1}?
+def _separability(shared: SparsePoly):
+    """Shared detail of separability checks: is ``shared`` = gcd(p, p')
+    supported on {0, 1}?
 
     Returns ``(ok, details)`` where details records the gcd degree, the
     multiplicities split off at x = 0 and x = 1, and a witness interval for
     a stray real root when one exists.
     """
-    derivative = p_at_lambda.derivative(VAR_X)
-    shared = gcd_univariate(p_at_lambda, derivative)
     details = {"gcd_degree": max(shared.degree(VAR_X), 0)}
     if shared.degree(VAR_X) < 1:
         details["mult_at_0"] = 0
         details["mult_at_1"] = 0
         return True, details
-    mult0 = root_multiplicity(shared, 0)
-    mult1 = root_multiplicity(shared, 1)
-    details["mult_at_0"] = mult0
-    details["mult_at_1"] = mult1
-    residual = shared
-    for _ in range(mult0):
-        residual = _exact_linear_quotient(residual, Fraction(0))
-    for _ in range(mult1):
-        residual = _exact_linear_quotient(residual, Fraction(1))
+    details["mult_at_0"], residual = deflate(shared, 0)
+    details["mult_at_1"], residual = deflate(residual, 1)
     if residual.degree(VAR_X) < 1:
         return True, details
-    stray = sturm_count(residual)
-    details["stray_real_roots"] = stray
-    if stray == 0:
+    intervals = RootIsolator(residual).isolate()
+    details["stray_real_roots"] = len(intervals)
+    if not intervals:
         return True, details
-    iso = RootIsolator(residual)
-    details["witness_interval"] = iso.isolate()[0]
+    details["witness_interval"] = intervals[0]
     return False, details
-
-
-def _exact_linear_quotient(p: SparsePoly, r: Fraction) -> SparsePoly:
-    name, coeffs = p.univariate_coeffs()
-    out = []
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1]:
-        raise ValueError(f"{r} is not a root")
-    return SparsePoly.from_univariate(name, list(reversed(out[:-1])))
 
 
 def separability_check(mu: int, k: int, lambda0) -> CheckReport:
@@ -297,7 +274,7 @@ def separability_check(mu: int, k: int, lambda0) -> CheckReport:
     params = {"mu": int(mu), "k": int(k), "lambda0": lambda0}
     if p.is_zero:
         raise RuntimeError(f"inflection polynomial vanished at lambda = {lambda0}")
-    ok, details = _separability(p)
+    ok, details = _separability(gcd_univariate(p, p.derivative(VAR_X)))
     if ok:
         return CheckReport("separability", params, PASS, data=details)
     witness = details.pop("witness_interval")
@@ -344,20 +321,16 @@ def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     f_here = legendre_f().specialize(VAR_LAMBDA, lambda0)
     iso = RootIsolator(p)
     intervals = iso.isolate()
-    positive = 0
-    for iv in intervals:
-        if sign_at_root(f_here, iso, iv) > 0:
-            positive += 1
-    separable, _ = _separability(p)
-    census = RootCensus(
+    positive = sum(1 for sign in sign_at_root(f_here, iso, intervals) if sign > 0)
+    separable, _ = _separability(iso.repeated_part())
+    return RootCensus(
         mu=mu, k=k, lambda0=lambda0,
         total_real_roots=len(intervals),
         roots_f_positive=positive,
-        roots_at_01={0: root_multiplicity(p, 0), 1: root_multiplicity(p, 1)},
+        roots_at_01={0: deflate(p, 0)[0], 1: deflate(p, 1)[0]},
         separable_away_from_01=separable,
         intervals=intervals,
     )
-    return census
 
 
 def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckReport:
@@ -440,13 +413,7 @@ def lemma_range_probe(mu: int = 2, k: int = 2) -> CheckReport:
     """
     mu = int(mu)
     k = int(k)
-    n = k + 1
-    template = q_template(mu, n)
-    assignments = {
-        shift_var_name(off): basic_inflection(n + off - 1).poly
-        for off in range(1 - mu, mu)
-    }
-    via_template = substitute_polys(template.poly, assignments)
+    via_template = template_substitution(mu, k)
     via_wronskian = _wronskian_poly(mu, k)
     agree = via_template == via_wronskian
     return CheckReport(
@@ -515,8 +482,7 @@ def _affine_singular_candidates(q: SparsePoly, u_name: str, v_name: str):
         unresolved.append({"variable": keep, "interval": iv})
     residual_keep = shared
     for value in keep_values:
-        while root_multiplicity(residual_keep, value):
-            residual_keep = _exact_linear_quotient(residual_keep, value)
+        _, residual_keep = deflate(residual_keep, value)
     if residual_keep.degree(keep) >= 1 and not keep_unresolved:
         # every remaining candidate value is nonreal; it still needs a
         # verdict, so hand it back as unresolved rather than dropping it
@@ -542,8 +508,7 @@ def _affine_singular_candidates(q: SparsePoly, u_name: str, v_name: str):
             unresolved.append({"variable": elim, "interval": iv, keep: value})
         residual = shared_x
         for root in elim_values:
-            while root_multiplicity(residual, root):
-                residual = _exact_linear_quotient(residual, root)
+            _, residual = deflate(residual, root)
             certified.append({keep: value, elim: root})
         if residual.degree(elim) >= 1 and sturm_count(residual) == 0:
             # no real roots left, but complex common zeros exist

@@ -17,8 +17,8 @@ so none of them is ever rewritten in terms of another.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,38 +95,29 @@ def _seed_poly() -> SparsePoly:
     return divexact(f.derivative(VAR_X), SparsePoly.constant(_XL, 2))
 
 
-_BASIC_LOCK = threading.Lock()
-_BASIC_CACHE = [_seed_poly()]
-
-
 def basic_inflection(k: int) -> InflectionPoly:
-    """P(1, k) via the first-order recurrence, memoized.
-
-    The cache is append-only and computing an entry twice produces the same
-    value, so concurrent use is safe.
-    """
+    """P(1, k) via the first-order recurrence, memoized."""
     k = int(k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if k >= len(_BASIC_CACHE):
-        with _BASIC_LOCK:
-            f = legendre_f()
-            df = f.derivative(VAR_X)
-            coeff = RECURRENCE_COEFFICIENT_VARIANTS[SELECTED_RECURRENCE_COEFFICIENT]
-            while k >= len(_BASIC_CACHE):
-                j = len(_BASIC_CACHE) - 1
-                prev = _BASIC_CACHE[-1]
-                nxt = prev.derivative(VAR_X) * f + coeff(j) * prev * df
-                _BASIC_CACHE.append(nxt)
-    return InflectionPoly(1, k, _BASIC_CACHE[k])
+    for j in range(k):  # ascending, so no step recurses more than one deep
+        _recurrence_step(j)
+    return _recurrence_step(k)
 
 
-_ORACLE_LOCK = threading.Lock()
-_ORACLE_CACHE = []
+@functools.cache
+def _recurrence_step(k: int) -> InflectionPoly:
+    if k == 0:
+        return InflectionPoly(1, 0, _seed_poly())
+    f = legendre_f()
+    coeff = RECURRENCE_COEFFICIENT_VARIANTS[SELECTED_RECURRENCE_COEFFICIENT]
+    prev = _recurrence_step(k - 1).poly
+    nxt = prev.derivative(VAR_X) * f + coeff(k - 1) * prev * f.derivative(VAR_X)
+    return InflectionPoly(1, k, nxt)
 
 
 def derivative_oracle(m: int) -> DerivativeForm:
-    """D^m y as y * N/f^d by m exact quotient-rule steps.
+    """D^m y as y * N/f^d by m exact quotient-rule steps, memoized.
 
     Starting from y' = y*D(f)/(2f), each step differentiates y*N/f^d
     directly and cancels any f factor that appears in the numerator.  This
@@ -136,24 +127,26 @@ def derivative_oracle(m: int) -> DerivativeForm:
     m = int(m)
     if m < 1:
         raise ValueError(f"derivative order must be positive, got {m}")
-    if m > len(_ORACLE_CACHE):
-        with _ORACLE_LOCK:
-            f = legendre_f()
-            df = f.derivative(VAR_X)
-            if not _ORACLE_CACHE:
-                num = divexact(df, SparsePoly.constant(_XL, 2))
-                _ORACLE_CACHE.append(DerivativeForm(1, num, 1))
-            while m > len(_ORACLE_CACHE):
-                form = _ORACLE_CACHE[-1]
-                num = form.numerator.derivative(VAR_X) * f \
-                    + (Fraction(1, 2) - form.exponent) * form.numerator * df
-                exp = form.exponent + 1
-                reduced = try_divexact(num, f)
-                while reduced is not None and not num.is_zero:
-                    num, exp = reduced, exp - 1
-                    reduced = try_divexact(num, f)
-                _ORACLE_CACHE.append(DerivativeForm(form.order + 1, num, exp))
-    return _ORACLE_CACHE[m - 1]
+    for j in range(1, m):  # ascending, so no step recurses more than one deep
+        _quotient_rule_step(j)
+    return _quotient_rule_step(m)
+
+
+@functools.cache
+def _quotient_rule_step(m: int) -> DerivativeForm:
+    f = legendre_f()
+    df = f.derivative(VAR_X)
+    if m == 1:
+        return DerivativeForm(1, divexact(df, SparsePoly.constant(_XL, 2)), 1)
+    form = _quotient_rule_step(m - 1)
+    num = form.numerator.derivative(VAR_X) * f \
+        + (Fraction(1, 2) - form.exponent) * form.numerator * df
+    exp = form.exponent + 1
+    reduced = try_divexact(num, f)
+    while reduced is not None and not num.is_zero:
+        num, exp = reduced, exp - 1
+        reduced = try_divexact(num, f)
+    return DerivativeForm(m, num, exp)
 
 
 def calibrate_recurrence_coefficient(max_k: int = 4) -> dict:
@@ -201,10 +194,6 @@ class QTemplate:
     n: int
     poly: SparsePoly
 
-    @property
-    def shift_vars(self):
-        return self.poly.vars
-
 
 def shift_var_name(offset: int) -> str:
     return f"t{offset}"
@@ -234,10 +223,7 @@ def q_template(mu: int, n: int) -> QTemplate:
     return QTemplate(mu, n, det_polymatrix(rows))
 
 
-_GENERAL_LOCK = threading.Lock()
-_GENERAL_CACHE = {}
-
-
+@functools.cache
 def general_inflection(mu: int, k: int) -> InflectionPoly:
     """P(mu, k) by substituting the mu = 1 family into the q template, memoized.
 
@@ -253,18 +239,22 @@ def general_inflection(mu: int, k: int) -> InflectionPoly:
         return basic_inflection(k)
     if k <= mu:
         raise ValueError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
-    with _GENERAL_LOCK:
-        cached = _GENERAL_CACHE.get((mu, k))
-        if cached is None:
-            n = k + 1
-            template = q_template(mu, n)
-            assignments = {
-                shift_var_name(off): basic_inflection(n + off - 1).poly
-                for off in range(1 - mu, mu)
-            }
-            poly = substitute_polys(template.poly, assignments)
-            cached = _GENERAL_CACHE[(mu, k)] = InflectionPoly(mu, k, poly)
-        return cached
+    return InflectionPoly(mu, k, template_substitution(mu, k))
+
+
+def template_substitution(mu: int, k: int) -> SparsePoly:
+    """The q template for n = k + 1 with each t_l replaced by P(1, n + l - 1).
+
+    No range check: ``lemma_range_probe`` evaluates it outside the proven
+    range too.
+    """
+    n = k + 1
+    template = q_template(mu, n)
+    assignments = {
+        shift_var_name(off): basic_inflection(n + off - 1).poly
+        for off in range(1 - mu, mu)
+    }
+    return substitute_polys(template.poly, assignments)
 
 
 def _wronskian_poly(mu: int, k: int) -> SparsePoly:
@@ -306,10 +296,6 @@ def wronskian_direct(mu: int, k: int) -> InflectionPoly:
 
 # -- division polynomials -----------------------------------------------------
 
-_DIVPOLY_LOCK = threading.Lock()
-_DIVPOLY_CACHE = {}
-
-
 def division_polynomial(m: int) -> SparsePoly:
     """The m-th division polynomial of the Legendre curve, y-factor stripped.
 
@@ -320,55 +306,46 @@ def division_polynomial(m: int) -> SparsePoly:
 
     Built from the curve invariants b2 = 4*a2, b4 = 2*a4, b6 = 0,
     b8 = -a4^2 (with a2 = -(1+lambda), a4 = lambda) and the standard
-    doubling recurrences, with y^2 reduced to f throughout.
+    doubling recurrences, with y^2 reduced to f throughout; memoized.
     """
     m = int(m)
     if m < 1:
         raise ValueError(f"division polynomial index must be positive, got {m}")
-    with _DIVPOLY_LOCK:
-        return _divpoly(m)
+    return _divpoly(m)
 
 
+@functools.cache
 def _divpoly(m: int) -> SparsePoly:
-    cached = _DIVPOLY_CACHE.get(m)
-    if cached is not None:
-        return cached
-    if not _DIVPOLY_CACHE:
+    if m <= 2:
+        return SparsePoly.constant(_XL, m)
+    if m <= 4:
         one = SparsePoly.constant(_XL, 1)
         lam = SparsePoly.variable(_XL, VAR_LAMBDA)
         x = SparsePoly.variable(_XL, VAR_X)
         b2 = -4 * (one + lam)
         b4 = 2 * lam
         b8 = -(lam * lam)
-        _DIVPOLY_CACHE[0] = SparsePoly.zero(_XL)
-        _DIVPOLY_CACHE[1] = one
-        _DIVPOLY_CACHE[2] = SparsePoly.constant(_XL, 2)
-        _DIVPOLY_CACHE[3] = 3 * x ** 4 + b2 * x ** 3 + 3 * b4 * x ** 2 + b8
-        _DIVPOLY_CACHE[4] = 2 * (
+        if m == 3:
+            return 3 * x ** 4 + b2 * x ** 3 + 3 * b4 * x ** 2 + b8
+        return 2 * (
             2 * x ** 6 + b2 * x ** 5 + 5 * b4 * x ** 4
             + 10 * b8 * x ** 2 + (b2 * b8) * x + b4 * b8
         )
-        if m in _DIVPOLY_CACHE:
-            return _DIVPOLY_CACHE[m]
     f = legendre_f()
     f2 = f * f
     r = m // 2
     if m % 2:
         # psi products mixing even indices pick up y^4 = f^2
         if r % 2 == 0:
-            value = f2 * _divpoly(r + 2) * _divpoly(r) ** 3 \
+            return f2 * _divpoly(r + 2) * _divpoly(r) ** 3 \
                 - _divpoly(r - 1) * _divpoly(r + 1) ** 3
-        else:
-            value = _divpoly(r + 2) * _divpoly(r) ** 3 \
-                - f2 * _divpoly(r - 1) * _divpoly(r + 1) ** 3
-    else:
-        value = divexact(
-            _divpoly(r) * (_divpoly(r + 2) * _divpoly(r - 1) ** 2
-                           - _divpoly(r - 2) * _divpoly(r + 1) ** 2),
-            SparsePoly.constant(_XL, 2),
-        )
-    _DIVPOLY_CACHE[m] = value
-    return value
+        return _divpoly(r + 2) * _divpoly(r) ** 3 \
+            - f2 * _divpoly(r - 1) * _divpoly(r + 1) ** 3
+    return divexact(
+        _divpoly(r) * (_divpoly(r + 2) * _divpoly(r - 1) ** 2
+                       - _divpoly(r - 2) * _divpoly(r + 1) ** 2),
+        SparsePoly.constant(_XL, 2),
+    )
 
 
 def torsion_check(k: int, lambda0) -> CheckReport:

@@ -17,21 +17,6 @@ def _check_square(rows):
     return n, variables
 
 
-def det_cofactor(rows) -> SparsePoly:
-    """Determinant by cofactor expansion.  Exponential; used as an oracle."""
-    n, variables = _check_square(rows)
-    if n == 1:
-        return rows[0][0]
-    total = SparsePoly.zero(variables)
-    for j in range(n):
-        if rows[0][j].is_zero:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def det_polymatrix(rows) -> SparsePoly:
     """Fraction-free Bareiss determinant of a square polynomial matrix.
 

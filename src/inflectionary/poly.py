@@ -325,28 +325,12 @@ class SparsePoly:
         terms = {e + (target_degree - sum(e),): c for e, c in self.terms.items()}
         return SparsePoly._raw(new_vars, terms)
 
-    def dehomogenize(self, name):
-        """Set one variable to 1 and drop it; inverse of ``homogenize``."""
-        return self.specialize(name, 1)
-
     def rename_var(self, old, new):
         idx = self._index(old)
         if new in self.vars and new != old:
             raise ValueError(f"variable {new!r} already present")
         new_vars = self.vars[:idx] + (new,) + self.vars[idx + 1:]
         return SparsePoly._raw(new_vars, dict(self.terms))
-
-    def with_vars(self, variables):
-        """Reinterpret over a superset of variables (same order on the old ones)."""
-        variables = tuple(variables)
-        positions = [variables.index(v) for v in self.vars]
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for pos, exp in zip(positions, e):
-                ne[pos] = exp
-            terms[tuple(ne)] = c
-        return SparsePoly._raw(variables, terms)
 
     # -- univariate views ---------------------------------------------------
 

@@ -92,13 +92,6 @@ class SignGrid:
         return [column[j] for column in self.values]
 
 
-def _row_denominator(*fractions) -> int:
-    denom = 1
-    for v in fractions:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return denom
-
-
 def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     """Exact sign of p at every grid node of the window.
 
@@ -112,7 +105,7 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     degree = max(by_xpow, default=0)
 
     step = (w.x_max - w.x_min) / w.nx
-    base_den = _row_denominator(w.x_min, step)
+    base_den = math.lcm(w.x_min.denominator, step.denominator)
     a0 = int(w.x_min * base_den)
     a_step = int(step * base_den)
 
@@ -123,7 +116,7 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
         for t in range(degree + 1):
             c = by_xpow.get(t)
             coeffs.append(c.evaluate({VAR_LAMBDA: lam}) if c is not None else Fraction(0))
-        denom = _row_denominator(*coeffs)
+        denom = math.lcm(*(c.denominator for c in coeffs))
         cleared = [int(c * denom) for c in coeffs]
         # scaled[t] = c_t * base_den^(degree - t), so the Horner loop below
         # accumulates p(a/base_den) * base_den^degree, an integer of known sign

@@ -8,6 +8,14 @@ factors and pseudo-remainders are scaled by a positive power of the divisor's
 leading coefficient, so every sign is kept and coefficients do not swell.
 An integer list is evaluated at a rational a/b (b > 0) by homogeneous
 Horner, sum c_i a^i b^(d-i), which has the sign of its value at a/b.
+
+A :class:`RootIsolator` is built once per polynomial, e.g. one fiber of
+P(mu, k) at a fixed lambda, and owns that fiber's univariate work: the
+squarefree part, its chain and root bound serve isolation, refinement,
+rational certification and ``sign_at_root``, which signs q at all the
+fiber's roots in one call; ``repeated_part`` recovers gcd(p, p') from the
+squarefree part without a second gcd.  ``deflate`` splits a rational root
+off with its multiplicity.
 """
 
 from __future__ import annotations
@@ -22,11 +30,6 @@ DEFAULT_REFINE_WIDTH = Fraction(1, 2 ** 40)
 
 
 # -- coefficient-list helpers -------------------------------------------------
-
-def _coeffs(p: SparsePoly):
-    name, coeffs = p.univariate_coeffs()
-    return name, coeffs
-
 
 def _strip(c):
     while c and not c[-1]:
@@ -128,11 +131,10 @@ def gcd_univariate(a: SparsePoly, b: SparsePoly) -> SparsePoly:
         return a
     if a.is_zero:
         a, b = b, a
-    name, ca = _coeffs(a)
+    name, ca = a.univariate_coeffs()
     if b.is_zero:
-        lead = ca[-1]
-        return SparsePoly.from_univariate(name, [v / lead for v in ca])
-    name_b, cb = _coeffs(b)
+        return _monic(name, ca)
+    name_b, cb = b.univariate_coeffs()
     if name_b != name:
         raise ValueError(f"variable mismatch: {name!r} vs {name_b!r}")
     return SparsePoly.from_univariate(name, _gcd_lists(ca, cb))
@@ -142,14 +144,16 @@ def squarefree_part(p: SparsePoly) -> SparsePoly:
     """The monic radical ``p / gcd(p, p')``."""
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree part")
-    name, c = _coeffs(p)
+    name, c = p.univariate_coeffs()
     g = _gcd_lists(c, _derive(c))
     if _degree(g) < 1:
-        lead = c[-1]
-        return SparsePoly.from_univariate(name, [v / lead for v in c])
-    q = _exact_div(c, g)
-    lead = q[-1]
-    return SparsePoly.from_univariate(name, [v / lead for v in q])
+        return _monic(name, c)
+    return _monic(name, _exact_div(c, g))
+
+
+def _monic(name, c) -> SparsePoly:
+    lead = c[-1]
+    return SparsePoly.from_univariate(name, [v / lead for v in c])
 
 
 def _exact_div(a, b):
@@ -173,18 +177,19 @@ def cauchy_root_bound(p: SparsePoly) -> Fraction:
     """A rational B with every real root of p strictly inside (-B, B)."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root bound")
-    _, c = _coeffs(p)
+    _, c = p.univariate_coeffs()
     lead = abs(c[-1])
     top = max((abs(v) for v in c[:-1]), default=Fraction(0))
     return 1 + top / lead
 
 
-def root_multiplicity(p: SparsePoly, r) -> int:
-    """Multiplicity of the rational point ``r`` as a root of ``p``."""
+def deflate(p: SparsePoly, r):
+    """``(m, p / (x - r)^m)`` where m is the multiplicity of the rational
+    point ``r`` as a root of ``p``."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     r = as_fraction(r)
-    _, c = _coeffs(p)
+    name, c = p.univariate_coeffs()
     count = 0
     while len(c) > 1:
         # one synthetic division by (x - r); the final accumulator is p(r)
@@ -197,7 +202,7 @@ def root_multiplicity(p: SparsePoly, r) -> int:
             break
         c = list(reversed(steps[:-1]))
         count += 1
-    return count
+    return count, SparsePoly.from_univariate(name, c)
 
 
 # -- Sturm chains -------------------------------------------------------------
@@ -215,7 +220,7 @@ class SturmChain:
     def __init__(self, p: SparsePoly):
         if p.is_zero:
             raise ValueError("Sturm chain of the zero polynomial")
-        self.var, coeffs = _coeffs(p)
+        self.var, coeffs = p.univariate_coeffs()
         chain = [_primitive(coeffs)]
         derivative = _primitive(_derive(chain[0]))
         if derivative:
@@ -273,7 +278,7 @@ class RootIsolator:
     """Isolates, refines, signs and certifies the real roots of one polynomial.
 
     The squarefree part, its Sturm chain and its root bound are built once
-    and reused by every query, ``sign_at_root`` and
+    and reused by every query, ``repeated_part``, ``sign_at_root`` and
     ``certified_rational_roots`` included; multiple roots of the input are
     counted once and endpoint degeneracies cannot occur.  Each bisection
     carries the variation counts of the endpoints it already knows, so a
@@ -287,6 +292,11 @@ class RootIsolator:
         self.reduced = squarefree_part(p)
         self.chain = SturmChain(self.reduced)
         self.bound = cauchy_root_bound(self.reduced)
+
+    def repeated_part(self) -> SparsePoly:
+        """The monic gcd(p, p'), recovered as p divided by its squarefree part."""
+        name, c = self.poly.univariate_coeffs()
+        return _monic(name, _exact_div(c, self.reduced.univariate_coeffs()[1]))
 
     def count(self, lo=None, hi=None) -> int:
         """Distinct real roots in (lo, hi]; None means the matching infinity."""
@@ -357,7 +367,7 @@ def sturm_count(p: SparsePoly, lo=None, hi=None) -> int:
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    name, c = _coeffs(p)
+    name, c = p.univariate_coeffs()
     if _degree(c) < 1:
         if lo is not None and hi is not None and as_fraction(lo) >= as_fraction(hi):
             raise ValueError("empty interval: lo >= hi")
@@ -365,39 +375,47 @@ def sturm_count(p: SparsePoly, lo=None, hi=None) -> int:
     return RootIsolator(p).count(lo, hi)
 
 
-def sign_at_root(q: SparsePoly, iso: RootIsolator, iv: IsolatingInterval) -> int:
-    """Exact sign of q at the root of ``iso``'s polynomial p isolated by ``iv``.
+def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
+    """Exact signs of q at the roots of ``iso``'s polynomial p isolated by
+    ``intervals``, one sign per interval.
 
-    A zero sign is certified through gcd(p, q); otherwise the interval is
-    refined with iso's chain until q provably has no root inside, making its
-    sign constant.
+    gcd(p, q), its chain and the chain of q's squarefree part are built once
+    for all the intervals.  A zero sign is certified through gcd(p, q);
+    otherwise the interval is refined with iso's chain until q provably has
+    no root inside, making its sign constant.
     """
-    vlo, _ = iso._isolating_variations(iv)
+    intervals = list(intervals)
+    counts = [iso._isolating_variations(iv)[0] for iv in intervals]
     if q.is_zero:
-        return 0
+        return [0] * len(intervals)
     name = iso.chain.var
-    qname, qc = _coeffs(q)
+    qname, qc = q.univariate_coeffs()
     if qname != name:
         raise ValueError(f"variable mismatch: {name!r} vs {qname!r}")
     q_ints = _primitive(qc)
     if _degree(qc) < 1:
-        return 1 if q_ints[0] > 0 else -1
-    lo, hi = iv.lo, iv.hi
+        return [1 if q_ints[0] > 0 else -1] * len(intervals)
     shared = gcd_univariate(iso.reduced, q)
-    if shared.degree(name) >= 1 and SturmChain(shared).count(lo, hi) == 1:
-        return 0
+    shared_chain = SturmChain(shared) if shared.degree(name) >= 1 else None
     qchain = SturmChain(squarefree_part(q))
-    qlo, qhi = qchain.variations_at(lo), qchain.variations_at(hi)
-    while qlo != qhi:
-        mid = (lo + hi) / 2
-        vmid = iso.chain.variations_at(mid)
-        qmid = qchain.variations_at(mid)
-        if vlo - vmid == 1:
-            hi, qhi = mid, qmid
-        else:
-            lo, vlo, qlo = mid, vmid, qmid
-    # q has no root in (lo, hi], so q(hi) is nonzero
-    return _sign_at(q_ints, hi)
+    signs = []
+    for iv, vlo in zip(intervals, counts):
+        lo, hi = iv.lo, iv.hi
+        if shared_chain is not None and shared_chain.count(lo, hi) == 1:
+            signs.append(0)
+            continue
+        qlo, qhi = qchain.variations_at(lo), qchain.variations_at(hi)
+        while qlo != qhi:
+            mid = (lo + hi) / 2
+            vmid = iso.chain.variations_at(mid)
+            qmid = qchain.variations_at(mid)
+            if vlo - vmid == 1:
+                hi, qhi = mid, qmid
+            else:
+                lo, vlo, qlo = mid, vmid, qmid
+        # q has no root in (lo, hi], so q(hi) is nonzero
+        signs.append(_sign_at(q_ints, hi))
+    return signs
 
 
 # -- rational root certification ----------------------------------------------
@@ -431,7 +449,7 @@ def certified_rational_roots(p: SparsePoly, max_denominator=2 ** 24):
     if p.is_zero:
         raise ValueError("zero polynomial")
     iso = RootIsolator(p)
-    reduced = _primitive(_coeffs(iso.reduced)[1])
+    reduced = _primitive(iso.reduced.univariate_coeffs()[1])
     rationals = []
     unresolved = []
     for iv in iso.isolate():

@@ -23,10 +23,10 @@ from inflectionary.conjectures import (
     sigma_reflection,
     singular_probe,
 )
-from inflectionary.inflection import basic_inflection
+from inflectionary.inflection import basic_inflection, legendre_f
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
 from inflectionary.reports import FAIL, OUT_OF_RANGE, PASS, CheckReport, jsonable
-from inflectionary.roots import RootIsolator
+from inflectionary.roots import RootIsolator, SturmChain, squarefree_part
 
 XL = (VAR_X, VAR_LAMBDA)
 
@@ -200,6 +200,23 @@ class TestRootCensus:
         census = real_root_census(1, 4, Fraction(-3, 2))
         assert census.total_real_roots > 1
         assert len(built) == 1
+
+    def test_one_chain_of_f_per_fiber(self, monkeypatch):
+        built = []
+        init = SturmChain.__init__
+
+        def counting_init(self, p):
+            built.append(p)
+            init(self, p)
+
+        monkeypatch.setattr(SturmChain, "__init__", counting_init)
+        lambda0 = Fraction(-3, 2)
+        census = real_root_census(1, 4, lambda0)
+        f_here = squarefree_part(legendre_f().specialize(VAR_LAMBDA, lambda0))
+        assert census.total_real_roots > 1
+        assert built.count(f_here) == 1
+        # the isolator's chain and f's: gcd(p, f) is constant here
+        assert len(built) == 2
 
 
 class TestScan:

@@ -99,6 +99,27 @@ class TestVerify:
         assert out == ""
         assert "--k-max" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("singular", "--k-max", "3"), "--k-max"),
+        (("torsion", "--k-max", "4"), "--k-max"),
+        (("support", "--mu", "3", "--k", "1"), "--mu"),
+        (("symmetry", "--lambda", "2"), "--lambda"),
+        (("lemma1", "--mu", "2", "--k", "3", "--k-max", "4"), "--k-max"),
+        (("singular", "--k", "2", "--mu", "1"), "--mu"),
+    ])
+    def test_flag_the_family_does_not_read_is_exit_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("family", ["symmetry", "support", "faces"])
+    def test_k_with_k_max_is_exit_2(self, capsys, family):
+        code, out, err = run(capsys, "verify", family, "--k", "2", "--k-max", "5")
+        assert code == 2
+        assert out == ""
+        assert "--k-max" in err
+
     def test_unknown_family_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 2

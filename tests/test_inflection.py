@@ -1,5 +1,7 @@
 """Construction routes and their cross-checks, all against frozen oracles."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from inflectionary.inflection import (
     shift_var_name,
     torsion_check,
     wronskian_direct,
+    _recurrence_step,
 )
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, try_divexact
 
@@ -166,6 +169,35 @@ class TestRouteAgreement:
 
     def test_general_is_memoized(self):
         assert general_inflection(2, 4) is general_inflection(2, 4)
+
+    def test_concurrent_cold_fills_agree(self):
+        expected = [basic_inflection(k).poly for k in (11, 5, 8)]
+        _recurrence_step.cache_clear()
+        results = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(
+                [basic_inflection(k).poly for k in (11, 5, 8)])) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert results == [expected] * 4
+        # filled in ascending order: the cache holds exactly k = 0..11
+        assert _recurrence_step.cache_info().currsize == 12
+
+    @pytest.mark.parametrize("build,args", [
+        (basic_inflection, (5,)),
+        (derivative_oracle, (4,)),
+        (general_inflection, (1, 3)),
+        (division_polynomial, (7,)),
+    ])
+    def test_repeat_call_returns_the_same_object(self, build, args):
+        assert build(*args) is build(*args)
 
     def test_general_degrees(self):
         p = general_inflection(2, 3)

@@ -5,18 +5,28 @@ from fractions import Fraction
 
 import pytest
 
-from inflectionary.matrices import (
-    det_cofactor,
-    det_polymatrix,
-    resultant,
-    sylvester_matrix,
-)
+from inflectionary.matrices import det_polymatrix, resultant, sylvester_matrix
 from inflectionary.poly import SparsePoly
 
 XL = ("x", "lambda")
 X = SparsePoly.variable(XL, "x")
 L = SparsePoly.variable(XL, "lambda")
 T = SparsePoly.variable(("t",), "t")
+
+
+def det_cofactor(rows) -> SparsePoly:
+    """Determinant by cofactor expansion along the first row.
+
+    Exponential, but obviously right: the oracle for the Bareiss route.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    total = SparsePoly.zero(rows[0][0].vars)
+    for j, entry in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = entry * det_cofactor(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def const(v):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inflectionary.poly import SparsePoly
 from inflectionary.roots import (
@@ -13,8 +15,8 @@ from inflectionary.roots import (
     SturmChain,
     cauchy_root_bound,
     certified_rational_roots,
+    deflate,
     gcd_univariate,
-    root_multiplicity,
     sign_at_root,
     simplest_rational_between,
     squarefree_part,
@@ -83,9 +85,12 @@ class TestSquarefreeAndMultiplicity:
 
     def test_root_multiplicity(self):
         p = from_roots(Fraction(1, 2), Fraction(1, 2), 3)
-        assert root_multiplicity(p, Fraction(1, 2)) == 2
-        assert root_multiplicity(p, 3) == 1
-        assert root_multiplicity(p, 0) == 0
+        assert deflate(p, Fraction(1, 2)) == (2, from_roots(3))
+        assert deflate(p, 3) == (1, from_roots(Fraction(1, 2), Fraction(1, 2)))
+        assert deflate(p, 0) == (0, p)
+        assert deflate(-2 * ONE, 1) == (0, -2 * ONE)
+        with pytest.raises(ValueError):
+            deflate(SparsePoly.zero(("t",)), 0)
 
     def test_cauchy_bound_contains_roots(self):
         p = from_roots(-7, Fraction(9, 2), 1)
@@ -153,25 +158,32 @@ class TestIsolation:
 class TestSignAtRoot:
     def test_sign_of_offset_at_sqrt2(self):
         iso = RootIsolator(T * T - 2)
-        neg, pos = iso.isolate()
-        assert sign_at_root(T - 1, iso, pos) == 1
-        assert sign_at_root(T - 2, iso, pos) == -1
-        assert sign_at_root(T, iso, neg) == -1
+        intervals = iso.isolate()
+        assert sign_at_root(T - 1, iso, intervals) == [-1, 1]
+        assert sign_at_root(T - 2, iso, intervals) == [-1, -1]
+        assert sign_at_root(T, iso, intervals[:1]) == [-1]
 
     def test_certified_zero_through_gcd(self):
         iso = RootIsolator(from_roots(2, 5))
-        assert sign_at_root(T - 2, iso, iso.isolate()[0]) == 0
+        assert sign_at_root(T - 2, iso, iso.isolate()) == [0, 1]
 
     def test_zero_poly_and_constants(self):
         iso = RootIsolator(T * T - 3)
-        iv = iso.isolate()[1]
-        assert sign_at_root(SparsePoly.zero(("t",)), iso, iv) == 0
-        assert sign_at_root(-2 * ONE, iso, iv) == -1
+        intervals = iso.isolate()
+        assert sign_at_root(SparsePoly.zero(("t",)), iso, intervals) == [0, 0]
+        assert sign_at_root(-2 * ONE, iso, intervals) == [-1, -1]
+        assert sign_at_root(T, iso, []) == []
 
     def test_shared_irrational_root(self):
         iso = RootIsolator(T * T - 2)
         q = (T * T - 2) * (T - 10)
-        assert sign_at_root(q, iso, iso.isolate()[1]) == 0
+        assert sign_at_root(q, iso, iso.isolate()) == [0, 0]
+
+    def test_rejects_a_non_isolating_interval(self):
+        iso = RootIsolator(from_roots(1, 2))
+        whole = IsolatingInterval(Fraction(0), Fraction(3))
+        with pytest.raises(ValueError):
+            sign_at_root(T, iso, [iso.isolate()[0], whole])
 
 
 class TestSimplestRational:
@@ -257,3 +269,51 @@ class TestIsolatorObject:
     def test_interval_json(self):
         iv = IsolatingInterval(Fraction(1, 3), Fraction(1, 2))
         assert iv.to_json_dict() == {"lo": "1/3", "hi": "1/2"}
+
+
+# -- deflation against the two-step oracle ---------------------------------------
+
+def oracle_multiplicity(p: SparsePoly, r: Fraction) -> int:
+    """Multiplicity of ``r`` as a root of ``p``, one synthetic division at a time."""
+    _, c = p.univariate_coeffs()
+    count = 0
+    while len(c) > 1:
+        acc = Fraction(0)
+        steps = []
+        for coeff in reversed(c):
+            acc = acc * r + coeff
+            steps.append(acc)
+        if steps[-1]:
+            break
+        c = list(reversed(steps[:-1]))
+        count += 1
+    return count
+
+
+def oracle_linear_quotient(p: SparsePoly, r: Fraction) -> SparsePoly:
+    """``p / (t - r)``, which must be exact."""
+    name, coeffs = p.univariate_coeffs()
+    out = []
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * r + c
+        out.append(acc)
+    if out[-1]:
+        raise ValueError(f"{r} is not a root")
+    return SparsePoly.from_univariate(name, list(reversed(out[:-1])))
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(small_rationals, min_size=0, max_size=6),
+       st.lists(small_rationals, min_size=1, max_size=4).filter(lambda c: c[-1]),
+       small_rationals)
+def test_deflate_matches_the_oracle_pair(roots_, cofactor, r):
+    p = from_roots(*roots_) * SparsePoly.from_univariate("t", cofactor)
+    expected = oracle_multiplicity(p, r)
+    quotient = p
+    for _ in range(expected):
+        quotient = oracle_linear_quotient(quotient, r)
+    assert deflate(p, r) == (expected, quotient)

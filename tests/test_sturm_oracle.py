@@ -162,16 +162,20 @@ def test_isolate_matches_the_oracle(p):
 @PROPERTY
 @given(rooted_polys(), random_polys)
 def test_sign_at_rational_root_is_exact(rooted, q):
+    # One call signs q at every root of the fiber; check the rational ones.
     p, known = rooted
     iso = RootIsolator(p)
     intervals = iso.isolate()
-    for iv in intervals:
+    signs = sign_at_root(q, iso, intervals)
+    assert len(signs) == len(intervals)
+    for iv, sign in zip(intervals, signs):
         inside = [r for r in known if iv.lo < r <= iv.hi]
         if not inside:
             continue  # a root of the quadratic factor
         (r,) = inside
         value = _eval(q.univariate_coeffs()[1], r)
-        assert sign_at_root(q, iso, iv) == (value > 0) - (value < 0)
+        assert sign == (value > 0) - (value < 0)
+        assert sign_at_root(q, iso, [iv]) == [sign]
 
 
 def test_inexact_pseudo_division_raises(monkeypatch):
