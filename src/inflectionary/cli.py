@@ -4,7 +4,9 @@ Subcommands cover construction (compute), the verification checks
 (verify), exact real-root censuses (roots, scan), rendering (plot) and the
 closed-form invariant predictions (genus).  Exit codes are part of the
 contract: 0 success/all-pass, 1 a check failed, 2 usage error, 3 violated
-precondition, 4 I/O failure.
+precondition, 4 I/O failure, 5 internal fault (any other exception; its
+traceback goes to stderr).  A report that is neither PASS nor FAIL exits 0
+with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .conjectures import (
@@ -38,25 +41,36 @@ from .poly import parse_rational, poly_to_json
 from .render import DEFAULT_WINDOW, Window, render_curve
 from .reports import FAIL, PASS, jsonable
 
-# Sweep defaults for `verify`, chosen to stay comfortably inside desk scale.
-SYMMETRY_K_MAX = 8
-SUPPORT_K_MAX = 8
-FACES_K_MAX = 6
 LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5))
 
 OUTDIR_ENV = "INFLECTIONARY_OUTDIR"
 
-# The flags each verify family reads.  Any other flag is a usage error, not
-# silently dropped; --k and --k-max together are one too, since --k wins.
-_VERIFY_FLAG_NAMES = {"k": "--k", "k_max": "--k-max", "mu": "--mu", "lambda0": "--lambda"}
-_VERIFY_FLAGS = {
-    "symmetry": ("k", "k_max"),
-    "support": ("k", "k_max"),
-    "faces": ("k", "k_max"),
-    "lemma1": ("mu", "k"),
-    "torsion": ("k", "lambda0"),
-    "singular": ("k",),
+
+def _lemma1_reports(k, args):
+    if (args.mu is None) != (k is None):
+        raise _UsageError("lemma1 needs both --mu and --k, or neither")
+    pairs = [(args.mu, k)] if args.mu is not None else LEMMA1_PAIRS
+    return [check_determinant_identity(mu, k) for mu, k in pairs]
+
+
+# verify family -> (flags it reads, first k, default --k-max, checks(k, args)).
+# Any other flag is a usage error, not silently dropped; so are --k and
+# --k-max together, since --k wins.  A family with a default --k-max sweeps
+# k = first..k-max (defaults stay inside desk scale); for the others the first
+# k is the default --k.  The lambdas look the checks up by module-level name
+# at call time, so a rebinding of those names (perfbench/tracing.py) is seen.
+_VERIFY_FAMILIES = {
+    "symmetry": (("k", "k_max"), 1, 8, lambda k, args: [
+        check_homogenization_symmetry(k), check_shift_symmetry(k)]),
+    "support": (("k", "k_max"), 1, 8, lambda k, args: [
+        check_support(k), check_coeff_symmetry(k)]),
+    "faces": (("k", "k_max"), 2, 6, lambda k, args: [check_face_structure(k)]),
+    "lemma1": (("mu", "k"), None, None, _lemma1_reports),
+    "torsion": (("k", "lambda0"), 2, None, lambda k, args: [torsion_check(
+        k, Fraction(-1) if args.lambda0 is None else args.lambda0)]),
+    "singular": (("k",), 2, None, lambda k, args: [singular_probe(k)]),
 }
+_VERIFY_FLAG_NAMES = {"k": "--k", "k_max": "--k-max", "mu": "--mu", "lambda0": "--lambda"}
 
 
 def _rational(text: str) -> Fraction:
@@ -151,62 +165,38 @@ def cmd_compute(args) -> int:
 
 def _verify_reports(args):
     check = args.check
+    flags, first_k, k_max, checks = _VERIFY_FAMILIES[check]
     unread = [flag for dest, flag in _VERIFY_FLAG_NAMES.items()
-              if getattr(args, dest) is not None and dest not in _VERIFY_FLAGS[check]]
+              if getattr(args, dest) is not None and dest not in flags]
     if unread:
         raise _UsageError(f"verify {check} does not read {', '.join(unread)}")
     if args.k is not None and args.k_max is not None:
         raise _UsageError("--k and --k-max are exclusive")
-    if check == "symmetry":
-        ks = [args.k] if args.k is not None else \
-            list(range(1, (args.k_max or SYMMETRY_K_MAX) + 1))
-        out = []
-        for k in ks:
-            out.append(check_homogenization_symmetry(k))
-            out.append(check_shift_symmetry(k))
-        return out
-    if check == "support":
-        ks = [args.k] if args.k is not None else \
-            list(range(1, (args.k_max or SUPPORT_K_MAX) + 1))
-        out = []
-        for k in ks:
-            out.append(check_support(k))
-            out.append(check_coeff_symmetry(k))
-        return out
-    if check == "faces":
-        ks = [args.k] if args.k is not None else \
-            list(range(2, (args.k_max or FACES_K_MAX) + 1))
-        if not ks:
-            raise _UsageError("faces starts at k = 2; --k-max must be at least 2")
-        return [check_face_structure(k) for k in ks]
-    if check == "lemma1":
-        if (args.mu is None) != (args.k is None):
-            raise _UsageError("lemma1 needs both --mu and --k, or neither")
-        pairs = [(args.mu, args.k)] if args.mu is not None else list(LEMMA1_PAIRS)
-        return [check_determinant_identity(mu, k) for mu, k in pairs]
-    if check == "torsion":
-        k = 2 if args.k is None else args.k
-        lambda0 = Fraction(-1) if args.lambda0 is None else args.lambda0
-        return [torsion_check(k, lambda0)]
-    k = 2 if args.k is None else args.k
-    return [singular_probe(k)]
+    if k_max is None or args.k is not None:
+        return checks(first_k if args.k is None else args.k, args)
+    ks = range(first_k, (args.k_max or k_max) + 1)
+    if not ks:
+        raise _UsageError(f"{check} starts at k = {first_k}; --k-max must be at least {first_k}")
+    return [report for k in ks for report in checks(k, args)]
 
 
 class _UsageError(Exception):
     pass
 
 
-def cmd_verify(args) -> int:
-    reports = _verify_reports(args)
+def _print_reports(reports) -> int:
     for report in reports:
         print(report.to_json())
-    failures = sum(1 for r in reports if r.verdict == FAIL)
-    warnings = sum(1 for r in reports if r.verdict not in (PASS, FAIL))
-    if failures:
+    if any(r.verdict == FAIL for r in reports):
         return 1
+    warnings = sum(1 for r in reports if r.verdict != PASS)
     if warnings:
         print(f"warning: {warnings} check(s) did not fully resolve", file=sys.stderr)
     return 0
+
+
+def cmd_verify(args) -> int:
+    return _print_reports(_verify_reports(args))
 
 
 def cmd_roots(args) -> int:
@@ -216,9 +206,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report = conjecture4_scan(args.mu, args.k, args.grid)
-    print(report.to_json())
-    return 0 if report.passed else 1
+    return _print_reports([conjecture4_scan(args.mu, args.k, args.grid)])
 
 
 def cmd_plot(args) -> int:
@@ -305,6 +293,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception:
+        # an internal fault must not exit 1, which means "a check failed"
+        traceback.print_exc()
+        return 5
 
 
 def entry():

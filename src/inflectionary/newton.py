@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import SparsePoly
 
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _chain(points):
+    """Andrew's monotone chain over points taken in the given order: the
+    lower hull for ascending points, the upper hull for descending ones."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def convex_hull(points):
@@ -22,17 +31,7 @@ def convex_hull(points):
         raise ValueError("hull of an empty point set")
     if len(pts) == 1:
         return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hull = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
     if len(hull) == 2 and hull[0] == hull[1]:
         return hull[:1]
     return hull
@@ -69,47 +68,24 @@ def lattice_points_in_hull(vertices):
     return out
 
 
-@dataclass(frozen=True)
-class NewtonData:
-    """Support, hull and origin-facing lower faces of a bivariate polynomial."""
+def newton_data(p: SparsePoly) -> tuple:
+    """The compact faces of the local Newton polygon at the origin of a
+    nonzero bivariate polynomial, as a tuple of ``(a, b)`` exponent pairs.
 
-    support: frozenset
-    hull_vertices: tuple
-    lower_faces: tuple
-
-    def to_json_dict(self):
-        return {
-            "support": [list(p) for p in sorted(self.support)],
-            "hull_vertices": [list(p) for p in self.hull_vertices],
-            "lower_faces": [[list(a), list(b)] for a, b in self.lower_faces],
-        }
-
-
-def newton_data(p: SparsePoly) -> NewtonData:
-    """Newton polygon data of a nonzero bivariate polynomial.
-
-    ``lower_faces`` are the compact faces of the local Newton polygon at the
-    origin: the strictly descending prefix of the lower hull, which is what
-    governs the singularity there.
+    They are the strictly descending prefix of the lower hull of the
+    support, which is what governs the singularity there.
     """
     if len(p.vars) != 2:
         raise ValueError(f"newton_data needs a bivariate polynomial, got {p.vars!r}")
     if p.is_zero:
         raise ValueError("newton_data of the zero polynomial")
-    support = frozenset(p.support())
-    hull = tuple(convex_hull(support))
-    pts = sorted(support)
-    lower = []
-    for q in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(q)
+    lower = _chain(sorted(p.support()))
     faces = []
     for a, b in zip(lower, lower[1:]):
         if b[1] >= a[1]:
             break
         faces.append((a, b))
-    return NewtonData(support, hull, tuple(faces))
+    return tuple(faces)
 
 
 def face_restriction(p: SparsePoly, face) -> SparsePoly:

@@ -10,7 +10,6 @@ construction.  All arithmetic is exact; floats are rejected everywhere.
 from __future__ import annotations
 
 import json
-import math
 import re
 from fractions import Fraction
 
@@ -270,48 +269,6 @@ class SparsePoly:
                 terms.pop(ne, None)
         return SparsePoly._raw(new_vars, terms)
 
-    def substitute_affine(self, mapping):
-        """Apply ``v -> scale*v + shift`` for each variable in ``mapping``.
-
-        Expansion is exact via the binomial theorem; variables not mentioned
-        are left alone.
-        """
-        for name in mapping:
-            self._index(name)
-        result_terms = {}
-        for e, c in self.terms.items():
-            # expand this term as a product over mapped variables
-            partial = {tuple(
-                0 if self.vars[i] in mapping else e[i] for i in range(len(e))
-            ): c}
-            for idx, name in enumerate(self.vars):
-                if name not in mapping or not e[idx]:
-                    continue
-                scale, shift = mapping[name]
-                scale = as_fraction(scale)
-                shift = as_fraction(shift)
-                n = e[idx]
-                expanded = {}
-                for i in range(n + 1):
-                    coeff = math.comb(n, i) * scale ** i * shift ** (n - i)
-                    if not coeff:
-                        continue
-                    for pe, pc in partial.items():
-                        ne = pe[:idx] + (pe[idx] + i,) + pe[idx + 1:]
-                        s = expanded.get(ne, Fraction(0)) + pc * coeff
-                        if s:
-                            expanded[ne] = s
-                        else:
-                            expanded.pop(ne, None)
-                partial = expanded
-            for pe, pc in partial.items():
-                s = result_terms.get(pe, Fraction(0)) + pc
-                if s:
-                    result_terms[pe] = s
-                else:
-                    result_terms.pop(pe, None)
-        return SparsePoly._raw(self.vars, result_terms)
-
     def homogenize(self, new_var, target_degree):
         """Pad every term with a power of ``new_var`` up to ``target_degree``."""
         if new_var in self.vars:
@@ -387,7 +344,8 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
     """Evaluate ``template`` with polynomials substituted for its variables.
 
     Every variable of the template must be assigned; all assigned polynomials
-    must share one variable tuple, which becomes the result's.
+    must share one variable tuple, which becomes the result's.  Each power of
+    an assigned polynomial is computed once per call.
     """
     missing = [v for v in template.vars if v not in assignments]
     if missing:
@@ -403,12 +361,16 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
             raise ValueError("assigned polynomials disagree on variables")
     if target_vars is None:
         raise ValueError("template has no variables")
+    powers = {}
     result = SparsePoly.zero(target_vars)
     for e, c in template.sorted_terms():
         term = SparsePoly.constant(target_vars, c)
         for name, exp in zip(template.vars, e):
             if exp:
-                term = term * assignments[name] ** exp
+                power = powers.get((name, exp))
+                if power is None:
+                    power = powers[name, exp] = assignments[name] ** exp
+                term = term * power
         result = result + term
     return result
 

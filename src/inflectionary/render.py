@@ -340,9 +340,10 @@ def write_svg(curve_segments, shade_grid: SignGrid, w: Window, out,
     return payload
 
 
-def render_curve(p: SparsePoly, w: Window, out, shade_poly: SparsePoly | None = None) -> bytes:
-    """Sample, contour and write one curve in a single call."""
+def render_curve(p: SparsePoly, w: Window, out) -> bytes:
+    """Sample, contour and write one curve in a single call, shaded by the
+    sign of the Legendre cubic f."""
     grid = sample_sign_grid(p, w)
-    shade = sample_sign_grid(legendre_f() if shade_poly is None else shade_poly, w)
+    shade = sample_sign_grid(legendre_f(), w)
     segments = contour_segments(grid)
     return write_svg(segments, shade, w, out, poly_hash=poly_signature(p))

@@ -62,10 +62,6 @@ class CheckReport:
         if self.verdict == FAIL and self.witness is None:
             raise ValueError("FAIL verdict requires a witness")
 
-    @property
-    def passed(self):
-        return self.verdict == PASS
-
     def to_json_dict(self) -> dict:
         out = {
             "check": self.check,

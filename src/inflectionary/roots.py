@@ -11,11 +11,11 @@ Horner, sum c_i a^i b^(d-i), which has the sign of its value at a/b.
 
 A :class:`RootIsolator` is built once per polynomial, e.g. one fiber of
 P(mu, k) at a fixed lambda, and owns that fiber's univariate work: the
-squarefree part, its chain and root bound serve isolation, refinement,
-rational certification and ``sign_at_root``, which signs q at all the
-fiber's roots in one call; ``repeated_part`` recovers gcd(p, p') from the
-squarefree part without a second gcd.  ``deflate`` splits a rational root
-off with its multiplicity.
+squarefree part, its chain and root bound serve isolation, rational
+certification and ``sign_at_root``, which signs q at all the fiber's roots
+in one call; ``repeated_part`` recovers gcd(p, p') from the squarefree part
+without a second gcd.  ``deflate`` splits a rational root off with its
+multiplicity.  Exact polynomial division is ``poly.divexact``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import SparsePoly, as_fraction
-
-DEFAULT_REFINE_WIDTH = Fraction(1, 2 ** 40)
+from .poly import SparsePoly, as_fraction, divexact
 
 
 # -- coefficient-list helpers -------------------------------------------------
@@ -148,29 +146,12 @@ def squarefree_part(p: SparsePoly) -> SparsePoly:
     g = _gcd_lists(c, _derive(c))
     if _degree(g) < 1:
         return _monic(name, c)
-    return _monic(name, _exact_div(c, g))
+    return _monic(*divexact(p, SparsePoly.from_univariate(name, g)).univariate_coeffs())
 
 
 def _monic(name, c) -> SparsePoly:
     lead = c[-1]
     return SparsePoly.from_univariate(name, [v / lead for v in c])
-
-
-def _exact_div(a, b):
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    db = _degree(b)
-    lead = b[-1]
-    while a and _degree(a) >= db:
-        shift = _degree(a) - db
-        factor = a[-1] / lead
-        out[shift] = factor
-        for i in range(db + 1):
-            a[shift + i] -= factor * b[i]
-        _strip(a)
-    if a:
-        raise ValueError("division was not exact")
-    return out
 
 
 def cauchy_root_bound(p: SparsePoly) -> Fraction:
@@ -275,7 +256,7 @@ class IsolatingInterval:
 
 
 class RootIsolator:
-    """Isolates, refines, signs and certifies the real roots of one polynomial.
+    """Isolates, signs and certifies the real roots of one polynomial.
 
     The squarefree part, its Sturm chain and its root bound are built once
     and reused by every query, ``repeated_part``, ``sign_at_root`` and
@@ -295,8 +276,7 @@ class RootIsolator:
 
     def repeated_part(self) -> SparsePoly:
         """The monic gcd(p, p'), recovered as p divided by its squarefree part."""
-        name, c = self.poly.univariate_coeffs()
-        return _monic(name, _exact_div(c, self.reduced.univariate_coeffs()[1]))
+        return _monic(*divexact(self.poly, self.reduced).univariate_coeffs())
 
     def count(self, lo=None, hi=None) -> int:
         """Distinct real roots in (lo, hi]; None means the matching infinity."""
@@ -332,12 +312,6 @@ class RootIsolator:
             stack.append((lo, vlo, mid, vmid))
         out.sort(key=lambda iv: iv.lo)
         return out
-
-    def refine(self, iv: IsolatingInterval, target_width=DEFAULT_REFINE_WIDTH):
-        """Shrink an isolating interval below ``target_width`` by bisection."""
-        vlo, vhi = self._isolating_variations(iv)
-        lo, _, hi, _ = self._shrink(iv.lo, vlo, iv.hi, vhi, target_width)
-        return IsolatingInterval(lo, hi)
 
     def _isolating_variations(self, iv: IsolatingInterval):
         """Variation counts at the endpoints of ``iv``, which must hold one root."""

@@ -24,11 +24,13 @@ from inflectionary.conjectures import (
     singular_probe,
 )
 from inflectionary.inflection import basic_inflection, legendre_f
-from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
+from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json
 from inflectionary.reports import FAIL, OUT_OF_RANGE, PASS, CheckReport, jsonable
 from inflectionary.roots import RootIsolator, SturmChain, squarefree_part
 
 XL = (VAR_X, VAR_LAMBDA)
+X = SparsePoly.variable(XL, VAR_X)
+L = SparsePoly.variable(XL, VAR_LAMBDA)
 
 
 def perturbed(k, exponent, delta):
@@ -246,6 +248,15 @@ class TestScan:
         with pytest.raises(ValueError):
             conjecture4_scan(1, 2, ())
 
+    @pytest.mark.parametrize("k,agrees", [(0, False), (1, True)])
+    def test_k_at_most_mu_is_out_of_range(self, k, agrees):
+        # the law was calibrated for k > mu: counts are recorded, not judged
+        report = conjecture4_scan(1, k, (2,))
+        assert report.verdict == OUT_OF_RANGE
+        assert report.witness is None
+        assert report.data["counts"] == [1]
+        assert report.data["agrees"] is agrees
+
 
 class TestDeterminantIdentity:
     def test_routes_agree(self):
@@ -300,6 +311,19 @@ class TestSingularCandidates:
         assert certified == []
         assert len(residuals) == 1
         assert residuals[0]["reason"] == "nonreal common zeros"
+
+    def test_nonreal_candidate_values_stay_unresolved(self):
+        # (x^2 + 1)^2 + lambda^2: the candidate x-values are the roots of
+        # x^2 + 1, none real, so they are handed back rather than dropped
+        q = (X ** 2 + 1) ** 2 + L ** 2
+        certified, unresolved, residuals = _affine_singular_candidates(
+            q, VAR_X, VAR_LAMBDA)
+        assert certified == []
+        assert residuals == []
+        x = SparsePoly.variable((VAR_X,), VAR_X)
+        assert unresolved == [{"variable": VAR_X,
+                               "reason": "nonreal candidate values",
+                               "residual": poly_to_json(x ** 2 + 1)}]
 
 
 class TestSingularProbe:

@@ -185,6 +185,13 @@ class TestScan:
         code, _, _ = run(capsys, "scan", "--mu", "1", "--k", "2")
         assert code == 1
 
+    def test_out_of_range_scan_warns_but_passes(self, capsys):
+        code, out, err = run(capsys, "scan", "--mu", "1", "--k", "0",
+                             "--lambda-grid", "2")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "OUT_OF_RANGE"
+        assert "did not fully resolve" in err
+
 
 class TestPlot:
     def test_writes_deterministic_svg(self, capsys, tmp_path):
@@ -249,6 +256,17 @@ class TestTopLevel:
         code, _, err = run(capsys)
         assert code == 2
         assert "usage" in err
+
+    def test_internal_fault_is_exit_5(self, capsys, monkeypatch):
+        def fault(k, lambda0):
+            raise RuntimeError("simulated internal fault")
+
+        monkeypatch.setattr("inflectionary.cli.torsion_check", fault)
+        code, out, err = run(capsys, "verify", "torsion")
+        assert code == 5
+        assert out == ""
+        assert "Traceback" in err
+        assert "RuntimeError: simulated internal fault" in err
 
     def test_coefficient_check(self, capsys):
         code, out, _ = run(capsys, "--coefficient-check")

@@ -4,7 +4,6 @@ import pytest
 
 from inflectionary.inflection import basic_inflection
 from inflectionary.newton import (
-    NewtonData,
     convex_hull,
     face_restriction,
     lattice_points_in_hull,
@@ -58,31 +57,22 @@ class TestLatticePoints:
 
 class TestNewtonData:
     def test_lower_faces_of_first_curve(self):
-        nd = newton_data(basic_inflection(2).poly)
-        assert nd.lower_faces == (((0, 3), (1, 2)), ((1, 2), (5, 0)))
-        assert nd.hull_vertices[0] == (0, 3)
+        assert newton_data(basic_inflection(2).poly) == (((0, 3), (1, 2)), ((1, 2), (5, 0)))
 
     def test_lower_faces_stop_at_flat_edge(self):
         # support along y = 0 beyond the descent must not join the faces
         p = SparsePoly(XL, {(0, 2): 1, (1, 0): 1, (3, 0): 1})
-        nd = newton_data(p)
-        assert nd.lower_faces == (((0, 2), (1, 0)),)
+        assert newton_data(p) == (((0, 2), (1, 0)),)
 
     def test_no_descent_no_faces(self):
         p = SparsePoly(XL, {(0, 0): 1, (2, 1): 1})
-        assert newton_data(p).lower_faces == ()
+        assert newton_data(p) == ()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             newton_data(SparsePoly.zero(XL))
         with pytest.raises(ValueError):
             newton_data(SparsePoly.variable(("t",), "t"))
-
-    def test_json_shape(self):
-        nd = newton_data(SparsePoly(XL, {(0, 1): 1, (2, 0): 1}))
-        data = nd.to_json_dict()
-        assert set(data) == {"support", "hull_vertices", "lower_faces"}
-        assert data["lower_faces"] == [[[0, 1], [2, 0]]]
 
 
 class TestFaceRestriction:

@@ -1,10 +1,13 @@
 """Core polynomial arithmetic, ordering and serialization."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inflectionary.poly import (
     VAR_LAMBDA,
@@ -30,6 +33,31 @@ def xl(d):
 
 X = xl({(1, 0): 1})
 L = xl({(0, 1): 1})
+
+
+def substitute_affine(p, mapping):
+    """Oracle for affine substitution: apply ``v -> scale*v + shift`` for
+    each variable in ``mapping`` term by term, expanding each power by the
+    binomial theorem; variables not mentioned are left alone."""
+    result_terms = {}
+    for e, c in p.terms.items():
+        # expand this term as a product over mapped variables
+        partial = {tuple(0 if p.vars[i] in mapping else e[i] for i in range(len(e))): c}
+        for idx, name in enumerate(p.vars):
+            if name not in mapping or not e[idx]:
+                continue
+            scale, shift = (Fraction(v) for v in mapping[name])
+            n = e[idx]
+            expanded = {}
+            for i in range(n + 1):
+                coeff = math.comb(n, i) * scale ** i * shift ** (n - i)
+                for pe, pc in partial.items():
+                    ne = pe[:idx] + (pe[idx] + i,) + pe[idx + 1:]
+                    expanded[ne] = expanded.get(ne, Fraction(0)) + pc * coeff
+            partial = expanded
+        for pe, pc in partial.items():
+            result_terms[pe] = result_terms.get(pe, Fraction(0)) + pc
+    return SparsePoly(p.vars, result_terms)
 
 
 class TestParseRational:
@@ -129,14 +157,14 @@ class TestCalculusAndSubstitution:
 
     def test_substitute_affine_shift_composition(self):
         p = X ** 2 * L - X * L ** 2 + 3
-        once = p.substitute_affine({VAR_X: (1, 1)})
-        twice = once.substitute_affine({VAR_X: (1, 1)})
-        assert twice == p.substitute_affine({VAR_X: (1, 2)})
-        assert p.substitute_affine({VAR_X: (1, 0), VAR_LAMBDA: (1, 0)}) == p
+        once = substitute_polys(p, {VAR_X: X + 1, VAR_LAMBDA: L})
+        twice = substitute_polys(once, {VAR_X: X + 1, VAR_LAMBDA: L})
+        assert twice == substitute_polys(p, {VAR_X: X + 2, VAR_LAMBDA: L})
+        assert substitute_polys(p, {VAR_X: X, VAR_LAMBDA: L}) == p
 
     def test_substitute_affine_negation(self):
         p = X ** 3 + X
-        assert p.substitute_affine({VAR_X: (-1, 0)}) == -(X ** 3) - X
+        assert substitute_polys(p, {VAR_X: -X, VAR_LAMBDA: L}) == -(X ** 3) - X
 
     def test_homogenize_dehomogenize_roundtrip(self):
         p = X ** 2 + L
@@ -257,3 +285,21 @@ class TestAlgebraProperties:
             if a.is_zero or b.is_zero:
                 continue
             assert divexact(a * b, b) == a
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+small_polys = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                              small_rationals, max_size=8).map(xl)
+affine_maps = st.one_of(st.none(), st.tuples(small_rationals, small_rationals))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_polys, affine_maps, affine_maps)
+def test_substitute_polys_matches_affine_oracle(p, x_map, lambda_map):
+    mapping = {}
+    assignments = {}
+    for name, var, v_map in ((VAR_X, X, x_map), (VAR_LAMBDA, L, lambda_map)):
+        assignments[name] = var if v_map is None else v_map[0] * var + v_map[1]
+        if v_map is not None:
+            mapping[name] = v_map
+    assert substitute_polys(p, assignments) == substitute_affine(p, mapping)

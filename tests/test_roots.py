@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from inflectionary.poly import SparsePoly
 from inflectionary.roots import (
-    DEFAULT_REFINE_WIDTH,
     IsolatingInterval,
     RootIsolator,
     SturmChain,
@@ -140,19 +139,6 @@ class TestIsolation:
 
     def test_multiple_roots_isolated_once(self):
         assert len(RootIsolator(from_roots(5, 5, 5)).isolate()) == 1
-
-    def test_refine_hits_target_width(self):
-        iso = RootIsolator(T * T - 2)
-        tight = iso.refine(iso.isolate()[1])
-        assert tight.width <= DEFAULT_REFINE_WIDTH
-        assert tight.lo < tight.hi
-        sq = (tight.lo * tight.lo - 2, tight.hi * tight.hi - 2)
-        assert sq[0] < 0 < sq[1]
-
-    def test_refine_rejects_non_isolating_interval(self):
-        iso = RootIsolator(from_roots(1, 2))
-        with pytest.raises(ValueError):
-            iso.refine(IsolatingInterval(Fraction(0), Fraction(3)))
 
 
 class TestSignAtRoot:
