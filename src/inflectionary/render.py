@@ -3,8 +3,10 @@
 The pipeline samples exact signs of the curve polynomial on a rational
 grid, extracts contour segments by marching squares, and writes an SVG
 with regions where the Legendre cubic is positive shaded underneath.
-All geometry lives on half-integer grid coordinates, so every emitted
-coordinate is exact and the output bytes are reproducible.
+Both run on integers: grid nodes over one denominator per axis, an integer
+coefficient table scaled by positive factors, contours in doubled grid
+units.  So every sign and every emitted coordinate is exact and the output
+bytes are reproducible.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .poly import VAR_LAMBDA, VAR_X, SparsePoly, as_fraction, poly_to_json
 TIE_RULE = "zero-as-positive"
 
 _MARGIN = 40
+
+# Largest sampling resolution per axis; larger requests fail before sampling.
+MAX_RESOLUTION = 4096
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,9 @@ class Window:
                 f"empty lambda range: {self.lambda_min} >= {self.lambda_max}")
         if self.nx < 2 or self.nlambda < 2:
             raise ValueError(f"resolution too small: {self.nx} x {self.nlambda}")
+        if self.nx > MAX_RESOLUTION or self.nlambda > MAX_RESOLUTION:
+            raise ValueError(f"resolution too large: {self.nx} x {self.nlambda} "
+                             f"(at most {MAX_RESOLUTION} per axis)")
 
     def x_at(self, i: int) -> Fraction:
         return self.x_min + Fraction(i, self.nx) * (self.x_max - self.x_min)
@@ -84,51 +92,54 @@ class SignGrid:
                 if v not in (-1, 0, 1):
                     raise ValueError(f"sign grid entry out of range: {v!r}")
 
-    def sign(self, i: int, j: int) -> int:
-        return self.values[i][j]
-
     def row(self, j: int):
         """All signs along the lambda_j grid row, in ascending x order."""
         return [column[j] for column in self.values]
 
 
+def _ladder(lo: Fraction, hi: Fraction, n: int):
+    """(start, step, den), all integers with den > 0, such that node k of the
+    n equal steps from lo to hi is (start + k * step) / den."""
+    step = (hi - lo) / n
+    den = math.lcm(lo.denominator, step.denominator)
+    return int(lo * den), int(step * den), den
+
+
+def _horner(coeffs, t: int) -> int:
+    """The integer list ``coeffs``, in descending powers, evaluated at t."""
+    value = 0
+    for c in coeffs:
+        value = value * t + c
+    return value
+
+
 def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     """Exact sign of p at every grid node of the window.
 
-    Row by row the polynomial is specialized in lambda and its coefficients
-    cleared to integers, so each node costs one integer Horner evaluation;
-    the sign is exact because the nodes are rational.
+    With x_i = (a0 + i a_step) / a_den and lambda_j = (c0 + j c_step) / c_den,
+    the coefficient of x^t lambda^s is cleared to an integer and scaled by
+    a_den^(deg_x - t) c_den^(deg_lambda - s).  Each row then takes one
+    integer Horner pass in lambda per power of x and each node one in x,
+    which gives p(x_i, lambda_j) times a positive integer: its exact sign.
     """
     if p.vars != (VAR_X, VAR_LAMBDA):
         raise ValueError(f"expected variables {(VAR_X, VAR_LAMBDA)!r}, got {p.vars!r}")
-    by_xpow = p.coefficients_in(VAR_X)
-    degree = max(by_xpow, default=0)
-
-    step = (w.x_max - w.x_min) / w.nx
-    base_den = math.lcm(w.x_min.denominator, step.denominator)
-    a0 = int(w.x_min * base_den)
-    a_step = int(step * base_den)
-
+    a0, a_step, a_den = _ladder(w.x_min, w.x_max, w.nx)
+    c0, c_step, c_den = _ladder(w.lambda_min, w.lambda_max, w.nlambda)
+    deg_x = max((t for t, _ in p.terms), default=0)
+    deg_l = max((s for _, s in p.terms), default=0)
+    clear = math.lcm(*(c.denominator for c in p.terms.values()))
+    # table[deg_x - t][deg_l - s] is the scaled coefficient of x^t lambda^s:
+    # both axes in descending powers, ready for Horner
+    table = [[0] * (deg_l + 1) for _ in range(deg_x + 1)]
+    for (t, s), c in p.terms.items():
+        table[deg_x - t][deg_l - s] = (c.numerator * (clear // c.denominator)
+                                       * a_den ** (deg_x - t) * c_den ** (deg_l - s))
+    xs = [a0 + i * a_step for i in range(w.nx + 1)]
     rows = []
     for j in range(w.nlambda + 1):
-        lam = w.lambda_at(j)
-        coeffs = []
-        for t in range(degree + 1):
-            c = by_xpow.get(t)
-            coeffs.append(c.evaluate({VAR_LAMBDA: lam}) if c is not None else Fraction(0))
-        denom = math.lcm(*(c.denominator for c in coeffs))
-        cleared = [int(c * denom) for c in coeffs]
-        # scaled[t] = c_t * base_den^(degree - t), so the Horner loop below
-        # accumulates p(a/base_den) * base_den^degree, an integer of known sign
-        scaled = [cleared[t] * base_den ** (degree - t) for t in range(degree + 1)]
-        row = []
-        for i in range(w.nx + 1):
-            a = a0 + i * a_step
-            value = scaled[degree]
-            for t in range(degree - 1, -1, -1):
-                value = value * a + scaled[t]
-            row.append(0 if not value else (1 if value > 0 else -1))
-        rows.append(tuple(row))
+        coeffs = [_horner(column, c0 + j * c_step) for column in table]
+        rows.append(tuple((v > 0) - (v < 0) for v in (_horner(coeffs, a) for a in xs)))
     return SignGrid(w, tuple(zip(*rows)))
 
 
@@ -157,39 +168,37 @@ _CASES = {
     0b1010: ((_B, _R), (_T, _L)),
 }
 
-_HALF = Fraction(1, 2)
-
 
 def _crossing(i, j, edge, corners):
     # the case table only asks about edges whose effective signs differ, so
     # at most one endpoint is zero; the crossing snaps to an exact-zero node
-    # and sits at the edge midpoint otherwise
+    # and sits at the edge midpoint otherwise.  In doubled grid units a node
+    # is twice its index and a midpoint the sum of the edge's two corners.
     a, b = edge
-    if corners[a] == 0:
-        di, dj = _CORNERS[a]
-        return (Fraction(i + di), Fraction(j + dj))
-    if corners[b] == 0:
-        di, dj = _CORNERS[b]
-        return (Fraction(i + di), Fraction(j + dj))
     (ai, aj), (bi, bj) = _CORNERS[a], _CORNERS[b]
-    return (i + (ai + bi) * _HALF, j + (aj + bj) * _HALF)
+    if corners[a] == 0:
+        return (2 * (i + ai), 2 * (j + aj))
+    if corners[b] == 0:
+        return (2 * (i + bi), 2 * (j + bj))
+    return (2 * i + ai + bi, 2 * j + aj + bj)
 
 
 def contour_segments(grid: SignGrid):
-    """Zero-contour segments in grid coordinates, cell by cell.
+    """Zero-contour segments in doubled grid units, cell by cell.
 
-    Corners sampling exactly zero sit on the positive side (the documented
-    tie rule) with crossings snapped onto them, saddle cells are always
-    split around the positive corners, and cells are scanned bottom row
-    first, so the output order and the segments themselves are
-    deterministic.
+    A point (u, v) sits at grid coordinates (u/2, v/2), so every crossing is
+    a pair of integers.  Corners sampling exactly zero sit on the positive
+    side (the documented tie rule) with crossings snapped onto them, saddle
+    cells are always split around the positive corners, and cells are
+    scanned bottom row first, so the output order and the segments
+    themselves are deterministic.
     """
     w = grid.window
+    v = grid.values
     segments = []
     for j in range(w.nlambda):
         for i in range(w.nx):
-            corners = (grid.sign(i, j), grid.sign(i + 1, j),
-                       grid.sign(i + 1, j + 1), grid.sign(i, j + 1))
+            corners = (v[i][j], v[i + 1][j], v[i + 1][j + 1], v[i][j + 1])
             index = 0
             for bit, value in enumerate(corners):
                 if value >= 0:
@@ -208,14 +217,6 @@ def poly_signature(p: SparsePoly) -> str:
     return hashlib.sha256(poly_to_json(p).encode("utf-8")).hexdigest()
 
 
-def _px(w: Window, gx: Fraction) -> str:
-    return _fmt(_MARGIN + gx)
-
-
-def _py(w: Window, gy: Fraction) -> str:
-    return _fmt(_MARGIN + w.nlambda - gy)
-
-
 def _fmt(value) -> str:
     """Fixed two-decimal rendering of a rational, never through floats."""
     value = as_fraction(value)
@@ -229,22 +230,21 @@ def _fmt(value) -> str:
     return f"{sign}{whole}.{frac:02d}"
 
 
-def _grid_coord(w: Window, value, axis: str) -> Fraction:
-    value = as_fraction(value)
-    if axis == "x":
-        return (value - w.x_min) / (w.x_max - w.x_min) * w.nx
-    return (value - w.lambda_min) / (w.lambda_max - w.lambda_min) * w.nlambda
+def _half(doubled: int) -> str:
+    """``_fmt`` of doubled / 2 for a nonnegative integer ``doubled``."""
+    return f"{doubled >> 1}.5" if doubled & 1 else str(doubled >> 1)
 
 
 def _shade_rects(shade: SignGrid):
     """Per-row runs of cells whose four corners are all strictly positive."""
     w = shade.window
+    v = shade.values
     runs = []
     for j in range(w.nlambda):
         start = None
         for i in range(w.nx):
-            shaded = (shade.sign(i, j) > 0 and shade.sign(i + 1, j) > 0
-                      and shade.sign(i + 1, j + 1) > 0 and shade.sign(i, j + 1) > 0)
+            shaded = (v[i][j] > 0 and v[i + 1][j] > 0
+                      and v[i + 1][j + 1] > 0 and v[i][j + 1] > 0)
             if shaded and start is None:
                 start = i
             if not shaded and start is not None:
@@ -255,17 +255,17 @@ def _shade_rects(shade: SignGrid):
     return runs
 
 
-def write_svg(curve_segments, shade_grid: SignGrid, w: Window, out,
-              poly_hash: str = "") -> bytes:
-    """Assemble the SVG document and write it to ``out``.
+def write_svg(curve_segments, shade_grid: SignGrid, out, poly_hash: str = "") -> bytes:
+    """Assemble the SVG of ``shade_grid``'s window and write it to ``out``.
 
-    ``out`` may be a filesystem path or a binary file object; the rendered
-    bytes are also returned.  Fixed inputs give byte-identical output.
+    ``curve_segments`` are in doubled grid units, as ``contour_segments``
+    returns them.  ``out`` may be a filesystem path or a binary file object;
+    the bytes are also returned.  Fixed inputs give byte-identical output.
     """
-    if shade_grid.window != w:
-        raise ValueError("shade grid was sampled on a different window")
+    w = shade_grid.window
     width = w.nx + 2 * _MARGIN
     height = w.nlambda + 2 * _MARGIN
+    bottom = _MARGIN + w.nlambda
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -275,59 +275,45 @@ def write_svg(curve_segments, shade_grid: SignGrid, w: Window, out,
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
 
-    shade_parts = []
-    for i, j, run in _shade_rects(shade_grid):
-        shade_parts.append(
-            f'<rect x="{_px(w, Fraction(i))}" y="{_py(w, Fraction(j + 1))}" '
-            f'width="{run}" height="1"/>')
+    shade_parts = [f'<rect x="{_MARGIN + i}" y="{bottom - j - 1}" width="{run}" height="1"/>'
+                   for i, j, run in _shade_rects(shade_grid)]
     if shade_parts:
         lines.append('<g fill="#c8c8c8" stroke="none">')
         lines.extend(shade_parts)
         lines.append('</g>')
 
-    axis_parts = []
-    for value, axis in ((Fraction(0), "x"), (Fraction(0), "lambda")):
-        lo = w.x_min if axis == "x" else w.lambda_min
-        hi = w.x_max if axis == "x" else w.lambda_max
-        if not lo <= value <= hi:
-            continue
-        g = _grid_coord(w, value, "x" if axis == "x" else "l")
-        if axis == "x":
-            axis_parts.append(
-                f'<line x1="{_px(w, g)}" y1="{_py(w, Fraction(0))}" '
-                f'x2="{_px(w, g)}" y2="{_py(w, Fraction(w.nlambda))}"/>')
-        else:
-            axis_parts.append(
-                f'<line x1="{_px(w, Fraction(0))}" y1="{_py(w, g)}" '
-                f'x2="{_px(w, Fraction(w.nx))}" y2="{_py(w, g)}"/>')
+    # grid coordinates of the lines x = 0, x = 1, lambda = 0 and lambda = 1
+    gx = [(value - w.x_min) / (w.x_max - w.x_min) * w.nx for value in (0, 1)]
+    gl = [(value - w.lambda_min) / (w.lambda_max - w.lambda_min) * w.nlambda
+          for value in (0, 1)]
     lines.append('<g stroke="#404040" stroke-width="1">')
     lines.append(
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{w.nx}" height="{w.nlambda}" '
         f'fill="none"/>')
-    lines.extend(axis_parts)
+    if w.x_min <= 0 <= w.x_max:
+        x = _fmt(_MARGIN + gx[0])
+        lines.append(f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{_MARGIN}"/>')
+    if w.lambda_min <= 0 <= w.lambda_max:
+        y = _fmt(bottom - gl[0])
+        lines.append(f'<line x1="{_MARGIN}" y1="{y}" x2="{_MARGIN + w.nx}" y2="{y}"/>')
     lines.append('</g>')
 
     if curve_segments:
-        path = []
-        for (ax, ay), (bx, by) in curve_segments:
-            path.append(f'M{_px(w, ax)} {_py(w, ay)}L{_px(w, bx)} {_py(w, by)}')
+        left, top = 2 * _MARGIN, 2 * bottom
+        path = [f'M{_half(left + ax)} {_half(top - ay)}L{_half(left + bx)} {_half(top - by)}'
+                for (ax, ay), (bx, by) in curve_segments]
         lines.append(
             f'<path d="{"".join(path)}" stroke="#b03030" stroke-width="1.5" '
             f'fill="none" stroke-linecap="round"/>')
 
-    marks = []
-    for mx, my in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))):
-        if not (w.x_min <= mx <= w.x_max and w.lambda_min <= my <= w.lambda_max):
+    for m in (0, 1):
+        if not (w.x_min <= m <= w.x_max and w.lambda_min <= m <= w.lambda_max):
             continue
-        gx = _grid_coord(w, mx, "x")
-        gy = _grid_coord(w, my, "l")
-        cx = _px(w, gx)
-        cy = _py(w, gy)
-        marks.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="#202020"/>')
-        marks.append(
-            f'<text x="{_fmt(_MARGIN + gx + 6)}" y="{_fmt(_MARGIN + w.nlambda - gy - 6)}" '
-            f'font-family="monospace" font-size="12">({mx},{my})</text>')
-    lines.extend(marks)
+        cx, cy = _MARGIN + gx[m], bottom - gl[m]
+        lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#202020"/>')
+        lines.append(
+            f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '
+            f'font-family="monospace" font-size="12">({m},{m})</text>')
     lines.append('</svg>')
     lines.append('')
 
@@ -346,4 +332,4 @@ def render_curve(p: SparsePoly, w: Window, out) -> bytes:
     grid = sample_sign_grid(p, w)
     shade = sample_sign_grid(legendre_f(), w)
     segments = contour_segments(grid)
-    return write_svg(segments, shade, w, out, poly_hash=poly_signature(p))
+    return write_svg(segments, shade, out, poly_hash=poly_signature(p))

@@ -235,10 +235,6 @@ class SturmChain:
                 last = sign
         return flips
 
-    def count(self, lo, hi) -> int:
-        """Distinct roots in the half-open interval (lo, hi]."""
-        return self.variations_at(lo) - self.variations_at(hi)
-
 
 @dataclass(frozen=True)
 class IsolatingInterval:
@@ -246,10 +242,6 @@ class IsolatingInterval:
 
     lo: Fraction
     hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def to_json_dict(self):
         return {"lo": str(self.lo), "hi": str(self.hi)}
@@ -277,19 +269,6 @@ class RootIsolator:
     def repeated_part(self) -> SparsePoly:
         """The monic gcd(p, p'), recovered as p divided by its squarefree part."""
         return _monic(*divexact(self.poly, self.reduced).univariate_coeffs())
-
-    def count(self, lo=None, hi=None) -> int:
-        """Distinct real roots in (lo, hi]; None means the matching infinity."""
-        if lo is not None and hi is not None and as_fraction(lo) >= as_fraction(hi):
-            raise ValueError("empty interval: lo >= hi")
-        b = self.bound
-        if lo is not None:
-            b = max(b, abs(as_fraction(lo)) + 1)
-        if hi is not None:
-            b = max(b, abs(as_fraction(hi)) + 1)
-        lo = -b if lo is None else as_fraction(lo)
-        hi = b if hi is None else as_fraction(hi)
-        return self.chain.count(lo, hi)
 
     def isolate(self):
         """Disjoint isolating intervals, in ascending order of the roots."""
@@ -333,22 +312,6 @@ class RootIsolator:
         return lo, vlo, hi, vhi
 
 
-def sturm_count(p: SparsePoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of ``p`` in (lo, hi]; None means infinite.
-
-    Infinite endpoints are realized with a Cauchy bound 1 + max|c_i / c_lead|,
-    outside which the polynomial provably has no roots.
-    """
-    if p.is_zero:
-        raise ValueError("cannot count roots of the zero polynomial")
-    name, c = p.univariate_coeffs()
-    if _degree(c) < 1:
-        if lo is not None and hi is not None and as_fraction(lo) >= as_fraction(hi):
-            raise ValueError("empty interval: lo >= hi")
-        return 0
-    return RootIsolator(p).count(lo, hi)
-
-
 def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
     """Exact signs of q at the roots of ``iso``'s polynomial p isolated by
     ``intervals``, one sign per interval.
@@ -375,7 +338,8 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
     signs = []
     for iv, vlo in zip(intervals, counts):
         lo, hi = iv.lo, iv.hi
-        if shared_chain is not None and shared_chain.count(lo, hi) == 1:
+        if (shared_chain is not None
+                and shared_chain.variations_at(lo) - shared_chain.variations_at(hi) == 1):
             signs.append(0)
             continue
         qlo, qhi = qchain.variations_at(lo), qchain.variations_at(hi)

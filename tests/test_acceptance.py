@@ -38,7 +38,7 @@ from inflectionary.render import (
     row_sign_changes,
     sample_sign_grid,
 )
-from inflectionary.roots import sturm_count
+from inflectionary.roots import RootIsolator
 
 XL = (VAR_X, VAR_LAMBDA)
 
@@ -220,8 +220,8 @@ def test_criterion_12_render_census_consistency(capsys):
         for j in CENSUS_ROWS:
             lambda0 = w.lambda_at(j)
             changes = row_sign_changes(grid, j)
-            expected = sturm_count(p.specialize(VAR_LAMBDA, lambda0),
-                                   w.x_min, w.x_max)
+            chain = RootIsolator(p.specialize(VAR_LAMBDA, lambda0)).chain
+            expected = chain.variations_at(w.x_min) - chain.variations_at(w.x_max)
             if changes != expected:
                 failures.append(
                     f"(mu,k)=({mu},{k}) row j={j}: {changes} != {expected}")

@@ -219,6 +219,14 @@ class TestPlot:
         assert code == 2
         assert err.startswith("usage error:")
 
+    def test_resolution_above_cap_is_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "x.svg"
+        code, _, err = run(capsys, "plot", "--mu", "1", "--k", "1",
+                           "--out", str(target), "--nx", "4097")
+        assert code == 2
+        assert err.startswith("usage error: resolution too large")
+        assert not target.exists()
+
     def test_outdir_env_redirects_relative_paths(self, capsys, tmp_path,
                                                  monkeypatch):
         outdir = tmp_path / "renders"

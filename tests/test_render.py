@@ -1,19 +1,26 @@
 """Sign grids, marching squares and byte-deterministic SVG output."""
 
 import io
+import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from inflectionary.inflection import basic_inflection
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
 from inflectionary.render import (
+    _CASES,
+    _CORNERS,
     DEFAULT_WINDOW,
+    MAX_RESOLUTION,
     SignGrid,
     TIE_RULE,
     Window,
     _fmt,
+    _half,
     _shade_rects,
     contour_segments,
     poly_signature,
@@ -24,7 +31,6 @@ from inflectionary.render import (
 )
 
 XL = (VAR_X, VAR_LAMBDA)
-HALF = Fraction(1, 2)
 
 P_X = SparsePoly(XL, {(1, 0): 1})
 P_LAMBDA = SparsePoly(XL, {(0, 1): 1})
@@ -62,17 +68,26 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(0, 1, 0, 1, 1, 8)
 
+    def test_resolution_capped_per_axis(self):
+        assert MAX_RESOLUTION == 4096
+        # windows are only constructed here, never sampled
+        Window(0, 1, 0, 1, MAX_RESOLUTION, MAX_RESOLUTION)
+        with pytest.raises(ValueError, match="too large"):
+            Window(0, 1, 0, 1, MAX_RESOLUTION + 1, 2)
+        with pytest.raises(ValueError, match="too large"):
+            Window(0, 1, 0, 1, 2, MAX_RESOLUTION + 1)
+
 
 class TestSignGrid:
     def test_sign_of_x_by_column(self):
         grid = sample_sign_grid(P_X, small_window(nx=4))
         for j in range(3):
-            assert [grid.sign(i, j) for i in range(5)] == [-1, -1, 0, 1, 1]
+            assert [grid.values[i][j] for i in range(5)] == [-1, -1, 0, 1, 1]
 
     def test_sign_of_lambda_by_row(self):
         grid = sample_sign_grid(P_LAMBDA, small_window())
         for i in range(3):
-            assert [grid.sign(i, j) for j in range(3)] == [-1, 0, 1]
+            assert [grid.values[i][j] for j in range(3)] == [-1, 0, 1]
 
     def test_constant_positive(self):
         grid = sample_sign_grid(P_ONE, small_window())
@@ -121,10 +136,8 @@ class TestRowSignChanges:
 class TestContour:
     def test_vertical_line_snaps_to_zero_nodes(self):
         grid = sample_sign_grid(P_X, small_window())
-        assert contour_segments(grid) == [
-            ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))),
-            ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))),
-        ]
+        # doubled grid units: the zero nodes (1, 0), (1, 1), (1, 2)
+        assert contour_segments(grid) == [((2, 0), (2, 2)), ((2, 2), (2, 4))]
 
     def test_no_contour_when_sign_constant(self):
         grid = sample_sign_grid(P_ONE, small_window())
@@ -136,15 +149,16 @@ class TestContour:
             for i in range(3))
         grid = SignGrid(small_window(), values)
         segments = contour_segments(grid)
+        # doubled grid units: every crossing is an edge midpoint
         assert segments == [
-            ((Fraction(0), HALF), (HALF, Fraction(0))),
-            ((HALF, Fraction(1)), (Fraction(1), HALF)),
-            ((Fraction(3, 2), Fraction(0)), (Fraction(2), HALF)),
-            ((Fraction(1), HALF), (Fraction(3, 2), Fraction(1))),
-            ((HALF, Fraction(1)), (Fraction(1), Fraction(3, 2))),
-            ((Fraction(0), Fraction(3, 2)), (HALF, Fraction(2))),
-            ((Fraction(1), Fraction(3, 2)), (Fraction(3, 2), Fraction(1))),
-            ((Fraction(3, 2), Fraction(2)), (Fraction(2), Fraction(3, 2))),
+            ((0, 1), (1, 0)),
+            ((1, 2), (2, 1)),
+            ((3, 0), (4, 1)),
+            ((2, 1), (3, 2)),
+            ((1, 2), (2, 3)),
+            ((0, 3), (1, 4)),
+            ((2, 3), (3, 2)),
+            ((3, 4), (4, 3)),
         ]
 
     def test_deterministic(self):
@@ -177,6 +191,10 @@ class TestFormat:
         assert _fmt(Fraction(1, 3)) == "0.33"
         assert _fmt(Fraction(153, 100)) == "1.53"
 
+    def test_half_matches_fmt(self):
+        for doubled in range(0, 200):
+            assert _half(doubled) == _fmt(Fraction(doubled, 2))
+
 
 class TestSvg:
     def test_bytes_deterministic_and_file_matches(self, tmp_path):
@@ -185,22 +203,22 @@ class TestSvg:
         shade = sample_sign_grid(P_ONE, w)
         segments = contour_segments(grid)
         target = tmp_path / "curve.svg"
-        payload = write_svg(segments, shade, w, target, poly_hash="abc")
-        again = write_svg(segments, shade, w, io.BytesIO(), poly_hash="abc")
+        payload = write_svg(segments, shade, target, poly_hash="abc")
+        again = write_svg(segments, shade, io.BytesIO(), poly_hash="abc")
         assert payload == again
         assert target.read_bytes() == payload
 
     def test_valid_xml_even_when_empty(self):
         w = small_window()
         shade = sample_sign_grid(P_ONE, w)
-        payload = write_svg([], shade, w, io.BytesIO())
+        payload = write_svg([], shade, io.BytesIO())
         root = ET.fromstring(payload)
         assert root.tag.endswith("svg")
 
     def test_metadata_comment(self):
         w = small_window()
         shade = sample_sign_grid(P_ONE, w)
-        text = write_svg([], shade, w, io.BytesIO(), poly_hash="f" * 64).decode()
+        text = write_svg([], shade, io.BytesIO(), poly_hash="f" * 64).decode()
         assert f"poly_sha256={'f' * 64}" in text
         assert "window=x=[-1,1] lambda=[-1,1]" in text
         assert "resolution=2x2" in text
@@ -210,15 +228,10 @@ class TestSvg:
         w = small_window()
         grid = sample_sign_grid(P_X, w)
         shade = sample_sign_grid(P_ONE, w)
-        text = write_svg(contour_segments(grid), shade, w, io.BytesIO()).decode()
+        text = write_svg(contour_segments(grid), shade, io.BytesIO()).decode()
         # the zero set x = 0 is one grid unit right of the margin
         assert "M41 42L41 41" in text
         assert "M41 41L41 40" in text
-
-    def test_window_mismatch_rejected(self):
-        shade = sample_sign_grid(P_ONE, small_window())
-        with pytest.raises(ValueError):
-            write_svg([], shade, Window(0, 1, 0, 1, 2, 2), io.BytesIO())
 
 
 class TestRenderCurve:
@@ -238,3 +251,108 @@ class TestRenderCurve:
         assert poly_signature(p) != poly_signature(q)
         assert poly_signature(p).encode() in render_curve(
             p, Window(-1, 3, -1, 3, 8, 8), io.BytesIO())
+
+
+# -- the Fraction sampler and crossings the integer ones replaced ---------------
+
+def oracle_sign_values(p, w):
+    """Signs at the window's nodes: each row specializes lambda to a Fraction,
+    clears that row to integers and runs Horner at the x ladder."""
+    by_xpow = p.coefficients_in(VAR_X)
+    degree = max(by_xpow, default=0)
+    step = (w.x_max - w.x_min) / w.nx
+    base_den = math.lcm(w.x_min.denominator, step.denominator)
+    a0 = int(w.x_min * base_den)
+    a_step = int(step * base_den)
+    rows = []
+    for j in range(w.nlambda + 1):
+        lam = w.lambda_at(j)
+        coeffs = []
+        for t in range(degree + 1):
+            c = by_xpow.get(t)
+            coeffs.append(c.evaluate({VAR_LAMBDA: lam}) if c is not None else Fraction(0))
+        denom = math.lcm(*(c.denominator for c in coeffs))
+        cleared = [int(c * denom) for c in coeffs]
+        scaled = [cleared[t] * base_den ** (degree - t) for t in range(degree + 1)]
+        row = []
+        for i in range(w.nx + 1):
+            a = a0 + i * a_step
+            value = scaled[degree]
+            for t in range(degree - 1, -1, -1):
+                value = value * a + scaled[t]
+            row.append(0 if not value else (1 if value > 0 else -1))
+        rows.append(tuple(row))
+    return tuple(zip(*rows))
+
+
+def oracle_crossing(i, j, edge, corners):
+    a, b = edge
+    if corners[a] == 0:
+        di, dj = _CORNERS[a]
+        return (Fraction(i + di), Fraction(j + dj))
+    if corners[b] == 0:
+        di, dj = _CORNERS[b]
+        return (Fraction(i + di), Fraction(j + dj))
+    (ai, aj), (bi, bj) = _CORNERS[a], _CORNERS[b]
+    return (i + (ai + bi) * Fraction(1, 2), j + (aj + bj) * Fraction(1, 2))
+
+
+def oracle_segments(values, nx, nlambda):
+    """Contour segments in grid units, with Fraction crossings."""
+    segments = []
+    for j in range(nlambda):
+        for i in range(nx):
+            corners = (values[i][j], values[i + 1][j],
+                       values[i + 1][j + 1], values[i][j + 1])
+            index = sum(1 << bit for bit, v in enumerate(corners) if v >= 0)
+            for edge_a, edge_b in _CASES[index]:
+                a = oracle_crossing(i, j, edge_a, corners)
+                b = oracle_crossing(i, j, edge_b, corners)
+                if a != b:
+                    segments.append((a, b) if a <= b else (b, a))
+    return segments
+
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+RESOLUTIONS = st.integers(2, 9)
+
+
+@st.composite
+def bivariate_polys(draw):
+    kind = draw(st.sampled_from(("zero", "constant", "x", "lambda", "mixed")))
+    if kind == "zero":
+        return SparsePoly.zero(XL)
+    max_t = 4 if kind in ("x", "mixed") else 0
+    max_s = 4 if kind in ("lambda", "mixed") else 0
+    exponents = st.tuples(st.integers(0, max_t), st.integers(0, max_s))
+    return SparsePoly(XL, draw(st.dictionaries(exponents, RATIONALS, min_size=1, max_size=6)))
+
+
+@st.composite
+def windows(draw):
+    x_min, lambda_min = draw(RATIONALS), draw(RATIONALS)
+    widths = st.fractions(min_value=Fraction(1, 9), max_value=8, max_denominator=9)
+    return Window(x_min, x_min + draw(widths), lambda_min, lambda_min + draw(widths),
+                  draw(RESOLUTIONS), draw(RESOLUTIONS))
+
+
+class TestIntegerPathsAgainstFractionOracle:
+    @PROPERTY
+    @given(bivariate_polys(), windows())
+    @example(P_X * P_LAMBDA - P_ONE,
+             Window(Fraction(-7, 3), Fraction(5, 3), Fraction(-9, 5), Fraction(-1, 7), 7, 4))
+    @example(P_X * P_X - P_LAMBDA, Window(Fraction(-3, 2), Fraction(3, 2), -1, 2, 6, 3))
+    def test_sign_grid_matches(self, p, w):
+        assert sample_sign_grid(p, w).values == oracle_sign_values(p, w)
+
+    @PROPERTY
+    @given(st.data(), RESOLUTIONS, RESOLUTIONS)
+    def test_contour_is_doubled_fraction_contour(self, data, nx, nlambda):
+        column = st.tuples(*[st.sampled_from((-1, 0, 1))] * (nlambda + 1))
+        values = data.draw(st.tuples(*[column] * (nx + 1)))
+        segments = contour_segments(SignGrid(Window(0, 1, 0, 1, nx, nlambda), values))
+        expected = [tuple((2 * u, 2 * v) for u, v in seg)
+                    for seg in oracle_segments(values, nx, nlambda)]
+        assert segments == expected
+        assert all(type(c) is int for seg in segments for point in seg for c in point)

@@ -19,7 +19,6 @@ from inflectionary.roots import (
     sign_at_root,
     simplest_rational_between,
     squarefree_part,
-    sturm_count,
 )
 
 T = SparsePoly.variable(("t",), "t")
@@ -97,29 +96,35 @@ class TestSquarefreeAndMultiplicity:
         assert bound > 7 and bound > Fraction(9, 2)
 
 
+def count_in(p, lo, hi):
+    """Distinct real roots of p in (lo, hi], by the isolator's chain."""
+    chain = RootIsolator(p).chain
+    return chain.variations_at(lo) - chain.variations_at(hi)
+
+
 class TestSturm:
     def test_distinct_count_ignores_multiplicity(self):
         p = from_roots(1, 1, 4)
-        assert sturm_count(p) == 2
+        assert len(RootIsolator(p).isolate()) == 2
 
     def test_half_open_endpoints(self):
         p = from_roots(1)
-        assert sturm_count(p, 0, 1) == 1
-        assert sturm_count(p, 1, 2) == 0
+        assert count_in(p, 0, 1) == 1
+        assert count_in(p, 1, 2) == 0
 
     def test_x_squared_minus_two(self):
         p = T * T - 2
-        assert sturm_count(p) == 2
-        assert sturm_count(p, 0, None) == 1
-        assert sturm_count(p, None, 0) == 1
+        assert len(RootIsolator(p).isolate()) == 2
+        assert count_in(p, 0, 2) == 1
+        assert count_in(p, -2, 0) == 1
 
     def test_no_real_roots(self):
-        assert sturm_count(T * T + 1) == 0
+        assert len(RootIsolator(T * T + 1).isolate()) == 0
 
     def test_constant_poly(self):
-        assert sturm_count(ONE) == 0
+        assert len(RootIsolator(ONE).isolate()) == 0
         with pytest.raises(ValueError):
-            sturm_count(SparsePoly.zero(("t",)))
+            RootIsolator(SparsePoly.zero(("t",)))
 
     def test_chain_shape(self):
         chain = SturmChain(T * T - 2)
@@ -210,7 +215,7 @@ class TestCertifiedRationalRoots:
         assert rationals == [Fraction(-2, 7), Fraction(1, 3)]
         assert len(unresolved) == 2
         for iv in unresolved:
-            assert iv.width <= Fraction(1, 2 ** 48)
+            assert iv.hi - iv.lo <= Fraction(1, 2 ** 48)
 
     def test_pure_rational_roots(self):
         roots = [Fraction(-5, 3), Fraction(0), Fraction(7, 11)]
@@ -244,14 +249,6 @@ class TestCertifiedRationalRoots:
 
 
 class TestIsolatorObject:
-    def test_count_none_bounds(self):
-        iso = RootIsolator(from_roots(-10, 0, 10))
-        assert iso.count() == 3
-        assert iso.count(lo=0) == 1
-        assert iso.count(hi=0) == 2
-        with pytest.raises(ValueError):
-            iso.count(3, 3)
-
     def test_interval_json(self):
         iv = IsolatingInterval(Fraction(1, 3), Fraction(1, 2))
         assert iv.to_json_dict() == {"lo": "1/3", "hi": "1/2"}
