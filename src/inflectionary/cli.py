@@ -4,9 +4,10 @@ Subcommands cover construction (compute), the verification checks
 (verify), exact real-root censuses (roots, scan), rendering (plot) and the
 closed-form invariant predictions (genus).  Exit codes are part of the
 contract: 0 success/all-pass, 1 a check failed, 2 usage error, 3 violated
-precondition, 4 I/O failure, 5 internal fault (any other exception; its
-traceback goes to stderr).  A report that is neither PASS nor FAIL exits 0
-with a warning on stderr.
+precondition (a PreconditionError), 4 I/O failure, 5 internal fault (any
+other exception, any other ValueError included; its traceback goes to
+stderr).  A report that is neither PASS nor FAIL exits 0 with a warning on
+stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .inflection import (
 )
 from .poly import parse_rational, poly_to_json
 from .render import DEFAULT_WINDOW, Window, render_curve
-from .reports import FAIL, PASS, jsonable
+from .reports import FAIL, PASS, PreconditionError, jsonable
 
 LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5))
 
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -20,8 +20,9 @@ from .inflection import (
 )
 from .newton import face_restriction, lattice_points_in_hull, newton_data
 from .poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json, substitute_polys
-from .reports import FAIL, OUT_OF_RANGE, PASS, UNRESOLVED, CheckReport
+from .reports import FAIL, OUT_OF_RANGE, PASS, UNRESOLVED, CheckReport, PreconditionError
 from .roots import (
+    MAX_DENOMINATOR,
     RootIsolator,
     certified_rational_roots,
     deflate,
@@ -57,7 +58,7 @@ def _degenerate(lambda0) -> bool:
 
 def _require_nondegenerate(lambda0):
     if _degenerate(lambda0):
-        raise ValueError(f"degenerate curve parameter lambda = {lambda0}")
+        raise PreconditionError(f"degenerate curve parameter lambda = {lambda0}")
 
 
 # -- symmetry -----------------------------------------------------------------
@@ -67,7 +68,7 @@ def check_homogenization_symmetry(k: int, poly: SparsePoly | None = None) -> Che
     reproduce the polynomial with lambda renamed to the new variable."""
     k = int(k)
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise PreconditionError(f"k must be positive, got {k}")
     p = basic_inflection(k).poly if poly is None else poly
     hom = p.homogenize(VAR_Z, 2 * (k + 1))
     lhs = hom.specialize(VAR_LAMBDA, 1)
@@ -88,7 +89,7 @@ def check_shift_symmetry(k: int, poly: SparsePoly | None = None) -> CheckReport:
     """P(x+1, lambda+1) must equal P(-x, -lambda)."""
     k = int(k)
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise PreconditionError(f"k must be positive, got {k}")
     p = basic_inflection(k).poly if poly is None else poly
     x = SparsePoly.variable(p.vars, VAR_X)
     lam = SparsePoly.variable(p.vars, VAR_LAMBDA)
@@ -112,7 +113,7 @@ def predicted_support(k: int):
     """Lattice points of the two conjectured hull pieces of Supp P(1, k)."""
     k = int(k)
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise PreconditionError(f"k must be positive, got {k}")
     upper = [(0, k + 1), (k - 1, k + 1), (k - 1, 2), (2 * k - 2, 2)]
     lower = [(2 * k, 1), (2 * k + 1, 1), (2 * k + 1, 0), (2 * k + 2, 0)]
     return lattice_points_in_hull(upper) | lattice_points_in_hull(lower)
@@ -166,7 +167,7 @@ def gamma_faces(k: int):
     """The two conjectured origin-facing faces of the Newton polygon."""
     k = int(k)
     if k < 2:
-        raise ValueError(f"face structure needs k >= 2, got {k}")
+        raise PreconditionError(f"face structure needs k >= 2, got {k}")
     gamma1 = ((0, k + 1), (k - 1, 2))
     gamma2 = ((k - 1, 2), (2 * k + 1, 0))
     return gamma1, gamma2
@@ -347,7 +348,7 @@ def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckR
     k = int(k)
     samples = [Fraction(v) for v in lambda_grid]
     if not samples:
-        raise ValueError("empty lambda grid")
+        raise PreconditionError("empty lambda grid")
     parity = "even" if (k - mu) % 2 == 0 else "odd"
     expected = mu * PARITY_COUNT_MULTIPLIER[parity]
     params = {"mu": mu, "k": k, "grid": samples}
@@ -362,7 +363,7 @@ def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckR
         counts.append(census.roots_f_positive)
         used.append(lam)
     if not used:
-        raise ValueError("lambda grid contains only degenerate values")
+        raise PreconditionError("lambda grid contains only degenerate values")
     data = {
         "samples": used,
         "counts": counts,
@@ -507,7 +508,8 @@ def _affine_singular_candidates(q: SparsePoly, u_name: str, v_name: str):
     shared = gcd_univariate(gcd_univariate(r1, r2), r3)
     keep_values, keep_intervals, keep_residual = _certify_and_deflate(shared, keep)
     for iv in keep_intervals:
-        unresolved.append({"variable": keep, "interval": iv})
+        unresolved.append({"variable": keep, "interval": iv,
+                           "max_denominator": MAX_DENOMINATOR})
     if keep_residual is not None:
         # every remaining candidate value is nonreal; it still needs a
         # verdict, so hand it back as unresolved rather than dropping it
@@ -528,7 +530,8 @@ def _affine_singular_candidates(q: SparsePoly, u_name: str, v_name: str):
             shared_x = gcd_univariate(shared_x, s)
         elim_values, elim_intervals, residual = _certify_and_deflate(shared_x, elim)
         for iv in elim_intervals:
-            unresolved.append({"variable": elim, "interval": iv, keep: value})
+            unresolved.append({"variable": elim, "interval": iv, keep: value,
+                               "max_denominator": MAX_DENOMINATOR})
         for root in elim_values:
             certified.append({keep: value, elim: root})
         if residual is not None:
@@ -551,7 +554,7 @@ def singular_probe(k: int) -> CheckReport:
     """
     k = int(k)
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise PreconditionError(f"k must be positive, got {k}")
     p = basic_inflection(k).poly
     hom = p.homogenize(VAR_Z, 2 * (k + 1))
     params = {"mu": 1, "k": k}

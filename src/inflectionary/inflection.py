@@ -31,7 +31,7 @@ from .poly import (
     substitute_polys,
     try_divexact,
 )
-from .reports import FAIL, PASS, CheckReport
+from .reports import FAIL, PASS, CheckReport, PreconditionError
 
 _XL = (VAR_X, VAR_LAMBDA)
 
@@ -99,7 +99,7 @@ def basic_inflection(k: int) -> InflectionPoly:
     """P(1, k) via the first-order recurrence, memoized."""
     k = int(k)
     if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+        raise PreconditionError(f"k must be nonnegative, got {k}")
     for j in range(k):  # ascending, so no step recurses more than one deep
         _recurrence_step(j)
     return _recurrence_step(k)
@@ -234,11 +234,11 @@ def general_inflection(mu: int, k: int) -> InflectionPoly:
     mu = int(mu)
     k = int(k)
     if mu < 1:
-        raise ValueError(f"mu must be positive, got {mu}")
+        raise PreconditionError(f"mu must be positive, got {mu}")
     if mu == 1:
         return basic_inflection(k)
     if k <= mu:
-        raise ValueError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
+        raise PreconditionError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
     return InflectionPoly(mu, k, template_substitution(mu, k))
 
 
@@ -286,11 +286,11 @@ def wronskian_direct(mu: int, k: int) -> InflectionPoly:
     mu = int(mu)
     k = int(k)
     if mu < 1:
-        raise ValueError(f"mu must be positive, got {mu}")
+        raise PreconditionError(f"mu must be positive, got {mu}")
     if k <= mu and mu > 1:
-        raise ValueError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
+        raise PreconditionError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
     if mu == 1 and k < 1:
-        raise ValueError(f"k must be positive for the Wronskian route, got {k}")
+        raise PreconditionError(f"k must be positive for the Wronskian route, got {k}")
     return InflectionPoly(mu, k, _wronskian_poly(mu, k))
 
 
@@ -356,10 +356,10 @@ def torsion_check(k: int, lambda0) -> CheckReport:
     """
     k = int(k)
     if k < 2:
-        raise ValueError(f"torsion comparison needs k >= 2, got {k}")
+        raise PreconditionError(f"torsion comparison needs k >= 2, got {k}")
     lambda0 = Fraction(lambda0)
     if lambda0 in (0, 1):
-        raise ValueError(f"degenerate curve parameter lambda = {lambda0}")
+        raise PreconditionError(f"degenerate curve parameter lambda = {lambda0}")
     params = {"k": k, "lambda0": lambda0}
     expected_degree = 2 * k * k - 2
 
@@ -394,7 +394,7 @@ def predicted_delta(k: int) -> int:
     """Conjectured total delta invariant floor(k^2/2) + k of the plane model."""
     k = int(k)
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise PreconditionError(f"k must be positive, got {k}")
     return k * k // 2 + k
 
 
@@ -406,5 +406,5 @@ def predicted_genus(k: int) -> int:
     """
     k = int(k)
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise PreconditionError(f"k must be positive, got {k}")
     return math.comb(2 * k + 1, 2) - 3 * (k * k // 2) - 3 * k

@@ -56,12 +56,6 @@ class Window:
             raise ValueError(f"resolution too large: {self.nx} x {self.nlambda} "
                              f"(at most {MAX_RESOLUTION} per axis)")
 
-    def x_at(self, i: int) -> Fraction:
-        return self.x_min + Fraction(i, self.nx) * (self.x_max - self.x_min)
-
-    def lambda_at(self, j: int) -> Fraction:
-        return self.lambda_min + Fraction(j, self.nlambda) * (self.lambda_max - self.lambda_min)
-
     def describe(self) -> str:
         return (f"x=[{self.x_min},{self.x_max}] "
                 f"lambda=[{self.lambda_min},{self.lambda_max}]")
@@ -91,10 +85,6 @@ class SignGrid:
             for v in column:
                 if v not in (-1, 0, 1):
                     raise ValueError(f"sign grid entry out of range: {v!r}")
-
-    def row(self, j: int):
-        """All signs along the lambda_j grid row, in ascending x order."""
-        return [column[j] for column in self.values]
 
 
 def _ladder(lo: Fraction, hi: Fraction, n: int):
@@ -141,12 +131,6 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
         coeffs = [_horner(column, c0 + j * c_step) for column in table]
         rows.append(tuple((v > 0) - (v < 0) for v in (_horner(coeffs, a) for a in xs)))
     return SignGrid(w, tuple(zip(*rows)))
-
-
-def row_sign_changes(grid: SignGrid, j: int) -> int:
-    """Sign flips along one lambda row, zeros counted as positive."""
-    signs = [1 if v >= 0 else -1 for v in grid.row(j)]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 # Marching squares: corners of the unit cell are indexed counterclockwise

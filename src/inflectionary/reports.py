@@ -14,6 +14,11 @@ UNRESOLVED = "UNRESOLVED"
 _VERDICTS = (PASS, FAIL, OUT_OF_RANGE, UNRESOLVED)
 
 
+class PreconditionError(ValueError):
+    """An input outside a check's domain: (mu, k) out of shape, k below a
+    family's start or a degenerate lambda.  The CLI exits 3 on it."""
+
+
 def jsonable(value):
     """Recursively convert report payloads to plain JSON values.
 

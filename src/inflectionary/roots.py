@@ -1,13 +1,16 @@
 """Univariate machinery: gcd, Sturm chains, root isolation, exact signs.
 
 Inputs are one-variable :class:`~inflectionary.poly.SparsePoly` values with
-Fraction coefficients, and every result is exact.  Internally polynomials
-travel as ascending coefficient lists.  The gcd and the Sturm chains run on
-primitive integer lists: denominators and content are cleared by positive
-factors and pseudo-remainders are scaled by a positive power of the divisor's
-leading coefficient, so every sign is kept and coefficients do not swell.
-An integer list is evaluated at a rational a/b (b > 0) by homogeneous
-Horner, sum c_i a^i b^(d-i), which has the sign of its value at a/b.
+Fraction coefficients, and every result is exact.  Inside, a polynomial has
+one form: a primitive integer list, the ascending coprime coefficients of a
+positive multiple of it.  ``_primitive`` clears denominators and content by
+positive factors, so every sign is kept.  There is one division, the
+integer pseudo-division ``_pseudo_divmod``, whose quotient and remainder are
+scaled by a positive power of the divisor's leading coefficient.  It gives
+the gcd and Sturm remainders, the exact quotients of ``squarefree_part`` and
+``repeated_part``, and deflation of a rational root a/b by b x - a.  An
+integer list is evaluated at a rational a/b (b > 0) by homogeneous Horner,
+sum c_i a^i b^(d-i), which has the sign of its value at a/b.
 
 A :class:`RootIsolator` is built once per polynomial, e.g. one fiber of
 P(mu, k) at a fixed lambda, and owns that fiber's univariate work: the
@@ -15,7 +18,7 @@ squarefree part, its chain and root bound serve isolation, rational
 certification and ``sign_at_root``, which signs q at all the fiber's roots
 in one call; ``repeated_part`` recovers gcd(p, p') from the squarefree part
 without a second gcd.  ``deflate`` splits a rational root off with its
-multiplicity.  Exact polynomial division is ``poly.divexact``.
+multiplicity.
 """
 
 from __future__ import annotations
@@ -24,16 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import SparsePoly, as_fraction, divexact
+from .poly import SparsePoly, as_fraction
+
+# Largest denominator ``certified_rational_roots`` tries to recognize.
+MAX_DENOMINATOR = 2 ** 24
 
 
-# -- coefficient-list helpers -------------------------------------------------
-
-def _strip(c):
-    while c and not c[-1]:
-        c.pop()
-    return c
-
+# -- integer lists --------------------------------------------------------------
 
 def _degree(c):
     return len(c) - 1
@@ -55,27 +55,68 @@ def _primitive(c):
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _pseudo_rem_int(a, b):
-    """|lc(b)|^(deg a - deg b + 1) * (a mod b) for integer lists, deg a >= deg b.
+def _positive(c):
+    """The primitive list ``±c`` whose leading coefficient is positive."""
+    c = _primitive(c)
+    return c if c[-1] > 0 else [-v for v in c]
 
-    The scale factor is positive, so the result is a positive multiple of
-    the remainder.
+
+def _ints(p: SparsePoly):
+    """``(name, c)``: the variable of the nonzero one-variable ``p`` and
+    its primitive integer list."""
+    name, coeffs = p.univariate_coeffs()
+    return name, _primitive(coeffs)
+
+
+def _poly(name, c, lead=1) -> SparsePoly:
+    """The multiple of the integer list ``c`` with leading coefficient ``lead``."""
+    scale = Fraction(lead) / c[-1]
+    return SparsePoly.from_univariate(name, [v * scale for v in c])
+
+
+def _pseudo_divmod(a, b):
+    """``(q, r)`` with |lc(b)|^(deg a - deg b + 1) a = q b + r, deg r < deg b.
+
+    ``a`` and ``b`` are integer lists with deg a >= deg b >= 0.  The scale
+    is positive, so q and r are positive multiples of the quotient and the
+    remainder over the rationals.
     """
     db = _degree(b)
     lead = b[-1]
-    scale = abs(lead) ** (_degree(a) - db + 1)
-    a = [v * scale for v in a]
-    while a and _degree(a) >= db:
-        shift = _degree(a) - db
-        factor, rem = divmod(a[-1], lead)
+    steps = _degree(a) - db + 1
+    scale = abs(lead) ** steps
+    r = [v * scale for v in a]
+    q = [0] * steps
+    for shift in range(steps - 1, -1, -1):
+        factor, rem = divmod(r.pop(), lead)
         if rem:
             raise RuntimeError(
                 "internal fault: inexact step in integer pseudo-division")
-        for i in range(db + 1):
-            a[shift + i] -= factor * b[i]
-        a.pop()
-        _strip(a)
-    return a
+        if factor:
+            q[shift] = factor
+            for i in range(db):
+                r[shift + i] -= factor * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _exact_quotient(a, b):
+    """The primitive a / b with a positive leading coefficient; b must divide a."""
+    q, r = _pseudo_divmod(a, b)
+    if r:
+        raise RuntimeError("internal fault: inexact polynomial division")
+    return _positive(q)
+
+
+def _gcd_lists(a, b):
+    """The primitive gcd, leading coefficient positive, of the primitive
+    lists ``a`` != [] and ``b``, by the primitive pseudo-remainder sequence."""
+    if _degree(a) < _degree(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return _positive(a)
 
 
 def _powers(base, n):
@@ -100,28 +141,13 @@ def _sign_at(c, t: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-def _gcd_lists(a, b):
-    """Monic gcd via the primitive pseudo-remainder sequence over the integers."""
-    a = _strip(list(a))
-    b = _strip(list(b))
-    if not a and not b:
-        return []
-    if not a:
-        a, b = b, a
-    if not b:
-        lead = a[-1]
-        return [v / lead for v in a]
-    a = _primitive(a)
-    b = _primitive(b)
-    if _degree(a) < _degree(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_rem_int(a, b))
-    lead = Fraction(a[-1])
-    return [Fraction(v) / lead for v in a]
+def squarefree_part(c):
+    """The radical c / gcd(c, c') of the primitive list ``c`` != [], as a
+    primitive list with a positive leading coefficient."""
+    return _exact_quotient(c, _gcd_lists(c, _primitive(_derive(c))))
 
 
-# -- public gcd and squarefree helpers ---------------------------------------
+# -- public gcd and deflation ---------------------------------------------------
 
 def gcd_univariate(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     """Monic greatest common divisor of two one-variable polynomials."""
@@ -129,39 +155,13 @@ def gcd_univariate(a: SparsePoly, b: SparsePoly) -> SparsePoly:
         return a
     if a.is_zero:
         a, b = b, a
-    name, ca = a.univariate_coeffs()
+    name, ca = _ints(a)
     if b.is_zero:
-        return _monic(name, ca)
-    name_b, cb = b.univariate_coeffs()
+        return _poly(name, ca)
+    name_b, cb = _ints(b)
     if name_b != name:
         raise ValueError(f"variable mismatch: {name!r} vs {name_b!r}")
-    return SparsePoly.from_univariate(name, _gcd_lists(ca, cb))
-
-
-def squarefree_part(p: SparsePoly) -> SparsePoly:
-    """The monic radical ``p / gcd(p, p')``."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree part")
-    name, c = p.univariate_coeffs()
-    g = _gcd_lists(c, _derive(c))
-    if _degree(g) < 1:
-        return _monic(name, c)
-    return _monic(*divexact(p, SparsePoly.from_univariate(name, g)).univariate_coeffs())
-
-
-def _monic(name, c) -> SparsePoly:
-    lead = c[-1]
-    return SparsePoly.from_univariate(name, [v / lead for v in c])
-
-
-def cauchy_root_bound(p: SparsePoly) -> Fraction:
-    """A rational B with every real root of p strictly inside (-B, B)."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no root bound")
-    _, c = p.univariate_coeffs()
-    lead = abs(c[-1])
-    top = max((abs(v) for v in c[:-1]), default=Fraction(0))
-    return 1 + top / lead
+    return _poly(name, _gcd_lists(ca, cb))
 
 
 def deflate(p: SparsePoly, r):
@@ -170,26 +170,23 @@ def deflate(p: SparsePoly, r):
     if p.is_zero:
         raise ValueError("zero polynomial")
     r = as_fraction(r)
-    name, c = p.univariate_coeffs()
+    name, coeffs = p.univariate_coeffs()
+    c = _primitive(coeffs)
+    linear = [-r.numerator, r.denominator]
     count = 0
     while len(c) > 1:
-        # one synthetic division by (x - r); the final accumulator is p(r)
-        acc = Fraction(0)
-        steps = []
-        for coeff in reversed(c):
-            acc = acc * r + coeff
-            steps.append(acc)
-        if steps[-1]:
+        q, rem = _pseudo_divmod(c, linear)
+        if rem:
             break
-        c = list(reversed(steps[:-1]))
+        c = _primitive(q)
         count += 1
-    return count, SparsePoly.from_univariate(name, c)
+    return count, _poly(name, c, coeffs[-1])
 
 
 # -- Sturm chains -------------------------------------------------------------
 
 class SturmChain:
-    """Sturm remainder chain of a nonzero polynomial, kept over the integers.
+    """Sturm remainder chain of a nonzero primitive integer list.
 
     Element i is a coprime integer coefficient list that is a positive
     multiple of the standard element: the input, its derivative, then the
@@ -198,19 +195,15 @@ class SturmChain:
     ends at the last nonzero element, a constant multiple of gcd(p, p').
     """
 
-    def __init__(self, p: SparsePoly):
-        if p.is_zero:
-            raise ValueError("Sturm chain of the zero polynomial")
-        self.var, coeffs = p.univariate_coeffs()
-        chain = [_primitive(coeffs)]
-        derivative = _primitive(_derive(chain[0]))
-        if derivative:
-            chain.append(derivative)
-            while _degree(chain[-1]) > 0:
-                nxt = _primitive([-v for v in _pseudo_rem_int(chain[-2], chain[-1])])
-                if not nxt:
-                    break
-                chain.append(nxt)
+    def __init__(self, var, c):
+        self.var = var
+        chain = [c]
+        nxt = _primitive(_derive(c))
+        while nxt:
+            chain.append(nxt)
+            if _degree(nxt) < 1:
+                break
+            nxt = _primitive([-v for v in _pseudo_divmod(chain[-2], nxt)[1]])
         self._chain = chain
 
     @property
@@ -250,29 +243,31 @@ class IsolatingInterval:
 class RootIsolator:
     """Isolates, signs and certifies the real roots of one polynomial.
 
-    The squarefree part, its Sturm chain and its root bound are built once
-    and reused by every query, ``repeated_part``, ``sign_at_root`` and
-    ``certified_rational_roots`` included; multiple roots of the input are
-    counted once and endpoint degeneracies cannot occur.  Each bisection
-    carries the variation counts of the endpoints it already knows, so a
-    step evaluates the chain only at the new midpoint.
+    The squarefree part, its Sturm chain and its Cauchy root bound
+    1 + max |c_i| / c_n are built once and reused by every query,
+    ``repeated_part``, ``sign_at_root`` and ``certified_rational_roots``
+    included; multiple roots of the input are counted once and endpoint
+    degeneracies cannot occur.  Each bisection carries the variation counts
+    of the endpoints it already knows, so a step evaluates the chain only at
+    the new midpoint.
     """
 
     def __init__(self, p: SparsePoly):
         if p.is_zero:
             raise ValueError("cannot isolate roots of the zero polynomial")
-        self.poly = p
-        self.reduced = squarefree_part(p)
-        self.chain = SturmChain(self.reduced)
-        self.bound = cauchy_root_bound(self.reduced)
+        name, self.coeffs = _ints(p)
+        self.reduced = squarefree_part(self.coeffs)
+        self.chain = SturmChain(name, self.reduced)
+        self.bound = 1 + Fraction(max(map(abs, self.reduced[:-1]), default=0),
+                                  self.reduced[-1])
 
     def repeated_part(self) -> SparsePoly:
         """The monic gcd(p, p'), recovered as p divided by its squarefree part."""
-        return _monic(*divexact(self.poly, self.reduced).univariate_coeffs())
+        return _poly(self.chain.var, _exact_quotient(self.coeffs, self.reduced))
 
     def isolate(self):
         """Disjoint isolating intervals, in ascending order of the roots."""
-        if self.reduced.degree(self.chain.var) < 1:
+        if _degree(self.reduced) < 1:
             return []
         variations = self.chain.variations_at
         out = []
@@ -326,15 +321,14 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
     if q.is_zero:
         return [0] * len(intervals)
     name = iso.chain.var
-    qname, qc = q.univariate_coeffs()
+    qname, qc = _ints(q)
     if qname != name:
         raise ValueError(f"variable mismatch: {name!r} vs {qname!r}")
-    q_ints = _primitive(qc)
     if _degree(qc) < 1:
-        return [1 if q_ints[0] > 0 else -1] * len(intervals)
-    shared = gcd_univariate(iso.reduced, q)
-    shared_chain = SturmChain(shared) if shared.degree(name) >= 1 else None
-    qchain = SturmChain(squarefree_part(q))
+        return [1 if qc[0] > 0 else -1] * len(intervals)
+    shared = _gcd_lists(iso.reduced, qc)
+    shared_chain = SturmChain(name, shared) if _degree(shared) >= 1 else None
+    qchain = SturmChain(name, squarefree_part(qc))
     signs = []
     for iv, vlo in zip(intervals, counts):
         lo, hi = iv.lo, iv.hi
@@ -352,7 +346,7 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
             else:
                 lo, vlo, qlo = mid, vmid, qmid
         # q has no root in (lo, hi], so q(hi) is nonzero
-        signs.append(_sign_at(q_ints, hi))
+        signs.append(_sign_at(qc, hi))
     return signs
 
 
@@ -376,29 +370,28 @@ def simplest_rational_between(lo, hi) -> Fraction:
     return floor + 1 / inner
 
 
-def certified_rational_roots(p: SparsePoly, max_denominator=2 ** 24):
+def certified_rational_roots(p: SparsePoly):
     """Split the real roots of ``p`` into exact rationals and leftovers.
 
     Returns ``(rationals, unresolved)`` where ``rationals`` are certified
     exact roots and ``unresolved`` are isolating intervals whose root could
-    not be recognized as a rational of denominator <= max_denominator.  No
+    not be recognized as a rational of denominator <= MAX_DENOMINATOR.  No
     root is ever dropped.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     iso = RootIsolator(p)
-    reduced = _primitive(iso.reduced.univariate_coeffs()[1])
     rationals = []
     unresolved = []
     for iv in iso.isolate():
         found = None
         lo, hi = iv.lo, iv.hi
         vlo, vhi = iso._isolating_variations(iv)
-        width = Fraction(1, max_denominator ** 2)
+        width = Fraction(1, MAX_DENOMINATOR ** 2)
         for _ in range(4):
             lo, vlo, hi, vhi = iso._shrink(lo, vlo, hi, vhi, width)
             cand = simplest_rational_between(lo, hi)
-            if lo < cand <= hi and not _sign_at(reduced, cand):
+            if lo < cand <= hi and not _sign_at(iso.reduced, cand):
                 found = cand
                 break
             width /= 2 ** 8

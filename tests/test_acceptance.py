@@ -35,7 +35,6 @@ from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
 from inflectionary.render import (
     DEFAULT_WINDOW,
     render_curve,
-    row_sign_changes,
     sample_sign_grid,
 )
 from inflectionary.roots import RootIsolator
@@ -218,8 +217,10 @@ def test_criterion_12_render_census_consistency(capsys):
         p = general_inflection(mu, k).poly
         grid = sample_sign_grid(p, w)
         for j in CENSUS_ROWS:
-            lambda0 = w.lambda_at(j)
-            changes = row_sign_changes(grid, j)
+            lambda0 = w.lambda_min + Fraction(j, w.nlambda) * (w.lambda_max - w.lambda_min)
+            # sign flips along row j, zeros counted as positive (the tie rule)
+            signs = [1 if column[j] >= 0 else -1 for column in grid.values]
+            changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
             chain = RootIsolator(p.specialize(VAR_LAMBDA, lambda0)).chain
             expected = chain.variations_at(w.x_min) - chain.variations_at(w.x_max)
             if changes != expected:

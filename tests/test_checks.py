@@ -26,7 +26,7 @@ from inflectionary.conjectures import (
 from inflectionary.inflection import basic_inflection, legendre_f
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json
 from inflectionary.reports import FAIL, OUT_OF_RANGE, PASS, CheckReport, jsonable
-from inflectionary.roots import RootIsolator, SturmChain, squarefree_part
+from inflectionary.roots import MAX_DENOMINATOR, RootIsolator, SturmChain
 
 XL = (VAR_X, VAR_LAMBDA)
 X = SparsePoly.variable(XL, VAR_X)
@@ -204,17 +204,18 @@ class TestRootCensus:
         assert len(built) == 1
 
     def test_one_chain_of_f_per_fiber(self, monkeypatch):
+        lambda0 = Fraction(-3, 2)
+        # the primitive squarefree integer list of f at lambda0
+        f_here = RootIsolator(legendre_f().specialize(VAR_LAMBDA, lambda0)).reduced
         built = []
         init = SturmChain.__init__
 
-        def counting_init(self, p):
-            built.append(p)
-            init(self, p)
+        def counting_init(self, var, c):
+            built.append(c)
+            init(self, var, c)
 
         monkeypatch.setattr(SturmChain, "__init__", counting_init)
-        lambda0 = Fraction(-3, 2)
         census = real_root_census(1, 4, lambda0)
-        f_here = squarefree_part(legendre_f().specialize(VAR_LAMBDA, lambda0))
         assert census.total_real_roots > 1
         assert built.count(f_here) == 1
         # the isolator's chain and f's: gcd(p, f) is constant here
@@ -324,6 +325,21 @@ class TestSingularCandidates:
         assert unresolved == [{"variable": VAR_X,
                                "reason": "nonreal candidate values",
                                "residual": poly_to_json(x ** 2 + 1)}]
+
+
+    def test_irrational_candidates_record_the_cap(self):
+        # (x^2 - 2)^2 + lambda^2 is singular at (+-sqrt 2, 0): no rational of
+        # denominator <= MAX_DENOMINATOR certifies them, so each interval entry
+        # says where certification stopped
+        q = (X ** 2 - 2) ** 2 + L ** 2
+        certified, unresolved, residuals = _affine_singular_candidates(
+            q, VAR_X, VAR_LAMBDA)
+        assert certified == [] and residuals == []
+        assert [(e["variable"], e["max_denominator"]) for e in unresolved] == [
+            (VAR_X, MAX_DENOMINATOR)] * 2
+        neg, pos = [e["interval"] for e in unresolved]
+        assert neg.hi ** 2 < 2 < neg.lo ** 2 and neg.hi < 0
+        assert pos.lo ** 2 < 2 < pos.hi ** 2 and pos.lo > 0
 
 
 class TestSingularProbe:

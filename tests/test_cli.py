@@ -276,6 +276,35 @@ class TestTopLevel:
         assert "Traceback" in err
         assert "RuntimeError: simulated internal fault" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--mu", "0", "--k", "3"),
+        ("compute", "--mu", "2", "--k", "2"),
+        ("roots", "--mu", "1", "--k", "3", "--lambda", "0"),
+        ("verify", "symmetry", "--k", "0"),
+        ("verify", "faces", "--k", "1"),
+        ("verify", "torsion", "--k", "1"),
+        ("verify", "torsion", "--k", "2", "--lambda", "1"),
+        ("verify", "lemma1", "--mu", "2", "--k", "2"),
+        ("genus", "--k", "0"),
+        ("scan", "--mu", "1", "--k", "2", "--lambda-grid", "0,1"),
+    ])
+    def test_precondition_is_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_internal_value_error_is_exit_5(self, capsys, monkeypatch):
+        def inexact(p, d):
+            raise ValueError("not an exact polynomial division")
+
+        monkeypatch.setattr("inflectionary.matrices.divexact", inexact)
+        code, out, err = run(capsys, "verify", "singular", "--k", "2")
+        assert code == 5
+        assert out == ""
+        assert "Traceback" in err
+        assert "ValueError: not an exact polynomial division" in err
+
     def test_coefficient_check(self, capsys):
         code, out, _ = run(capsys, "--coefficient-check")
         assert code == 0

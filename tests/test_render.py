@@ -25,7 +25,6 @@ from inflectionary.render import (
     contour_segments,
     poly_signature,
     render_curve,
-    row_sign_changes,
     sample_sign_grid,
     write_svg,
 )
@@ -41,6 +40,24 @@ def small_window(nx=2, nlambda=2):
     return Window(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), nx, nlambda)
 
 
+# -- the row view of a sign grid, the oracle side of acceptance criterion 12 ------
+
+def lambda_at(w, j):
+    """lambda of the grid row j of window ``w``."""
+    return w.lambda_min + Fraction(j, w.nlambda) * (w.lambda_max - w.lambda_min)
+
+
+def row(grid, j):
+    """All signs along the lambda_j grid row, in ascending x order."""
+    return [column[j] for column in grid.values]
+
+
+def row_sign_changes(grid, j):
+    """Sign flips along one lambda row, zeros counted as positive."""
+    signs = [1 if v >= 0 else -1 for v in row(grid, j)]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 class TestWindow:
     def test_defaults(self):
         w = DEFAULT_WINDOW
@@ -49,9 +66,10 @@ class TestWindow:
         assert (w.nx, w.nlambda) == (512, 512)
 
     def test_node_coordinates_exact(self):
+        # nodes sit exactly on x = 1/3 and lambda = 2/3, where the samples vanish
         w = Window(0, 1, 0, 1, 3, 3)
-        assert w.x_at(1) == Fraction(1, 3)
-        assert w.lambda_at(2) == Fraction(2, 3)
+        assert sample_sign_grid(P_X - Fraction(1, 3) * P_ONE, w).values[1] == (0,) * 4
+        assert row(sample_sign_grid(P_LAMBDA - Fraction(2, 3) * P_ONE, w), 2) == [0] * 4
 
     def test_string_bounds_coerced(self):
         w = Window("1/2", 2, "-3", "3/4", 4, 4)
@@ -97,7 +115,7 @@ class TestSignGrid:
         p = P_X * P_X - P_ONE
         w = Window(-2, 2, 0, 1, 4, 2)
         grid = sample_sign_grid(p, w)
-        assert grid.row(0) == [1, 0, -1, 0, 1]
+        assert row(grid, 0) == [1, 0, -1, 0, 1]
 
     def test_nonsquare_dimensions(self):
         grid = sample_sign_grid(P_ONE, Window(0, 1, 0, 1, 5, 3))
@@ -266,7 +284,7 @@ def oracle_sign_values(p, w):
     a_step = int(step * base_den)
     rows = []
     for j in range(w.nlambda + 1):
-        lam = w.lambda_at(j)
+        lam = lambda_at(w, j)
         coeffs = []
         for t in range(degree + 1):
             c = by_xpow.get(t)

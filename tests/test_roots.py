@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inflectionary import roots
 from inflectionary.poly import SparsePoly
 from inflectionary.roots import (
+    MAX_DENOMINATOR,
     IsolatingInterval,
     RootIsolator,
     SturmChain,
-    cauchy_root_bound,
     certified_rational_roots,
     deflate,
     gcd_univariate,
@@ -25,11 +26,16 @@ T = SparsePoly.variable(("t",), "t")
 ONE = SparsePoly.constant(("t",), 1)
 
 
-def from_roots(*roots):
+def from_roots(*roots_):
     p = ONE
-    for r in roots:
+    for r in roots_:
         p = p * (T - r)
     return p
+
+
+def to_ints(p):
+    """The primitive integer list of the nonzero one-variable ``p``."""
+    return roots._primitive(p.univariate_coeffs()[1])
 
 
 class TestGcd:
@@ -76,10 +82,20 @@ def _random_upoly(rng, max_deg=4):
 class TestSquarefreeAndMultiplicity:
     def test_squarefree_part(self):
         p = from_roots(1, 1, 1, -2)
-        assert squarefree_part(p) == from_roots(1, -2)
+        assert squarefree_part(to_ints(p)) == to_ints(from_roots(1, -2))
 
-    def test_already_squarefree_is_monicized(self):
-        assert squarefree_part(3 * from_roots(0, 2)) == from_roots(0, 2)
+    def test_squarefree_leading_coefficient_is_positive(self):
+        assert squarefree_part(to_ints(-3 * from_roots(0, 2))) == [0, -2, 1]
+        assert squarefree_part(to_ints(-2 * from_roots(Fraction(1, 3)) ** 2)) == [-1, 3]
+
+    def test_repeated_part(self):
+        p = 6 * from_roots(Fraction(1, 2), Fraction(1, 2), 3, 3, 3, -1)
+        assert RootIsolator(p).repeated_part() == from_roots(Fraction(1, 2), 3, 3)
+        assert RootIsolator(from_roots(2, -2)).repeated_part() == ONE
+
+    def test_inexact_division_is_an_internal_fault(self):
+        with pytest.raises(RuntimeError, match="internal fault"):
+            roots._exact_quotient([1, 0, 1], [-1, 1])
 
     def test_root_multiplicity(self):
         p = from_roots(Fraction(1, 2), Fraction(1, 2), 3)
@@ -92,7 +108,7 @@ class TestSquarefreeAndMultiplicity:
 
     def test_cauchy_bound_contains_roots(self):
         p = from_roots(-7, Fraction(9, 2), 1)
-        bound = cauchy_root_bound(p)
+        bound = RootIsolator(p).bound
         assert bound > 7 and bound > Fraction(9, 2)
 
 
@@ -127,7 +143,7 @@ class TestSturm:
             RootIsolator(SparsePoly.zero(("t",)))
 
     def test_chain_shape(self):
-        chain = SturmChain(T * T - 2)
+        chain = SturmChain("t", [-2, 0, 1])
         degrees = [p.degree("t") for p in chain.polys]
         assert degrees == [2, 1, 0]
 
@@ -229,13 +245,16 @@ class TestCertifiedRationalRoots:
         assert rationals == [] and unresolved == []
 
     def test_denominator_cap_is_honest(self):
-        p = from_roots(Fraction(1, 2 ** 30))
-        rationals, unresolved = certified_rational_roots(p, max_denominator=2 ** 8)
+        root = Fraction(1, 3 ** 40)
+        assert root.denominator > MAX_DENOMINATOR
+        rationals, unresolved = certified_rational_roots(from_roots(root, 1))
         # the root survives either as a certified value or as an interval
-        if rationals:
-            assert rationals == [Fraction(1, 2 ** 30)]
+        assert Fraction(1) in rationals
+        if root in rationals:
+            assert unresolved == []
         else:
-            assert len(unresolved) == 1
+            (iv,) = unresolved
+            assert iv.lo < root <= iv.hi
 
     def test_random_rational_polynomials_fully_certified(self):
         rng = random.Random(1213)

@@ -1,9 +1,12 @@
-"""The integer Sturm machinery against a plain Fraction Sturm chain.
+"""The integer univariate machinery against plain Fraction and sparse routes.
 
 ``FractionSturmChain`` is the textbook chain: Euclid over Fractions, each
 element the negated remainder of the two before it.  It is slow and its
 coefficients swell, but it is obviously right, so it serves as the oracle
-for the primitive integer chain in ``inflectionary.roots``.
+for the primitive integer chain in ``inflectionary.roots``.  The sparse
+routes the integer lists replaced are oracles too: the squarefree part by
+``gcd_univariate`` and ``divexact``, and the Cauchy bound over the monic
+coefficient list.
 """
 
 from fractions import Fraction
@@ -13,11 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inflectionary import roots
-from inflectionary.poly import SparsePoly
+from inflectionary.poly import SparsePoly, divexact
 from inflectionary.roots import (
     RootIsolator,
     SturmChain,
-    cauchy_root_bound,
+    gcd_univariate,
     sign_at_root,
     squarefree_part,
 )
@@ -73,9 +76,26 @@ class FractionSturmChain:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _monic(p: SparsePoly) -> SparsePoly:
+    _, c = p.univariate_coeffs()
+    return p * (1 / c[-1])
+
+
+def oracle_squarefree_part(p: SparsePoly) -> SparsePoly:
+    """The monic radical p / gcd(p, p') by the sparse exact division."""
+    return _monic(divexact(p, gcd_univariate(p, p.derivative("t"))))
+
+
+def oracle_cauchy_bound(p: SparsePoly) -> Fraction:
+    """1 + max |c_i| / |c_n| over the coefficient list of p."""
+    _, c = p.univariate_coeffs()
+    top = max((abs(v) for v in c[:-1]), default=Fraction(0))
+    return 1 + top / abs(c[-1])
+
+
 def oracle_isolate(p: SparsePoly):
     """(lo, hi] pairs by plain bisection with two oracle counts per step."""
-    reduced = squarefree_part(p)
+    reduced = oracle_squarefree_part(p)
     if reduced.degree("t") < 1:
         return []
     chain = FractionSturmChain(reduced)
@@ -83,7 +103,7 @@ def oracle_isolate(p: SparsePoly):
     def count(lo, hi):
         return chain.variations_at(lo) - chain.variations_at(hi)
 
-    bound = cauchy_root_bound(reduced)
+    bound = oracle_cauchy_bound(reduced)
     out = []
     stack = [(-bound, bound, count(-bound, bound))]
     while stack:
@@ -127,13 +147,18 @@ random_polys = st.lists(st.one_of(st.just(Fraction(0)), rationals),
 any_polys = st.one_of(rooted_polys().map(lambda pr: pr[0]), random_polys)
 
 
+def to_ints(p: SparsePoly):
+    """The primitive integer list of the nonzero one-variable ``p``."""
+    return roots._primitive(p.univariate_coeffs()[1])
+
+
 # -- properties ----------------------------------------------------------------
 
 @PROPERTY
 @given(any_polys, st.lists(rationals, min_size=1, max_size=6))
 @example(T ** 4 + T - 1, [Fraction(-2), Fraction(0), Fraction(1, 2)])
 def test_variation_counts_match_the_oracle(p, points):
-    chain = SturmChain(p)
+    chain = SturmChain("t", to_ints(p))
     oracle = FractionSturmChain(p)
     for t in points:
         assert chain.variations_at(t) == oracle.variations_at(t), t
@@ -142,7 +167,7 @@ def test_variation_counts_match_the_oracle(p, points):
 @PROPERTY
 @given(any_polys)
 def test_elements_are_positive_multiples_of_the_standard_chain(p):
-    elements = [poly.univariate_coeffs()[1] for poly in SturmChain(p).polys]
+    elements = [poly.univariate_coeffs()[1] for poly in SturmChain("t", to_ints(p)).polys]
     oracle = FractionSturmChain(p).chain
     assert len(elements) == len(oracle)
     for ints, exact in zip(elements, oracle):
@@ -182,4 +207,40 @@ def test_inexact_pseudo_division_raises(monkeypatch):
     # The check must hold under ``python -O`` too, so it cannot be an assert.
     monkeypatch.setattr(roots, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(RuntimeError, match="inexact"):
-        SturmChain(T ** 3 - 2 * T + 1)
+        SturmChain("t", [1, -2, 0, 1])
+
+
+# -- the one integer division against the sparse routes -------------------------
+
+int_lists = st.lists(st.integers(-40, 40), min_size=1, max_size=9).filter(lambda c: c[-1])
+
+
+@PROPERTY
+@given(int_lists, int_lists)
+@example([1, 0, 0, 0, 5], [0, -3])
+@example([7, 0, 2], [-4])
+def test_pseudo_division_identity(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    q, r = roots._pseudo_divmod(a, b)
+    scale = abs(b[-1]) ** (len(a) - len(b) + 1)
+    pa, pb, pq, pr = (SparsePoly.from_univariate("t", c) for c in (a, b, q, r))
+    assert pa * scale == pq * pb + pr
+    assert len(r) < len(b) and (not r or r[-1])
+
+
+@PROPERTY
+@given(any_polys)
+def test_squarefree_list_is_a_positive_multiple_of_the_oracle(p):
+    reduced = squarefree_part(to_ints(p))
+    _, oracle = oracle_squarefree_part(p).univariate_coeffs()
+    assert reduced[-1] > 0
+    assert reduced == [v * reduced[-1] for v in oracle]
+
+
+@PROPERTY
+@given(any_polys)
+def test_isolator_bound_and_repeated_part_match_the_oracles(p):
+    iso = RootIsolator(p)
+    assert iso.bound == oracle_cauchy_bound(oracle_squarefree_part(p))
+    assert iso.repeated_part() == gcd_univariate(p, p.derivative("t"))
