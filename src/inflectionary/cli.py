@@ -42,7 +42,7 @@ from .poly import parse_rational, poly_to_json
 from .render import DEFAULT_WINDOW, Window, render_curve
 from .reports import FAIL, PASS, PreconditionError, jsonable
 
-LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5))
+LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 5))
 
 OUTDIR_ENV = "INFLECTIONARY_OUTDIR"
 

@@ -5,11 +5,32 @@ coefficients, together with a fixed tuple of variable names that gives the
 exponent order.  Instances are treated as immutable values: every operation
 returns a fresh polynomial and nothing here mutates ``terms`` after
 construction.  All arithmetic is exact; floats are rejected everywhere.
+
+Dense operands take a packed-integer route (Kronecker substitution).  A
+polynomial with integer coefficients becomes one integer: each exponent
+tuple is a slot of a mixed-radix index whose radices are per-variable
+degree bounds, and each slot holds its coefficient at a fixed byte width,
+so that the integer is the polynomial evaluated at x_i = 2**(8*width*s_i)
+for the slot strides s_i.  Evaluation is a ring homomorphism, so one
+big-integer product is the packed product.  Unpacking adds a bias of half a
+slot to every slot, which makes each slot's digit nonnegative, and reads the
+digits back; it is exact when every coefficient of the result is below half
+a slot in absolute value and every exponent lies inside the degree box,
+because then the encoding is injective.  The product's width comes from
+max|a| * ||b||_1, the quotient's from Mahler's factor bound (below).
+
+The route is chosen by the operands' density alone: the product of the two
+term counts must reach ``PACK_MIN_PAIRS`` (an O(1) test made first) and the
+dense slot box must hold no more slots than the dict loop makes term pairs.
+Sparse operands, such as the monomial entries of the q templates, keep the
+dict loop, where packing would spend its time on empty slots.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -17,6 +38,11 @@ VAR_X = "x"
 VAR_LAMBDA = "lambda"
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+# A product, quotient or determinant with fewer term pairs than this stays
+# on the dict route whatever its density: below it packing costs more than
+# the Fraction loop it replaces.
+PACK_MIN_PAIRS = 16
 
 
 def parse_rational(text: str) -> Fraction:
@@ -179,6 +205,11 @@ class SparsePoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        pairs = len(self.terms) * len(other.terms)
+        if pairs >= PACK_MIN_PAIRS:
+            radices = [a + b + 1 for a, b in zip(_degrees(self.terms), _degrees(other.terms))]
+            if math.prod(radices) <= pairs:
+                return self._raw(self.vars, _packed_product(self, other, radices))
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -345,7 +376,8 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
 
     Every variable of the template must be assigned; all assigned polynomials
     must share one variable tuple, which becomes the result's.  Each power of
-    an assigned polynomial is computed once per call.
+    an assigned polynomial is computed once per call, and every template term
+    adds its power product, scaled by its coefficient, into one sum.
     """
     missing = [v for v in template.vars if v not in assignments]
     if missing:
@@ -362,17 +394,20 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
     if target_vars is None:
         raise ValueError("template has no variables")
     powers = {}
-    result = SparsePoly.zero(target_vars)
+    total = {}
+    unit = {(0,) * len(target_vars): Fraction(1)}
     for e, c in template.sorted_terms():
-        term = SparsePoly.constant(target_vars, c)
+        product = None
         for name, exp in zip(template.vars, e):
             if exp:
                 power = powers.get((name, exp))
                 if power is None:
                     power = powers[name, exp] = assignments[name] ** exp
-                term = term * power
-        result = result + term
-    return result
+                product = power if product is None else product * power
+        for pe, pc in (unit if product is None else product.terms).items():
+            old = total.get(pe)
+            total[pe] = c * pc if old is None else old + c * pc
+    return SparsePoly._raw(target_vars, {e: c for e, c in total.items() if c})
 
 
 def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:
@@ -384,7 +419,12 @@ def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:
 
 
 def try_divexact(p: SparsePoly, d: SparsePoly):
-    """Return ``p / d`` when the division is exact, else None."""
+    """Return ``p / d`` when the division is exact, else None.
+
+    Dense operands divide by one packed ``divmod`` (``_packed_quotient``);
+    sparse ones by the dict loop, which takes the remainder's leading terms
+    in graded lexicographic order from a heap.
+    """
     if not isinstance(d, SparsePoly):
         d = SparsePoly.constant(p.vars, d)
     if d.vars != p.vars:
@@ -396,25 +436,166 @@ def try_divexact(p: SparsePoly, d: SparsePoly):
         return SparsePoly._raw(p.vars, {e: c * inv for e, c in p.terms.items()})
     if p.is_zero:
         return p
+    pairs = len(p.terms) * len(d.terms)
+    if pairs >= PACK_MIN_PAIRS and math.prod(e + 1 for e in _degrees(p.terms)) <= pairs:
+        terms = _packed_quotient(p, d)
+        return None if terms is None else SparsePoly._raw(p.vars, terms)
     d_lead = max(d.terms, key=_grade_key)
     d_coeff = d.terms[d_lead]
+    d_rest = [(e, c) for e, c in d.terms.items() if e != d_lead]
     remainder = dict(p.terms)
+    heap = [(_heap_key(e), e) for e in remainder]
+    heapq.heapify(heap)
     quotient = {}
-    while remainder:
-        r_lead = max(remainder, key=_grade_key)
+    while heap:
+        r_lead = heapq.heappop(heap)[1]
+        c = remainder.pop(r_lead, None)
+        if c is None:
+            continue  # cancelled after it was pushed
         diff = tuple(a - b for a, b in zip(r_lead, d_lead))
         if any(x < 0 for x in diff):
             return None
-        c = remainder[r_lead] / d_coeff
+        c /= d_coeff
         quotient[diff] = c
-        for e, dc in d.terms.items():
+        # every new monomial lies below r_lead, so no popped one comes back
+        for e, dc in d_rest:
             ne = tuple(a + b for a, b in zip(diff, e))
-            s = remainder.get(ne, Fraction(0)) - c * dc
-            if s:
-                remainder[ne] = s
+            s = c * dc
+            old = remainder.get(ne)
+            if old is None:
+                remainder[ne] = -s
+                heapq.heappush(heap, (_heap_key(ne), ne))
+            elif old == s:
+                del remainder[ne]
             else:
-                remainder.pop(ne, None)
+                remainder[ne] = old - s
     return SparsePoly._raw(p.vars, quotient)
+
+
+def _heap_key(exponents):
+    # the largest exponent tuple in graded lexicographic order pops first
+    return (-sum(exponents), tuple(-x for x in exponents))
+
+
+# -- packed integers ----------------------------------------------------------
+
+def _degrees(terms):
+    """Per-variable degrees of nonzero terms keyed by exponent tuples."""
+    return [max(column) for column in zip(*terms)]
+
+
+def _cleared(p: SparsePoly):
+    """Integer terms of ``den * p`` and the least common denominator ``den``."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients of absolute value at most ``bound``.
+
+    One bit is left over for the sign, so every such coefficient lies
+    strictly inside half a slot.
+    """
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(ints, radices, width: int) -> int:
+    """Evaluate integer terms at x_i = 2**(8 * width * s_i), where s_i is
+    the product of the radices before the i-th."""
+    if not ints:
+        return 0
+    strides = [math.prod(radices[:i]) for i in range(len(radices))]
+    slots = {sum(map(int.__mul__, e, strides)): c for e, c in ints.items()}
+    size = (max(slots) + 1) * width
+    positive = bytearray(size)
+    negative = bytearray(size)
+    for slot, c in slots.items():
+        at = slot * width
+        if c > 0:
+            positive[at:at + width] = c.to_bytes(width, "little")
+        else:
+            negative[at:at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _unpack(value: int, radices, width: int):
+    """Integer terms of a packed value, read back inside the degree box.
+
+    Exact when every coefficient is below half a slot in absolute value;
+    a value outside the box's range raises OverflowError.
+    """
+    slots = math.prod(radices)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    digits = (value + bias).to_bytes(slots * width, "little")
+    terms = {}
+    for slot in range(slots):
+        c = int.from_bytes(digits[slot * width:(slot + 1) * width], "little") - half
+        if c:
+            exponents = []
+            rest = slot
+            for r in radices:
+                rest, e = divmod(rest, r)
+                exponents.append(e)
+            terms[tuple(exponents)] = c
+    return terms
+
+
+def _packed_product(a: SparsePoly, b: SparsePoly, radices):
+    """Terms of ``a * b`` from one big-integer product.
+
+    Every product coefficient is at most max|A| * ||B||_1 for the cleared
+    integer operands A and B, and ``radices`` bound its exponents.
+    """
+    a_ints, a_den = _cleared(a)
+    b_ints, b_den = _cleared(b)
+    a_abs = [abs(c) for c in a_ints.values()]
+    b_abs = [abs(c) for c in b_ints.values()]
+    width = _slot_width(min(max(a_abs) * sum(b_abs), max(b_abs) * sum(a_abs)))
+    value = _pack(a_ints, radices, width) * _pack(b_ints, radices, width)
+    den = a_den * b_den
+    return {e: Fraction(c, den) for e, c in _unpack(value, radices, width).items()}
+
+
+def _packed_quotient(p: SparsePoly, d: SparsePoly):
+    """Terms of ``p / d`` by one packed ``divmod``, or None if ``d`` does not divide.
+
+    With P the cleared dividend and D the primitive part of the cleared
+    divisor, Gauss's lemma makes any quotient Q = P / D integral, and
+    Mahler's bound |q| <= 2**(sum_i deg_i Q) * ||P||_2 caps its
+    coefficients.  The slot width leaves room for that cap times ||D||_1
+    and the box has P's degrees, so a true Q packs, divides with remainder
+    zero and unpacks exactly.  Conversely, an unpacked Q within the cap and
+    with deg_i Q + deg_i D <= deg_i P makes Q * D a polynomial whose
+    encoding is injective at this width; the zero remainder says that
+    encoding equals P's, so Q * D == P.  Any other outcome means no
+    quotient exists.
+    """
+    p_degrees = _degrees(p.terms)
+    d_degrees = _degrees(d.terms)
+    if any(a < b for a, b in zip(p_degrees, d_degrees)):
+        return None
+    p_ints, p_den = _cleared(p)
+    d_ints, d_den = _cleared(d)
+    content = math.gcd(*d_ints.values())
+    d_ints = {e: c // content for e, c in d_ints.items()}
+    norm2 = math.isqrt(sum(c * c for c in p_ints.values())) + 1
+    cap = norm2 << (sum(p_degrees) - sum(d_degrees))
+    width = _slot_width(cap * sum(abs(c) for c in d_ints.values()))
+    radices = [e + 1 for e in p_degrees]
+    packed, remainder = divmod(_pack(p_ints, radices, width), _pack(d_ints, radices, width))
+    if remainder:
+        return None
+    try:
+        q_ints = _unpack(packed, radices, width)
+    except OverflowError:
+        return None
+    if not q_ints or any(abs(c) > cap for c in q_ints.values()):
+        return None
+    if any(q + e > a for q, e, a in zip(_degrees(q_ints), d_degrees, p_degrees)):
+        return None
+    den = p_den * content
+    return {e: Fraction(c * d_den, den) for e, c in q_ints.items()}
 
 
 # -- canonical JSON interchange ---------------------------------------------

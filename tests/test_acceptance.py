@@ -41,7 +41,7 @@ from inflectionary.roots import RootIsolator
 
 XL = (VAR_X, VAR_LAMBDA)
 
-LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5))
+LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 5))
 TORSION_LAMBDAS = (Fraction(-1), Fraction(-1, 2), Fraction(1, 3),
                    Fraction(2), Fraction(5))
 SEPARABILITY_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3))
@@ -111,7 +111,7 @@ def test_criterion_03_determinant_identity(capsys):
 
 def test_criterion_04_torsion_identity(capsys):
     failures = []
-    for k in (2, 3):
+    for k in range(2, 6):
         for lambda0 in TORSION_LAMBDAS:
             report = torsion_check(k, lambda0)
             if report.verdict != "PASS":
@@ -188,7 +188,7 @@ def test_criterion_09_root_count_dichotomy(capsys):
 
 def test_criterion_10_singular_locus(capsys):
     failures = []
-    for k in (2, 3):
+    for k in (2, 3, 4):
         report = singular_probe(k)
         if report.verdict != "PASS":
             failures.append(f"probe verdict {report.verdict} at k={k}")

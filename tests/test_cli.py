@@ -295,10 +295,11 @@ class TestTopLevel:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_internal_value_error_is_exit_5(self, capsys, monkeypatch):
-        def inexact(p, d):
+        # the determinant under every resultant of the singular probe
+        def inexact(rows):
             raise ValueError("not an exact polynomial division")
 
-        monkeypatch.setattr("inflectionary.matrices.divexact", inexact)
+        monkeypatch.setattr("inflectionary.matrices.det_polymatrix", inexact)
         code, out, err = run(capsys, "verify", "singular", "--k", "2")
         assert code == 5
         assert out == ""

@@ -1,12 +1,25 @@
 """Fraction-free determinants and resultants on polynomial matrices."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from inflectionary.matrices import det_polymatrix, resultant, sylvester_matrix
-from inflectionary.poly import SparsePoly
+from inflectionary import matrices
+from inflectionary import poly as poly_module
+from inflectionary.inflection import basic_inflection, q_template
+from inflectionary.matrices import (
+    _bareiss,
+    _degree_box,
+    _packed_det,
+    det_polymatrix,
+    resultant,
+    sylvester_matrix,
+)
+from inflectionary.poly import PACK_MIN_PAIRS, SparsePoly, divexact
 
 XL = ("x", "lambda")
 X = SparsePoly.variable(XL, "x")
@@ -153,3 +166,79 @@ class TestResultant:
         g = T * T - 3
         expected = (1 - 3) * (4 - 3)
         assert resultant(f, g, "t") == SparsePoly.constant((), expected)
+
+
+# -- packed Bareiss against the dict Bareiss and the cofactor oracle ------------
+
+def dict_bareiss(rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "PACK_MIN_PAIRS", math.inf)
+        det = _bareiss([list(r) for r in rows], divexact)
+    return SparsePoly.zero(rows[0][0].vars) if det is None else det
+
+
+def packed_det(rows):
+    terms, den = _packed_det(rows, _degree_box(rows))
+    return SparsePoly(rows[0][0].vars, {e: Fraction(c, den) for e, c in terms.items()})
+
+
+def _rational_row(n):
+    # n dense bilinear entries sharing the row denominator 1..6, except every
+    # third coefficient, whose denominator is twice it
+    coeffs = st.lists(st.integers(-9, 9), min_size=4 * n, max_size=4 * n)
+    return st.tuples(coeffs, st.integers(1, 6)).map(lambda drawn: [
+        SparsePoly(XL, {(i % 2, i // 2): Fraction(c, drawn[1] * (1 + (i % 3 == 0)))
+                        for i, c in enumerate(drawn[0][4 * j:4 * j + 4])})
+        for j in range(n)])
+
+
+square_matrices = st.one_of(*(st.lists(_rational_row(n), min_size=n, max_size=n)
+                              for n in (1, 2, 3, 4)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(square_matrices, st.sampled_from(["as drawn", "zero pivot", "zero column"]))
+@example([[const(0), X, L], [L, const(1), X * L], [X + 1, L, const(2)]], "as drawn")
+@example([[X * 200 + L, L * 300 - 1], [const(0), const(0)]], "as drawn")
+def test_packed_det_matches_dict_bareiss_and_cofactor(rows, shape):
+    rows = [list(r) for r in rows]
+    zero = SparsePoly.zero(XL)
+    if shape != "as drawn":
+        rows[0][0] = zero
+    if shape == "zero column":
+        for r in rows:
+            r[0] = zero
+    det = packed_det(rows)
+    assert det == dict_bareiss(rows) == det_cofactor(rows)
+    assert det_polymatrix(rows) == det
+
+
+def test_inexact_packed_division_is_an_internal_fault():
+    with pytest.raises(RuntimeError, match="internal fault"):
+        matrices._divide_packed(7, 2)
+
+
+class TestRouteSelection:
+    def test_sparse_template_matrix_takes_dict_route(self, monkeypatch):
+        # 25 monomial entries in nine shift variables: packing this matrix
+        # turned a 29 ms determinant into a 3.3 s one
+        def refuse(*args):
+            raise AssertionError("a sparse matrix was packed")
+
+        assert 5 * 25 >= PACK_MIN_PAIRS
+        monkeypatch.setattr(matrices, "_packed_det", refuse)
+        template = q_template(5, 7).poly
+        assert all(sum(e) == 5 for e in template.terms)
+
+    def test_sylvester_matrix_is_packed(self, monkeypatch):
+        calls = []
+
+        def spy(rows, radices):
+            calls.append(len(rows))
+            return _packed_det(rows, radices)
+
+        monkeypatch.setattr(matrices, "_packed_det", spy)
+        p = basic_inflection(2).poly
+        r = resultant(p, p.derivative("x"), "x")
+        assert calls == [2 * p.degree("x") - 1]
+        assert r == dict_bareiss(sylvester_matrix(p, p.derivative("x"), "x"))

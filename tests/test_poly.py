@@ -1,18 +1,24 @@
 """Core polynomial arithmetic, ordering and serialization."""
 
+import contextlib
 import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from inflectionary import poly as poly_module
 from inflectionary.poly import (
+    PACK_MIN_PAIRS,
     VAR_LAMBDA,
     VAR_X,
     SparsePoly,
+    _degrees,
+    _packed_product,
+    _packed_quotient,
     as_fraction,
     divexact,
     parse_rational,
@@ -303,3 +309,90 @@ def test_substitute_polys_matches_affine_oracle(p, x_map, lambda_map):
         if v_map is not None:
             mapping[name] = v_map
     assert substitute_polys(p, assignments) == substitute_affine(p, mapping)
+
+
+# -- packed-integer route against the dict loop -------------------------------
+
+@contextlib.contextmanager
+def dict_route():
+    """A context in which every product and quotient takes the dict loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "PACK_MIN_PAIRS", math.inf)
+        yield
+
+
+XLZ = (VAR_X, VAR_LAMBDA, "z")
+mixed_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12).map(
+    lambda c: c or Fraction(1, 7))
+
+
+def polys_in(nvars, max_degree=4, max_size=8):
+    exponents = st.tuples(*[st.integers(0, max_degree)] * nvars)
+    return st.dictionaries(exponents, mixed_rationals, min_size=1,
+                           max_size=max_size).map(lambda t: SparsePoly(XLZ[:nvars], t))
+
+
+poly_pairs = st.one_of(*(st.tuples(polys_in(n), polys_in(n)) for n in (1, 2, 3)))
+PACKED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@PACKED
+@given(poly_pairs)
+@example((X + L, X - L))
+@example((xl({(3, 1): Fraction(-2, 3)}), xl({(0, 2): Fraction(9, 4)})))
+def test_packed_product_matches_dict_product(pair):
+    a, b = pair
+    radices = [i + j + 1 for i, j in zip(_degrees(a.terms), _degrees(b.terms))]
+    packed = SparsePoly(a.vars, _packed_product(a, b, radices))
+    with dict_route():
+        assert packed == a * b
+
+
+@PACKED
+@given(poly_pairs, st.sampled_from([2, 6, Fraction(3, 4), Fraction(-10, 7)]))
+def test_packed_quotient_matches_dict_division(pair, scale):
+    a, b = pair
+    b = b * scale  # a divisor whose cleared coefficients share a factor
+    assume(not b.is_constant)
+    product = a * b
+    assert SparsePoly(a.vars, _packed_quotient(product, b)) == a
+    assert _packed_quotient(product + 1, b) is None
+    assert divexact(product, b) == a
+    assert try_divexact(product + 1, b) is None
+    # an arbitrary pair, mostly inexact
+    terms = _packed_quotient(a, b)
+    with dict_route():
+        assert divexact(product, b) == a
+        assert try_divexact(product + 1, b) is None
+        expected = try_divexact(a, b)
+    assert (terms is None) == (expected is None)
+    if terms is not None:
+        assert SparsePoly(a.vars, terms) == expected
+
+
+class TestRouteSelection:
+    def test_sparse_nine_variable_product_takes_dict_route(self, monkeypatch):
+        names = tuple(f"t{i}" for i in range(9))
+        t = [SparsePoly.variable(names, n) for n in names]
+        a = sum(t[1:], t[0])
+        b = sum((v * v for v in t[1:]), t[0] * t[0])
+        assert len(a.terms) * len(b.terms) >= PACK_MIN_PAIRS
+
+        def refuse(*args):
+            raise AssertionError("a sparse product was packed")
+
+        monkeypatch.setattr(poly_module, "_packed_product", refuse)
+        product = a * b
+        assert len(product.terms) == 81
+
+    def test_dense_product_is_packed(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _packed_product(*args)
+
+        monkeypatch.setattr(poly_module, "_packed_product", spy)
+        a = (X + L + 1) ** 4
+        assert a * a == (X + L + 1) ** 8
+        assert calls
