@@ -19,7 +19,14 @@ from .inflection import (
     _wronskian_poly,
 )
 from .newton import face_restriction, lattice_points_in_hull, newton_data
-from .poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json, substitute_polys
+from .poly import (
+    VAR_LAMBDA,
+    VAR_X,
+    SparsePoly,
+    as_fraction,
+    poly_to_json,
+    substitute_polys,
+)
 from .reports import FAIL, OUT_OF_RANGE, PASS, UNRESOLVED, CheckReport, PreconditionError
 from .roots import (
     MAX_DENOMINATOR,
@@ -270,7 +277,7 @@ def _separability(shared: SparsePoly):
 
 def separability_check(mu: int, k: int, lambda0) -> CheckReport:
     """PASS when every repeated or clustered root at this lambda sits in {0, 1}."""
-    lambda0 = Fraction(lambda0)
+    lambda0 = as_fraction(lambda0)
     _require_nondegenerate(lambda0)
     p = _series_poly(mu, k).specialize(VAR_LAMBDA, lambda0)
     params = {"mu": int(mu), "k": int(k), "lambda0": lambda0}
@@ -313,7 +320,7 @@ class RootCensus:
 def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     """Isolate the distinct real roots at one lambda and classify each one
     by the exact sign of f there."""
-    lambda0 = Fraction(lambda0)
+    lambda0 = as_fraction(lambda0)
     _require_nondegenerate(lambda0)
     mu = int(mu)
     k = int(k)
@@ -346,7 +353,7 @@ def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckR
     """
     mu = int(mu)
     k = int(k)
-    samples = [Fraction(v) for v in lambda_grid]
+    samples = [as_fraction(v) for v in lambda_grid]
     if not samples:
         raise PreconditionError("empty lambda grid")
     parity = "even" if (k - mu) % 2 == 0 else "odd"

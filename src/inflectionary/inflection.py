@@ -12,12 +12,16 @@ are implemented:
   ``general_inflection``).
 
 Keeping the routes separate is the point: they cross-validate each other,
-so none of them is ever rewritten in terms of another.
+so none of them is ever rewritten in terms of another.  The Wronskian is a
+Bareiss determinant (``det_polymatrix``); the template, whose entries are
+single shift variables, is expanded over permutations instead, one term
+per permutation, with no polynomial product or division.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +31,7 @@ from .poly import (
     VAR_LAMBDA,
     VAR_X,
     SparsePoly,
+    as_fraction,
     divexact,
     substitute_polys,
     try_divexact,
@@ -202,6 +207,8 @@ def shift_var_name(offset: int) -> str:
 def q_template(mu: int, n: int) -> QTemplate:
     """det((n+j) falling i * t_(j-i)) over 0 <= i, j < mu.
 
+    Built from the permutation expansion of the determinant: each sigma
+    contributes sign(sigma) * prod_i (n+sigma(i)) falling i * t_(sigma(i)-i).
     The result is homogeneous of degree mu in the 2*mu - 1 shift variables
     t_(1-mu), ..., t_(mu-1).
     """
@@ -212,15 +219,21 @@ def q_template(mu: int, n: int) -> QTemplate:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     names = tuple(shift_var_name(off) for off in range(1 - mu, mu))
-    rows = []
-    for i in range(mu):
-        row = []
-        for j in range(mu):
-            factor = falling_factorial(n + j, i)
-            entry = factor * SparsePoly.variable(names, shift_var_name(j - i))
-            row.append(entry)
-        rows.append(row)
-    return QTemplate(mu, n, det_polymatrix(rows))
+    factors = [[falling_factorial(n + j, i) for j in range(mu)] for i in range(mu)]
+    terms = {}
+    for sigma in itertools.permutations(range(mu)):
+        coeff = 1
+        exponents = [0] * (2 * mu - 1)
+        for i, j in enumerate(sigma):
+            coeff *= factors[i][j]
+            exponents[mu - 1 + j - i] += 1
+        if coeff:
+            if sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2:
+                coeff = -coeff
+            key = tuple(exponents)
+            terms[key] = terms.get(key, 0) + coeff
+    return QTemplate(mu, n, SparsePoly._raw(
+        names, {e: Fraction(c) for e, c in terms.items() if c}))
 
 
 @functools.cache
@@ -357,7 +370,7 @@ def torsion_check(k: int, lambda0) -> CheckReport:
     k = int(k)
     if k < 2:
         raise PreconditionError(f"torsion comparison needs k >= 2, got {k}")
-    lambda0 = Fraction(lambda0)
+    lambda0 = as_fraction(lambda0)
     if lambda0 in (0, 1):
         raise PreconditionError(f"degenerate curve parameter lambda = {lambda0}")
     params = {"k": k, "lambda0": lambda0}

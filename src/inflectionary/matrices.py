@@ -1,18 +1,14 @@
 """Exact determinants of polynomial matrices and Sylvester resultants.
 
-``det_polymatrix`` runs one fraction-free Bareiss elimination (``_bareiss``)
-over one of two entry types, chosen by the matrix's density.  A dense
-matrix (the Sylvester matrices of the singular probe, the Wronskian
-matrices) is cleared of denominators row by row and each entry packed into
-one integer, as ``poly``'s packed product does; the elimination then runs on
-integers and the determinant is unpacked once.  A sparse matrix (the
-monomial entries of a q template) keeps ``SparsePoly`` entries and
-``divexact``.
+``det_polymatrix`` clears each row of denominators, packs each entry into
+one integer, as ``poly``'s packed product does, runs one fraction-free
+Bareiss elimination (``_bareiss``) on the integers and unpacks the
+determinant once.
 
-The packed route is exact because every Bareiss intermediate is a minor of
-the cleared matrix (of the row-permuted one after swaps).  A minor's
-degree in each variable is at most the sum over rows of the row's largest
-entry degree, which fixes the slot box, and its coefficients are at most
+This is exact because every Bareiss intermediate is a minor of the cleared
+matrix (of the row-permuted one after swaps).  A minor's degree in each
+variable is at most the sum over rows of the row's largest entry degree,
+which fixes the slot box, and its coefficients are at most
 prod_rows sum_entries ||a_ij||_1 in absolute value, which fixes the slot
 width with a sign bit to spare.  Evaluation at the packing point is a ring
 homomorphism, so each integer division is exact; and since the encoding is
@@ -25,14 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import (
-    PACK_MIN_PAIRS,
-    SparsePoly,
-    _pack,
-    _slot_width,
-    _unpack,
-    divexact,
-)
+from .poly import SparsePoly, _pack, _slot_width, _unpack
 
 
 def _check_square(rows):
@@ -53,40 +42,42 @@ def det_polymatrix(rows) -> SparsePoly:
     Every intermediate division is exact (the divisor is the previous pivot,
     a leading minor), so the result is computed without leaving the
     polynomial ring.  Zero pivots are handled by row swaps with sign
-    tracking; a fully zero pivot column short-circuits to zero.  The matrix
-    is packed when its entry terms times ``n`` (roughly the dict route's
-    term pairs per elimination step) reach ``PACK_MIN_PAIRS`` and cover the
-    slot box.
+    tracking; a fully zero pivot column short-circuits to zero.
     """
-    n, variables = _check_square(rows)
-    pairs = n * sum(len(entry.terms) for r in rows for entry in r)
-    if pairs >= PACK_MIN_PAIRS:
-        radices = _degree_box(rows)
-        if math.prod(radices) <= pairs:
-            terms, den = _packed_det(rows, radices)
-            return SparsePoly._raw(variables, {e: Fraction(c, den) for e, c in terms.items()})
-    det = _bareiss([list(r) for r in rows], divexact)
-    return SparsePoly.zero(variables) if det is None else det
+    _, variables = _check_square(rows)
+    radices = _degree_box(rows)
+    cleared = []
+    bound = 1
+    den = 1
+    for r in rows:
+        row_den = math.lcm(*(c.denominator for entry in r for c in entry.terms.values()))
+        row = [{e: c.numerator * (row_den // c.denominator) for e, c in entry.terms.items()}
+               for entry in r]
+        bound *= sum(abs(c) for ints in row for c in ints.values())
+        den *= row_den
+        cleared.append(row)
+    if not bound:
+        return SparsePoly.zero(variables)  # a zero row
+    width = _slot_width(bound)
+    det = _bareiss([[_pack(ints, radices, width) for ints in row] for row in cleared])
+    terms = _unpack(det, radices, width) if det else {}
+    return SparsePoly._raw(variables, {e: Fraction(c, den) for e, c in terms.items()})
 
 
-def _bareiss(m, divide):
-    """Determinant of the square matrix ``m``, whose rows it overwrites.
-
-    Entries are packed integers or ``SparsePoly``; ``divide`` is the exact
-    division of that type.  Returns None when a pivot column is zero.
-    """
+def _bareiss(m) -> int:
+    """Determinant of the square integer matrix ``m``, whose rows it overwrites."""
     n = len(m)
     sign = 1
     prev = None
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if m[i][k] != 0:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return None
+                return 0
         pivot = m[k][k]
         row_k = m[k]
         for i in range(k + 1, n):
@@ -94,10 +85,9 @@ def _bareiss(m, divide):
             head = row_i[k]
             for j in range(k + 1, n):
                 entry = pivot * row_i[j] - head * row_k[j]
-                row_i[j] = entry if prev is None else divide(entry, prev)
+                row_i[j] = entry if prev is None else _divide_packed(entry, prev)
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    return sign * m[n - 1][n - 1]
 
 
 def _divide_packed(entry: int, prev: int) -> int:
@@ -116,27 +106,6 @@ def _degree_box(rows):
         if exponents:
             radices = [d + max(column) for d, column in zip(radices, zip(*exponents))]
     return radices
-
-
-def _packed_det(rows, radices):
-    """Integer terms and common denominator of the determinant, by Bareiss
-    on the rows cleared of denominators and packed in the box ``radices``."""
-    cleared = []
-    bound = 1
-    den = 1
-    for r in rows:
-        row_den = math.lcm(*(c.denominator for entry in r for c in entry.terms.values()))
-        row = [{e: c.numerator * (row_den // c.denominator) for e, c in entry.terms.items()}
-               for entry in r]
-        bound *= sum(abs(c) for ints in row for c in ints.values())
-        den *= row_den
-        cleared.append(row)
-    if not bound:
-        return {}, 1  # a zero row
-    width = _slot_width(bound)
-    det = _bareiss([[_pack(ints, radices, width) for ints in row] for row in cleared],
-                   _divide_packed)
-    return ({} if not det else _unpack(det, radices, width)), den
 
 
 def sylvester_matrix(a: SparsePoly, b: SparsePoly, name: str):

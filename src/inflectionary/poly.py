@@ -6,29 +6,28 @@ exponent order.  Instances are treated as immutable values: every operation
 returns a fresh polynomial and nothing here mutates ``terms`` after
 construction.  All arithmetic is exact; floats are rejected everywhere.
 
-Dense operands take a packed-integer route (Kronecker substitution).  A
-polynomial with integer coefficients becomes one integer: each exponent
-tuple is a slot of a mixed-radix index whose radices are per-variable
-degree bounds, and each slot holds its coefficient at a fixed byte width,
-so that the integer is the polynomial evaluated at x_i = 2**(8*width*s_i)
-for the slot strides s_i.  Evaluation is a ring homomorphism, so one
-big-integer product is the packed product.  Unpacking adds a bias of half a
-slot to every slot, which makes each slot's digit nonnegative, and reads the
-digits back; it is exact when every coefficient of the result is below half
-a slot in absolute value and every exponent lies inside the degree box,
-because then the encoding is injective.  The product's width comes from
+Products of dense operands and every exact division take a packed-integer
+route (Kronecker substitution).  A polynomial with integer coefficients
+becomes one integer: each exponent tuple is a slot of a mixed-radix index
+whose radices are per-variable degree bounds, and each slot holds its
+coefficient at a fixed byte width, so that the integer is the polynomial
+evaluated at x_i = 2**(8*width*s_i) for the slot strides s_i.  Evaluation is
+a ring homomorphism, so one big-integer product is the packed product and
+one ``divmod`` the packed quotient.  Unpacking adds a bias of half a slot to
+every slot, which makes each slot's digit nonnegative, and reads the digits
+back; it is exact when every coefficient of the result is below half a slot
+in absolute value and every exponent lies inside the degree box, because
+then the encoding is injective.  The product's width comes from
 max|a| * ||b||_1, the quotient's from Mahler's factor bound (below).
 
-The route is chosen by the operands' density alone: the product of the two
-term counts must reach ``PACK_MIN_PAIRS`` (an O(1) test made first) and the
-dense slot box must hold no more slots than the dict loop makes term pairs.
-Sparse operands, such as the monomial entries of the q templates, keep the
+A product is packed when the product of the two term counts reaches
+``PACK_MIN_PAIRS`` (an O(1) test made first) and the dense slot box holds
+no more slots than the dict loop makes term pairs; sparse factors keep the
 dict loop, where packing would spend its time on empty slots.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import re
@@ -39,9 +38,9 @@ VAR_LAMBDA = "lambda"
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-# A product, quotient or determinant with fewer term pairs than this stays
-# on the dict route whatever its density: below it packing costs more than
-# the Fraction loop it replaces.
+# A product with fewer term pairs than this stays on the dict loop whatever
+# its density: below it packing costs more than the Fraction loop it
+# replaces.
 PACK_MIN_PAIRS = 16
 
 
@@ -421,9 +420,17 @@ def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:
 def try_divexact(p: SparsePoly, d: SparsePoly):
     """Return ``p / d`` when the division is exact, else None.
 
-    Dense operands divide by one packed ``divmod`` (``_packed_quotient``);
-    sparse ones by the dict loop, which takes the remainder's leading terms
-    in graded lexicographic order from a heap.
+    A constant divisor scales the terms.  Any other divides by one packed
+    ``divmod``: with P the cleared dividend and D the primitive part of the
+    cleared divisor, Gauss's lemma makes any quotient Q = P / D integral,
+    and Mahler's bound |q| <= 2**(sum_i deg_i Q) * ||P||_2 caps its
+    coefficients.  The slot width leaves room for that cap times ||D||_1
+    and the box has P's degrees, so a true Q packs, divides with remainder
+    zero and unpacks exactly.  Conversely, an unpacked Q within the cap and
+    with deg_i Q + deg_i D <= deg_i P makes Q * D a polynomial whose
+    encoding is injective at this width; the zero remainder says that
+    encoding equals P's, so Q * D == P.  Any other outcome means no
+    quotient exists.
     """
     if not isinstance(d, SparsePoly):
         d = SparsePoly.constant(p.vars, d)
@@ -436,46 +443,31 @@ def try_divexact(p: SparsePoly, d: SparsePoly):
         return SparsePoly._raw(p.vars, {e: c * inv for e, c in p.terms.items()})
     if p.is_zero:
         return p
-    pairs = len(p.terms) * len(d.terms)
-    if pairs >= PACK_MIN_PAIRS and math.prod(e + 1 for e in _degrees(p.terms)) <= pairs:
-        terms = _packed_quotient(p, d)
-        return None if terms is None else SparsePoly._raw(p.vars, terms)
-    d_lead = max(d.terms, key=_grade_key)
-    d_coeff = d.terms[d_lead]
-    d_rest = [(e, c) for e, c in d.terms.items() if e != d_lead]
-    remainder = dict(p.terms)
-    heap = [(_heap_key(e), e) for e in remainder]
-    heapq.heapify(heap)
-    quotient = {}
-    while heap:
-        r_lead = heapq.heappop(heap)[1]
-        c = remainder.pop(r_lead, None)
-        if c is None:
-            continue  # cancelled after it was pushed
-        diff = tuple(a - b for a, b in zip(r_lead, d_lead))
-        if any(x < 0 for x in diff):
-            return None
-        c /= d_coeff
-        quotient[diff] = c
-        # every new monomial lies below r_lead, so no popped one comes back
-        for e, dc in d_rest:
-            ne = tuple(a + b for a, b in zip(diff, e))
-            s = c * dc
-            old = remainder.get(ne)
-            if old is None:
-                remainder[ne] = -s
-                heapq.heappush(heap, (_heap_key(ne), ne))
-            elif old == s:
-                del remainder[ne]
-            else:
-                remainder[ne] = old - s
-    return SparsePoly._raw(p.vars, quotient)
-
-
-def _heap_key(exponents):
-    # the largest exponent tuple in graded lexicographic order pops first
-    return (-sum(exponents), tuple(-x for x in exponents))
-
+    p_degrees = _degrees(p.terms)
+    d_degrees = _degrees(d.terms)
+    if any(a < b for a, b in zip(p_degrees, d_degrees)):
+        return None
+    p_ints, p_den = _cleared(p)
+    d_ints, d_den = _cleared(d)
+    content = math.gcd(*d_ints.values())
+    d_ints = {e: c // content for e, c in d_ints.items()}
+    norm2 = math.isqrt(sum(c * c for c in p_ints.values())) + 1
+    cap = norm2 << (sum(p_degrees) - sum(d_degrees))
+    width = _slot_width(cap * sum(abs(c) for c in d_ints.values()))
+    radices = [e + 1 for e in p_degrees]
+    packed, remainder = divmod(_pack(p_ints, radices, width), _pack(d_ints, radices, width))
+    if remainder:
+        return None
+    try:
+        q_ints = _unpack(packed, radices, width)
+    except OverflowError:
+        return None
+    if not q_ints or any(abs(c) > cap for c in q_ints.values()):
+        return None
+    if any(q + e > a for q, e, a in zip(_degrees(q_ints), d_degrees, p_degrees)):
+        return None
+    den = p_den * content
+    return SparsePoly._raw(p.vars, {e: Fraction(c * d_den, den) for e, c in q_ints.items()})
 
 # -- packed integers ----------------------------------------------------------
 
@@ -555,47 +547,6 @@ def _packed_product(a: SparsePoly, b: SparsePoly, radices):
     value = _pack(a_ints, radices, width) * _pack(b_ints, radices, width)
     den = a_den * b_den
     return {e: Fraction(c, den) for e, c in _unpack(value, radices, width).items()}
-
-
-def _packed_quotient(p: SparsePoly, d: SparsePoly):
-    """Terms of ``p / d`` by one packed ``divmod``, or None if ``d`` does not divide.
-
-    With P the cleared dividend and D the primitive part of the cleared
-    divisor, Gauss's lemma makes any quotient Q = P / D integral, and
-    Mahler's bound |q| <= 2**(sum_i deg_i Q) * ||P||_2 caps its
-    coefficients.  The slot width leaves room for that cap times ||D||_1
-    and the box has P's degrees, so a true Q packs, divides with remainder
-    zero and unpacks exactly.  Conversely, an unpacked Q within the cap and
-    with deg_i Q + deg_i D <= deg_i P makes Q * D a polynomial whose
-    encoding is injective at this width; the zero remainder says that
-    encoding equals P's, so Q * D == P.  Any other outcome means no
-    quotient exists.
-    """
-    p_degrees = _degrees(p.terms)
-    d_degrees = _degrees(d.terms)
-    if any(a < b for a, b in zip(p_degrees, d_degrees)):
-        return None
-    p_ints, p_den = _cleared(p)
-    d_ints, d_den = _cleared(d)
-    content = math.gcd(*d_ints.values())
-    d_ints = {e: c // content for e, c in d_ints.items()}
-    norm2 = math.isqrt(sum(c * c for c in p_ints.values())) + 1
-    cap = norm2 << (sum(p_degrees) - sum(d_degrees))
-    width = _slot_width(cap * sum(abs(c) for c in d_ints.values()))
-    radices = [e + 1 for e in p_degrees]
-    packed, remainder = divmod(_pack(p_ints, radices, width), _pack(d_ints, radices, width))
-    if remainder:
-        return None
-    try:
-        q_ints = _unpack(packed, radices, width)
-    except OverflowError:
-        return None
-    if not q_ints or any(abs(c) > cap for c in q_ints.values()):
-        return None
-    if any(q + e > a for q, e, a in zip(_degrees(q_ints), d_degrees, p_degrees)):
-        return None
-    den = p_den * content
-    return {e: Fraction(c * d_den, den) for e, c in q_ints.items()}
 
 
 # -- canonical JSON interchange ---------------------------------------------

@@ -168,6 +168,10 @@ class TestSeparability:
         with pytest.raises(ValueError):
             separability_check(1, 2, lambda0)
 
+    def test_float_parameter_rejected(self):
+        with pytest.raises(TypeError):
+            separability_check(1, 2, 0.5)
+
 
 class TestRootCensus:
     def test_census_frozen(self):
@@ -189,6 +193,11 @@ class TestRootCensus:
     def test_degenerate_parameter_rejected(self):
         with pytest.raises(ValueError):
             real_root_census(1, 2, 1)
+
+    def test_float_parameter_rejected(self):
+        # 0.1 would otherwise run at its binary value 3602879701896397/2**55
+        with pytest.raises(TypeError):
+            real_root_census(1, 2, 0.1)
 
     def test_one_isolator_per_fiber(self, monkeypatch):
         built = []
@@ -248,6 +257,10 @@ class TestScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             conjecture4_scan(1, 2, ())
+
+    def test_float_grid_entry_rejected(self):
+        with pytest.raises(TypeError):
+            conjecture4_scan(1, 2, [2, 0.1])
 
     @pytest.mark.parametrize("k,agrees", [(0, False), (1, True)])
     def test_k_at_most_mu_is_out_of_range(self, k, agrees):

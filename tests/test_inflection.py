@@ -260,6 +260,10 @@ class TestTorsionIdentity:
         with pytest.raises(ValueError):
             torsion_check(2, 1)
 
+    def test_float_lambda_rejected(self):
+        with pytest.raises(TypeError):
+            torsion_check(2, -0.5)
+
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             torsion_check(1, -1)

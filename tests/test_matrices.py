@@ -7,19 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_poly import oracle_divexact
 
 from inflectionary import matrices
-from inflectionary import poly as poly_module
 from inflectionary.inflection import basic_inflection, q_template
-from inflectionary.matrices import (
-    _bareiss,
-    _degree_box,
-    _packed_det,
-    det_polymatrix,
-    resultant,
-    sylvester_matrix,
-)
-from inflectionary.poly import PACK_MIN_PAIRS, SparsePoly, divexact
+from inflectionary.matrices import _bareiss, det_polymatrix, resultant, sylvester_matrix
+from inflectionary.poly import SparsePoly
 
 XL = ("x", "lambda")
 X = SparsePoly.variable(XL, "x")
@@ -168,18 +161,31 @@ class TestResultant:
         assert resultant(f, g, "t") == SparsePoly.constant((), expected)
 
 
-# -- packed Bareiss against the dict Bareiss and the cofactor oracle ------------
+# -- packed Bareiss against the SparsePoly Bareiss and the cofactor oracle ------
 
-def dict_bareiss(rows):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly_module, "PACK_MIN_PAIRS", math.inf)
-        det = _bareiss([list(r) for r in rows], divexact)
-    return SparsePoly.zero(rows[0][0].vars) if det is None else det
-
-
-def packed_det(rows):
-    terms, den = _packed_det(rows, _degree_box(rows))
-    return SparsePoly(rows[0][0].vars, {e: Fraction(c, den) for e, c in terms.items()})
+def oracle_bareiss(rows):
+    """Fraction-free Bareiss on ``SparsePoly`` entries, dividing by the dict
+    loop: the oracle for the packed determinant."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if swap is None:
+                return SparsePoly.zero(m[0][0].vars)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                entry = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                if prev is not None:
+                    entry = oracle_divexact(entry, prev)
+                    assert entry is not None, "inexact Bareiss division"
+                m[i][j] = entry
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def _rational_row(n):
@@ -208,9 +214,8 @@ def test_packed_det_matches_dict_bareiss_and_cofactor(rows, shape):
     if shape == "zero column":
         for r in rows:
             r[0] = zero
-    det = packed_det(rows)
-    assert det == dict_bareiss(rows) == det_cofactor(rows)
-    assert det_polymatrix(rows) == det
+    det = det_polymatrix(rows)
+    assert det == oracle_bareiss(rows) == det_cofactor(rows)
 
 
 def test_inexact_packed_division_is_an_internal_fault():
@@ -218,27 +223,30 @@ def test_inexact_packed_division_is_an_internal_fault():
         matrices._divide_packed(7, 2)
 
 
+def test_q_template_matches_oracle_determinant():
+    # n < mu included: there (n+j) falling i vanishes below the diagonal
+    for mu in range(1, 6):
+        names = tuple(f"t{off}" for off in range(1 - mu, mu))
+        for n in range(1, 9):
+            rows = [[math.perm(n + j, i) * SparsePoly.variable(names, f"t{j - i}")
+                     for j in range(mu)] for i in range(mu)]
+            template = q_template(mu, n).poly
+            assert template.vars == names
+            assert template == oracle_bareiss(rows), (mu, n)
+            if mu <= 4:
+                assert template == det_cofactor(rows), (mu, n)
+
+
 class TestRouteSelection:
-    def test_sparse_template_matrix_takes_dict_route(self, monkeypatch):
-        # 25 monomial entries in nine shift variables: packing this matrix
-        # turned a 29 ms determinant into a 3.3 s one
-        def refuse(*args):
-            raise AssertionError("a sparse matrix was packed")
-
-        assert 5 * 25 >= PACK_MIN_PAIRS
-        monkeypatch.setattr(matrices, "_packed_det", refuse)
-        template = q_template(5, 7).poly
-        assert all(sum(e) == 5 for e in template.terms)
-
     def test_sylvester_matrix_is_packed(self, monkeypatch):
         calls = []
 
-        def spy(rows, radices):
-            calls.append(len(rows))
-            return _packed_det(rows, radices)
+        def spy(m):
+            calls.append((len(m), all(type(v) is int for r in m for v in r)))
+            return _bareiss(m)
 
-        monkeypatch.setattr(matrices, "_packed_det", spy)
+        monkeypatch.setattr(matrices, "_bareiss", spy)
         p = basic_inflection(2).poly
         r = resultant(p, p.derivative("x"), "x")
-        assert calls == [2 * p.degree("x") - 1]
-        assert r == dict_bareiss(sylvester_matrix(p, p.derivative("x"), "x"))
+        assert calls == [(2 * p.degree("x") - 1, True)]
+        assert r == oracle_bareiss(sylvester_matrix(p, p.derivative("x"), "x"))
