@@ -3,6 +3,8 @@
 Each check returns a :class:`~inflectionary.reports.CheckReport` whose JSON
 serialization is deterministic, and a FAIL always carries a witness that
 reproduces the failure.  Nothing here rounds: every comparison is exact.
+The checks at one curve parameter read P(mu, k) there through
+``inflection_fiber``, which validates lambda.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from fractions import Fraction
 from .inflection import (
     basic_inflection,
     general_inflection,
+    inflection_fiber,
     legendre_f,
-    template_substitution,
     wronskian_direct,
-    _wronskian_poly,
 )
 from .newton import face_restriction, lattice_points_in_hull, newton_data
 from .poly import (
@@ -55,20 +56,20 @@ DEFAULT_LAMBDA_GRID = (
 PARITY_COUNT_MULTIPLIER = {"even": 1, "odd": 2}
 
 
-def _series_poly(mu: int, k: int) -> SparsePoly:
-    return general_inflection(mu, k).poly
-
-
-def _degenerate(lambda0) -> bool:
-    return lambda0 in (0, 1)
-
-
-def _require_nondegenerate(lambda0):
-    if _degenerate(lambda0):
-        raise PreconditionError(f"degenerate curve parameter lambda = {lambda0}")
-
-
 # -- symmetry -----------------------------------------------------------------
+
+def _symmetry_report(params: dict, lhs: SparsePoly, rhs: SparsePoly) -> CheckReport:
+    """PASS when the two sides agree, else FAIL at the first differing exponent."""
+    if lhs == rhs:
+        return CheckReport("symmetry", params, PASS)
+    diff = lhs - rhs
+    exponent = sorted(diff.support())[0]
+    return CheckReport(
+        "symmetry", params, FAIL,
+        witness={"exponent": list(exponent),
+                 "difference_coefficient": diff.coefficient(exponent)},
+    )
+
 
 def check_homogenization_symmetry(k: int, poly: SparsePoly | None = None) -> CheckReport:
     """Homogenizing to degree 2(k+1) and returning along lambda = 1 must
@@ -80,16 +81,7 @@ def check_homogenization_symmetry(k: int, poly: SparsePoly | None = None) -> Che
     hom = p.homogenize(VAR_Z, 2 * (k + 1))
     lhs = hom.specialize(VAR_LAMBDA, 1)
     rhs = p.rename_var(VAR_LAMBDA, VAR_Z)
-    params = {"k": k, "identity": "homogenization-swap"}
-    if lhs == rhs:
-        return CheckReport("symmetry", params, PASS)
-    diff = lhs - rhs
-    exponent = sorted(diff.support())[0]
-    return CheckReport(
-        "symmetry", params, FAIL,
-        witness={"exponent": list(exponent),
-                 "difference_coefficient": diff.coefficient(exponent)},
-    )
+    return _symmetry_report({"k": k, "identity": "homogenization-swap"}, lhs, rhs)
 
 
 def check_shift_symmetry(k: int, poly: SparsePoly | None = None) -> CheckReport:
@@ -102,16 +94,7 @@ def check_shift_symmetry(k: int, poly: SparsePoly | None = None) -> CheckReport:
     lam = SparsePoly.variable(p.vars, VAR_LAMBDA)
     shifted = substitute_polys(p, {VAR_X: x + 1, VAR_LAMBDA: lam + 1})
     negated = substitute_polys(p, {VAR_X: -x, VAR_LAMBDA: -lam})
-    params = {"k": k, "identity": "unit-shift"}
-    if shifted == negated:
-        return CheckReport("symmetry", params, PASS)
-    diff = shifted - negated
-    exponent = sorted(diff.support())[0]
-    return CheckReport(
-        "symmetry", params, FAIL,
-        witness={"exponent": list(exponent),
-                 "difference_coefficient": diff.coefficient(exponent)},
-    )
+    return _symmetry_report({"k": k, "identity": "unit-shift"}, shifted, negated)
 
 
 # -- support and coefficient symmetry ----------------------------------------
@@ -277,12 +260,8 @@ def _separability(shared: SparsePoly):
 
 def separability_check(mu: int, k: int, lambda0) -> CheckReport:
     """PASS when every repeated or clustered root at this lambda sits in {0, 1}."""
-    lambda0 = as_fraction(lambda0)
-    _require_nondegenerate(lambda0)
-    p = _series_poly(mu, k).specialize(VAR_LAMBDA, lambda0)
-    params = {"mu": int(mu), "k": int(k), "lambda0": lambda0}
-    if p.is_zero:
-        raise RuntimeError(f"inflection polynomial vanished at lambda = {lambda0}")
+    p = inflection_fiber(mu, k, lambda0)
+    params = {"mu": int(mu), "k": int(k), "lambda0": as_fraction(lambda0)}
     ok, details = _separability(gcd_univariate(p, p.derivative(VAR_X)))
     if ok:
         return CheckReport("separability", params, PASS, data=details)
@@ -320,13 +299,10 @@ class RootCensus:
 def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     """Isolate the distinct real roots at one lambda and classify each one
     by the exact sign of f there."""
+    p = inflection_fiber(mu, k, lambda0)
     lambda0 = as_fraction(lambda0)
-    _require_nondegenerate(lambda0)
     mu = int(mu)
     k = int(k)
-    p = _series_poly(mu, k).specialize(VAR_LAMBDA, lambda0)
-    if p.is_zero:
-        raise RuntimeError(f"inflection polynomial vanished at lambda = {lambda0}")
     f_here = legendre_f().specialize(VAR_LAMBDA, lambda0)
     iso = RootIsolator(p)
     intervals = iso.isolate()
@@ -363,7 +339,7 @@ def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckR
     used = []
     warnings = []
     for lam in samples:
-        if _degenerate(lam):
+        if lam in (0, 1):
             warnings.append(f"skipped degenerate lambda = {lam}")
             continue
         census = real_root_census(mu, k, lam)
@@ -417,26 +393,6 @@ def check_determinant_identity(mu: int, k: int) -> CheckReport:
         witness={"exponent": list(exponent),
                  "template_coefficient": via_template.coefficient(exponent),
                  "wronskian_coefficient": via_wronskian.coefficient(exponent)},
-    )
-
-
-# -- the out-of-range template probe ------------------------------------------
-
-def lemma_range_probe(mu: int = 2, k: int = 2) -> CheckReport:
-    """Compare the template and Wronskian routes outside the proven range.
-
-    For mu >= 2 the determinant identity is only established for k >= 3 and
-    the series shape needs k > mu, so (2, 2) is reported OUT_OF_RANGE with
-    the observed agreement recorded rather than asserted.
-    """
-    mu = int(mu)
-    k = int(k)
-    via_template = template_substitution(mu, k)
-    via_wronskian = _wronskian_poly(mu, k)
-    agree = via_template == via_wronskian
-    return CheckReport(
-        "determinant_identity", {"mu": mu, "k": k}, OUT_OF_RANGE,
-        data={"agrees": agree, "note": "outside the proven range k >= 3, k > mu"},
     )
 
 

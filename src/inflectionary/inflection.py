@@ -16,6 +16,10 @@ so none of them is ever rewritten in terms of another.  The Wronskian is a
 Bareiss determinant (``det_polymatrix``); the template, whose entries are
 single shift variables, is expanded over permutations instead, one term
 per permutation, with no polynomial product or division.
+
+Each route has one entry point, which checks the series range.  The checks
+that read P(mu, k) at one curve parameter do so through
+``inflection_fiber``, the one place that validates lambda and specializes.
 """
 
 from __future__ import annotations
@@ -110,15 +114,18 @@ def basic_inflection(k: int) -> InflectionPoly:
     return _recurrence_step(k)
 
 
+def _recurrence_apply(prev: SparsePoly, c: Fraction) -> SparsePoly:
+    """One recurrence step D(prev) * f + c * prev * D(f)."""
+    f = legendre_f()
+    return prev.derivative(VAR_X) * f + c * prev * f.derivative(VAR_X)
+
+
 @functools.cache
 def _recurrence_step(k: int) -> InflectionPoly:
     if k == 0:
         return InflectionPoly(1, 0, _seed_poly())
-    f = legendre_f()
     coeff = RECURRENCE_COEFFICIENT_VARIANTS[SELECTED_RECURRENCE_COEFFICIENT]
-    prev = _recurrence_step(k - 1).poly
-    nxt = prev.derivative(VAR_X) * f + coeff(k - 1) * prev * f.derivative(VAR_X)
-    return InflectionPoly(1, k, nxt)
+    return InflectionPoly(1, k, _recurrence_apply(_recurrence_step(k - 1).poly, coeff(k - 1)))
 
 
 def derivative_oracle(m: int) -> DerivativeForm:
@@ -161,14 +168,11 @@ def calibrate_recurrence_coefficient(max_k: int = 4) -> dict:
     passes when its sequence reproduces derivative_oracle(m).numerator for
     all m <= max_k + 1.
     """
-    f = legendre_f()
-    df = f.derivative(VAR_X)
     results = {}
     for name, coeff in RECURRENCE_COEFFICIENT_VARIANTS.items():
         seq = [_seed_poly()]
         for j in range(max_k):
-            prev = seq[-1]
-            seq.append(prev.derivative(VAR_X) * f + coeff(j) * prev * df)
+            seq.append(_recurrence_apply(seq[-1], coeff(j)))
         ok = True
         for m in range(1, max_k + 2):
             form = derivative_oracle(m)
@@ -179,32 +183,11 @@ def calibrate_recurrence_coefficient(max_k: int = 4) -> dict:
     return {"selected": SELECTED_RECURRENCE_COEFFICIENT, "results": results}
 
 
-def falling_factorial(a: int, i: int) -> int:
-    """a * (a-1) * ... * (a-i+1); equals 0 whenever i > a >= 0."""
-    a = int(a)
-    i = int(i)
-    if a < 0 or i < 0:
-        raise ValueError("falling factorial needs nonnegative arguments")
-    out = 1
-    for t in range(i):
-        out *= a - t
-    return out
-
-
-@dataclass(frozen=True)
-class QTemplate:
-    """Symbolic determinant whose entries are shift variables t_l."""
-
-    mu: int
-    n: int
-    poly: SparsePoly
-
-
 def shift_var_name(offset: int) -> str:
     return f"t{offset}"
 
 
-def q_template(mu: int, n: int) -> QTemplate:
+def q_template(mu: int, n: int) -> SparsePoly:
     """det((n+j) falling i * t_(j-i)) over 0 <= i, j < mu.
 
     Built from the permutation expansion of the determinant: each sigma
@@ -219,7 +202,7 @@ def q_template(mu: int, n: int) -> QTemplate:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     names = tuple(shift_var_name(off) for off in range(1 - mu, mu))
-    factors = [[falling_factorial(n + j, i) for j in range(mu)] for i in range(mu)]
+    factors = [[math.perm(n + j, i) for j in range(mu)] for i in range(mu)]
     terms = {}
     for sigma in itertools.permutations(range(mu)):
         coeff = 1
@@ -232,8 +215,7 @@ def q_template(mu: int, n: int) -> QTemplate:
                 coeff = -coeff
             key = tuple(exponents)
             terms[key] = terms.get(key, 0) + coeff
-    return QTemplate(mu, n, SparsePoly._raw(
-        names, {e: Fraction(c) for e, c in terms.items() if c}))
+    return SparsePoly._raw(names, {e: Fraction(c) for e, c in terms.items() if c})
 
 
 @functools.cache
@@ -242,7 +224,8 @@ def general_inflection(mu: int, k: int) -> InflectionPoly:
 
     For mu = 1 this delegates to the recurrence.  For mu >= 2 the series
     parameters must satisfy k > mu, which puts k in the template's proven
-    range k >= 3 automatically.
+    range k >= 3 automatically.  The q template for n = k + 1 gets each t_l
+    replaced by P(1, n + l - 1).
     """
     mu = int(mu)
     k = int(k)
@@ -252,28 +235,45 @@ def general_inflection(mu: int, k: int) -> InflectionPoly:
         return basic_inflection(k)
     if k <= mu:
         raise PreconditionError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
-    return InflectionPoly(mu, k, template_substitution(mu, k))
-
-
-def template_substitution(mu: int, k: int) -> SparsePoly:
-    """The q template for n = k + 1 with each t_l replaced by P(1, n + l - 1).
-
-    No range check: ``lemma_range_probe`` evaluates it outside the proven
-    range too.
-    """
     n = k + 1
-    template = q_template(mu, n)
     assignments = {
         shift_var_name(off): basic_inflection(n + off - 1).poly
         for off in range(1 - mu, mu)
     }
-    return substitute_polys(template.poly, assignments)
+    return InflectionPoly(mu, k, substitute_polys(q_template(mu, n), assignments))
 
 
-def _wronskian_poly(mu: int, k: int) -> SparsePoly:
-    # Matrix of scaled oracle numerators.  Entry (i, j) carries
-    # (k+1+j) falling i times N(k+1+j-i); the f powers pulled from row i and
-    # column j cancel exactly, which is only valid while d_m == m.
+def inflection_fiber(mu: int, k: int, lambda0) -> SparsePoly:
+    """P(mu, k) at one curve parameter lambda0, a polynomial in x.
+
+    lambda0 is read exactly (a float raises TypeError) and must not be 0
+    or 1, where the curve degenerates.
+    """
+    lambda0 = as_fraction(lambda0)
+    if lambda0 in (0, 1):
+        raise PreconditionError(f"degenerate curve parameter lambda = {lambda0}")
+    fiber = general_inflection(mu, k).poly.specialize(VAR_LAMBDA, lambda0)
+    if fiber.is_zero:
+        raise RuntimeError(f"inflection polynomial vanished at lambda = {lambda0}")
+    return fiber
+
+
+def wronskian_direct(mu: int, k: int) -> InflectionPoly:
+    """P(mu, k) straight from the Wronskian of 1..x^k, y..yx^(mu-1).
+
+    Entries come from derivative_oracle, so this route is independent of
+    both the recurrence and the q template.  Entry (i, j) carries
+    (k+1+j) falling i times N(k+1+j-i); the f powers pulled from row i and
+    column j cancel exactly, which is only valid while d_m == m.
+    """
+    mu = int(mu)
+    k = int(k)
+    if mu < 1:
+        raise PreconditionError(f"mu must be positive, got {mu}")
+    if k <= mu and mu > 1:
+        raise PreconditionError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
+    if mu == 1 and k < 1:
+        raise PreconditionError(f"k must be positive for the Wronskian route, got {k}")
     rows = []
     for i in range(mu):
         row = []
@@ -285,26 +285,9 @@ def _wronskian_poly(mu: int, k: int) -> SparsePoly:
                     f"f-power reduction fired at order {m}; "
                     "row/column normalization is invalid"
                 )
-            row.append(falling_factorial(k + 1 + j, i) * form.numerator)
+            row.append(math.perm(k + 1 + j, i) * form.numerator)
         rows.append(row)
-    return det_polymatrix(rows)
-
-
-def wronskian_direct(mu: int, k: int) -> InflectionPoly:
-    """P(mu, k) straight from the Wronskian of 1..x^k, y..yx^(mu-1).
-
-    Entries come from derivative_oracle, so this route is independent of
-    both the recurrence and the q template.
-    """
-    mu = int(mu)
-    k = int(k)
-    if mu < 1:
-        raise PreconditionError(f"mu must be positive, got {mu}")
-    if k <= mu and mu > 1:
-        raise PreconditionError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
-    if mu == 1 and k < 1:
-        raise PreconditionError(f"k must be positive for the Wronskian route, got {k}")
-    return InflectionPoly(mu, k, _wronskian_poly(mu, k))
+    return InflectionPoly(mu, k, det_polymatrix(rows))
 
 
 # -- division polynomials -----------------------------------------------------
@@ -370,13 +353,11 @@ def torsion_check(k: int, lambda0) -> CheckReport:
     k = int(k)
     if k < 2:
         raise PreconditionError(f"torsion comparison needs k >= 2, got {k}")
+    inflect = inflection_fiber(k - 1, k, lambda0)
     lambda0 = as_fraction(lambda0)
-    if lambda0 in (0, 1):
-        raise PreconditionError(f"degenerate curve parameter lambda = {lambda0}")
     params = {"k": k, "lambda0": lambda0}
     expected_degree = 2 * k * k - 2
 
-    inflect = general_inflection(k - 1, k).poly.specialize(VAR_LAMBDA, lambda0)
     divisor = division_polynomial(2 * k).specialize(VAR_LAMBDA, lambda0)
     name = VAR_X
     deg_i = inflect.degree(name)

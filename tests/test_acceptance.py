@@ -101,7 +101,7 @@ def test_criterion_03_determinant_identity(capsys):
             failures.append(f"routes disagree at (mu,k)=({mu},{k})")
     for mu in range(1, 5):
         for n in range(1, 9):
-            template = q_template(mu, n).poly
+            template = q_template(mu, n)
             if template.is_zero:
                 failures.append(f"template vanishes at (mu,n)=({mu},{n})")
             if any(sum(e) != mu for e in template.support()):

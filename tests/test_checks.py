@@ -1,6 +1,7 @@
 """Verification checks: verdicts, witnesses and report serialization."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,21 +17,45 @@ from inflectionary.conjectures import (
     check_support,
     conjecture4_scan,
     gamma_faces,
-    lemma_range_probe,
     predicted_support,
     real_root_census,
     separability_check,
     sigma_reflection,
     singular_probe,
 )
-from inflectionary.inflection import basic_inflection, legendre_f
-from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json
+from inflectionary.inflection import (
+    basic_inflection,
+    derivative_oracle,
+    general_inflection,
+    legendre_f,
+    q_template,
+    shift_var_name,
+)
+from inflectionary.matrices import det_polymatrix
+from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json, substitute_polys
 from inflectionary.reports import FAIL, OUT_OF_RANGE, PASS, CheckReport, jsonable
 from inflectionary.roots import MAX_DENOMINATOR, RootIsolator, SturmChain
 
 XL = (VAR_X, VAR_LAMBDA)
 X = SparsePoly.variable(XL, VAR_X)
 L = SparsePoly.variable(XL, VAR_LAMBDA)
+
+
+def lemma_range_probe(mu, k):
+    """Both sides of the determinant identity, without the range check k > mu.
+
+    The template side substitutes P(1, k + l) for each t_l of the q template
+    at n = k + 1; the Wronskian side is the determinant of the scaled
+    derivative-oracle numerators (k+1+j) falling i * N(k+1+j-i).
+    """
+    n = k + 1
+    template = substitute_polys(q_template(mu, n), {
+        shift_var_name(off): basic_inflection(n + off - 1).poly
+        for off in range(1 - mu, mu)})
+    wronskian = det_polymatrix([
+        [math.perm(n + j, i) * derivative_oracle(n + j - i).numerator
+         for j in range(mu)] for i in range(mu)])
+    return template, wronskian
 
 
 def perturbed(k, exponent, delta):
@@ -83,6 +108,14 @@ class TestSymmetry:
         report = check_shift_symmetry(2, poly=perturbed(2, (1, 0), 1))
         assert report.verdict == FAIL
         assert report.witness["difference_coefficient"] != 0
+
+    def test_witness_is_the_first_differing_exponent(self):
+        # the differences are x*z^4 - x*z and 2x + 1: two terms each, so the
+        # witness pins which of them the report names
+        swap = check_homogenization_symmetry(2, poly=perturbed(2, (1, 1), 1))
+        assert swap.witness == {"exponent": [1, 1], "difference_coefficient": -1}
+        shift = check_shift_symmetry(2, poly=perturbed(2, (1, 0), 1))
+        assert shift.witness == {"exponent": [0, 0], "difference_coefficient": 1}
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -282,11 +315,13 @@ class TestDeterminantIdentity:
         with pytest.raises(ValueError):
             check_determinant_identity(2, 2)
 
-    def test_out_of_range_probe_reports_not_asserts(self):
-        report = lemma_range_probe()
-        assert report.verdict == OUT_OF_RANGE
-        assert report.params == {"mu": 2, "k": 2}
-        assert report.data["agrees"] is True
+    def test_routes_agree_outside_the_proven_range(self):
+        # (2, 2) is below k > mu, where general_inflection refuses to build
+        template, wronskian = lemma_range_probe(2, 2)
+        assert not template.is_zero
+        assert template == wronskian
+        # in range, the rebuilt sides are the two construction routes
+        assert lemma_range_probe(2, 3) == (general_inflection(2, 3).poly,) * 2
 
 
 class TestSingularCandidates:

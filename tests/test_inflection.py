@@ -5,6 +5,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inflectionary.inflection import (
     InflectionPoly,
@@ -14,8 +16,8 @@ from inflectionary.inflection import (
     calibrate_recurrence_coefficient,
     derivative_oracle,
     division_polynomial,
-    falling_factorial,
     general_inflection,
+    inflection_fiber,
     legendre_f,
     predicted_delta,
     predicted_genus,
@@ -26,6 +28,7 @@ from inflectionary.inflection import (
     _recurrence_step,
 )
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, try_divexact
+from inflectionary.reports import PreconditionError
 
 XL = (VAR_X, VAR_LAMBDA)
 
@@ -115,36 +118,24 @@ class TestDegreeContract:
             InflectionPoly(0, 1, SEED)
 
 
-class TestFallingFactorial:
-    def test_values(self):
-        assert falling_factorial(5, 0) == 1
-        assert falling_factorial(5, 2) == 20
-        assert falling_factorial(5, 5) == 120
-        assert falling_factorial(3, 5) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            falling_factorial(-1, 2)
-
-
 class TestQTemplate:
     def test_mu2_closed_form(self):
         # det [[t0, (n+1) t1], [n t-1, (n+1) t0]] / scaling = (n+1) t0^2 - n t-1 t1
         for n in (2, 4, 7):
             t = q_template(2, n)
-            names = t.poly.vars
+            names = t.vars
             assert names == ("t-1", "t0", "t1")
             expected = SparsePoly(names, {
                 (0, 2, 0): n + 1,
                 (1, 0, 1): -n,
             })
-            assert t.poly == expected
+            assert t == expected
 
     def test_homogeneity(self):
         for mu in (2, 3, 4):
             for n in (mu, mu + 2):
                 t = q_template(mu, n)
-                assert all(sum(e) == mu for e in t.poly.support())
+                assert all(sum(e) == mu for e in t.support())
 
     def test_shift_names(self):
         assert shift_var_name(-2) == "t-2"
@@ -203,6 +194,43 @@ class TestRouteAgreement:
         p = general_inflection(2, 3)
         assert p.poly.degree(VAR_X) == 2 * 2 * 4
         assert p.poly.degree(VAR_LAMBDA) == 2 * 4
+
+
+# Series up to (3, 5) and lambdas from each real regime of the curve
+# parameter: lambda < 0, 0 < lambda < 1 and lambda > 1.
+FIBER_SERIES = [(1, k) for k in range(6)] + [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]
+FIBER_LAMBDAS = (Fraction(-3), Fraction(-1, 2), Fraction(1, 4), Fraction(3, 4),
+                 Fraction(2), Fraction(7, 3))
+
+
+class TestInflectionFiber:
+    @pytest.mark.parametrize("mu,k", FIBER_SERIES)
+    def test_matches_bivariate_specialization(self, mu, k):
+        bivariate = general_inflection(mu, k).poly
+        for lambda0 in FIBER_LAMBDAS:
+            fiber = inflection_fiber(mu, k, lambda0)
+            assert fiber == bivariate.specialize(VAR_LAMBDA, lambda0)
+            # the leading x-coefficient is a nonzero constant, so no fiber vanishes
+            assert fiber.degree(VAR_X) == 2 * mu * (k + 1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([(1, 2), (1, 4), (2, 3), (2, 4)]),
+           st.fractions(min_value=-9, max_value=9, max_denominator=40)
+           .filter(lambda v: v not in (0, 1)),
+           st.fractions(min_value=-5, max_value=5, max_denominator=12))
+    def test_rational_lambda_fiber(self, series, lambda0, x0):
+        mu, k = series
+        bivariate = general_inflection(mu, k).poly
+        fiber = inflection_fiber(mu, k, lambda0)
+        assert fiber == bivariate.specialize(VAR_LAMBDA, lambda0)
+        assert fiber.evaluate({VAR_X: x0}) == bivariate.evaluate({VAR_X: x0, VAR_LAMBDA: lambda0})
+
+    def test_lambda_is_validated(self):
+        for lambda0 in (0, 1, Fraction(1)):
+            with pytest.raises(PreconditionError, match="degenerate curve parameter"):
+                inflection_fiber(2, 3, lambda0)
+        with pytest.raises(TypeError):
+            inflection_fiber(2, 3, 0.5)
 
 
 class TestDivisionPolynomials:
