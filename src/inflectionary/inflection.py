@@ -6,7 +6,8 @@ spanned by 1, x, ..., x^k, y, yx, ..., yx^(mu-1).  Three independent routes
 are implemented:
 
 * a first-order recurrence in k for mu = 1 (``basic_inflection``),
-* a quotient-rule oracle for the derivatives of y (``derivative_oracle``),
+* a quotient-rule oracle for the numerators N_m of D^m y = y * N_m / f^m
+  (``derivative_oracle``),
 * a Wronskian determinant for general mu (``wronskian_direct``), together
   with its symbolic determinant template (``q_template`` and
   ``general_inflection``).
@@ -38,7 +39,6 @@ from .poly import (
     as_fraction,
     divexact,
     substitute_polys,
-    try_divexact,
 )
 from .reports import FAIL, PASS, CheckReport, PreconditionError
 
@@ -90,15 +90,6 @@ class InflectionPoly:
             )
 
 
-@dataclass(frozen=True)
-class DerivativeForm:
-    """D^m y written as y * numerator / f^exponent."""
-
-    order: int
-    numerator: SparsePoly
-    exponent: int
-
-
 def _seed_poly() -> SparsePoly:
     f = legendre_f()
     return divexact(f.derivative(VAR_X), SparsePoly.constant(_XL, 2))
@@ -128,11 +119,15 @@ def _recurrence_step(k: int) -> InflectionPoly:
     return InflectionPoly(1, k, _recurrence_apply(_recurrence_step(k - 1).poly, coeff(k - 1)))
 
 
-def derivative_oracle(m: int) -> DerivativeForm:
-    """D^m y as y * N/f^d by m exact quotient-rule steps, memoized.
+def derivative_oracle(m: int) -> SparsePoly:
+    """The numerator N_m of D^m y = y * N_m / f^m, memoized.
 
-    Starting from y' = y*D(f)/(2f), each step differentiates y*N/f^d
-    directly and cancels any f factor that appears in the numerator.  This
+    Starting from N_1 = D(f)/2, since y' = y*D(f)/(2f), the quotient rule
+    on y * N_d / f^d gives N_(d+1) = D(N_d) * f + (1/2 - d) * N_d * D(f).
+    The exponent m is already the reduced one: f vanishes at x = 0 and
+    D(f) is lambda there, so N_1(0, lambda) = lambda/2 and
+    N_(d+1)(0, lambda) = (1/2 - d) * lambda * N_d(0, lambda), which is
+    never zero.  Hence x does not divide N_m, and neither does f.  This
     route never consults the recurrence, so agreement between the two is a
     real check, not a tautology.
     """
@@ -145,41 +140,29 @@ def derivative_oracle(m: int) -> DerivativeForm:
 
 
 @functools.cache
-def _quotient_rule_step(m: int) -> DerivativeForm:
+def _quotient_rule_step(m: int) -> SparsePoly:
     f = legendre_f()
     df = f.derivative(VAR_X)
     if m == 1:
-        return DerivativeForm(1, divexact(df, SparsePoly.constant(_XL, 2)), 1)
-    form = _quotient_rule_step(m - 1)
-    num = form.numerator.derivative(VAR_X) * f \
-        + (Fraction(1, 2) - form.exponent) * form.numerator * df
-    exp = form.exponent + 1
-    reduced = try_divexact(num, f)
-    while reduced is not None and not num.is_zero:
-        num, exp = reduced, exp - 1
-        reduced = try_divexact(num, f)
-    return DerivativeForm(m, num, exp)
+        return divexact(df, SparsePoly.constant(_XL, 2))
+    num = _quotient_rule_step(m - 1)
+    return num.derivative(VAR_X) * f + (Fraction(1, 2) - (m - 1)) * num * df
 
 
 def calibrate_recurrence_coefficient(max_k: int = 4) -> dict:
     """Compare every recurrence coefficient variant against the oracle.
 
     Returns ``{"selected": name, "results": {name: bool}}`` where a variant
-    passes when its sequence reproduces derivative_oracle(m).numerator for
-    all m <= max_k + 1.
+    passes when its sequence reproduces derivative_oracle(m) for all
+    m <= max_k + 1.
     """
     results = {}
     for name, coeff in RECURRENCE_COEFFICIENT_VARIANTS.items():
         seq = [_seed_poly()]
         for j in range(max_k):
             seq.append(_recurrence_apply(seq[-1], coeff(j)))
-        ok = True
-        for m in range(1, max_k + 2):
-            form = derivative_oracle(m)
-            if form.exponent != m or form.numerator != seq[m - 1]:
-                ok = False
-                break
-        results[name] = ok
+        results[name] = all(derivative_oracle(m) == seq[m - 1]
+                            for m in range(1, max_k + 2))
     return {"selected": SELECTED_RECURRENCE_COEFFICIENT, "results": results}
 
 
@@ -263,8 +246,8 @@ def wronskian_direct(mu: int, k: int) -> InflectionPoly:
 
     Entries come from derivative_oracle, so this route is independent of
     both the recurrence and the q template.  Entry (i, j) carries
-    (k+1+j) falling i times N(k+1+j-i); the f powers pulled from row i and
-    column j cancel exactly, which is only valid while d_m == m.
+    (k+1+j) falling i times N(k+1+j-i); since D^m y = y * N_m / f^m, the f
+    powers pulled from row i and column j cancel exactly.
     """
     mu = int(mu)
     k = int(k)
@@ -274,19 +257,8 @@ def wronskian_direct(mu: int, k: int) -> InflectionPoly:
         raise PreconditionError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
     if mu == 1 and k < 1:
         raise PreconditionError(f"k must be positive for the Wronskian route, got {k}")
-    rows = []
-    for i in range(mu):
-        row = []
-        for j in range(mu):
-            m = k + 1 + j - i
-            form = derivative_oracle(m)
-            if form.exponent != m:
-                raise RuntimeError(
-                    f"f-power reduction fired at order {m}; "
-                    "row/column normalization is invalid"
-                )
-            row.append(math.perm(k + 1 + j, i) * form.numerator)
-        rows.append(row)
+    rows = [[math.perm(k + 1 + j, i) * derivative_oracle(k + 1 + j - i) for j in range(mu)]
+            for i in range(mu)]
     return InflectionPoly(mu, k, det_polymatrix(rows))
 
 

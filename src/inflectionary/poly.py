@@ -6,19 +6,18 @@ exponent order.  Instances are treated as immutable values: every operation
 returns a fresh polynomial and nothing here mutates ``terms`` after
 construction.  All arithmetic is exact; floats are rejected everywhere.
 
-Products of dense operands and every exact division take a packed-integer
-route (Kronecker substitution).  A polynomial with integer coefficients
-becomes one integer: each exponent tuple is a slot of a mixed-radix index
-whose radices are per-variable degree bounds, and each slot holds its
-coefficient at a fixed byte width, so that the integer is the polynomial
-evaluated at x_i = 2**(8*width*s_i) for the slot strides s_i.  Evaluation is
-a ring homomorphism, so one big-integer product is the packed product and
-one ``divmod`` the packed quotient.  Unpacking adds a bias of half a slot to
-every slot, which makes each slot's digit nonnegative, and reads the digits
-back; it is exact when every coefficient of the result is below half a slot
-in absolute value and every exponent lies inside the degree box, because
-then the encoding is injective.  The product's width comes from
-max|a| * ||b||_1, the quotient's from Mahler's factor bound (below).
+Products of dense operands take a packed-integer route (Kronecker
+substitution).  A polynomial with integer coefficients becomes one integer:
+each exponent tuple is a slot of a mixed-radix index whose radices are
+per-variable degree bounds, and each slot holds its coefficient at a fixed
+byte width, so that the integer is the polynomial evaluated at
+x_i = 2**(8*width*s_i) for the slot strides s_i.  Evaluation is a ring
+homomorphism, so one big-integer product is the packed product.  Unpacking
+adds a bias of half a slot to every slot, which makes each slot's digit
+nonnegative, and reads the digits back; it is exact when every coefficient
+of the result is below half a slot in absolute value and every exponent
+lies inside the degree box, because then the encoding is injective.  The
+product's width comes from max|a| * ||b||_1.
 
 A product is packed when the product of the two term counts reaches
 ``PACK_MIN_PAIRS`` (an O(1) test made first) and the dense slot box holds
@@ -251,6 +250,9 @@ class SparsePoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it must hash like it
+        if self.is_constant:
+            return hash(self.constant_value())
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __repr__(self):
@@ -410,27 +412,12 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
 
 
 def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:
-    """Exact polynomial division; raises if ``d`` does not divide ``p``."""
-    q = try_divexact(p, d)
-    if q is None:
-        raise ValueError("not an exact polynomial division")
-    return q
+    """Exact polynomial division; raises ValueError if ``d`` does not divide ``p``.
 
-
-def try_divexact(p: SparsePoly, d: SparsePoly):
-    """Return ``p / d`` when the division is exact, else None.
-
-    A constant divisor scales the terms.  Any other divides by one packed
-    ``divmod``: with P the cleared dividend and D the primitive part of the
-    cleared divisor, Gauss's lemma makes any quotient Q = P / D integral,
-    and Mahler's bound |q| <= 2**(sum_i deg_i Q) * ||P||_2 caps its
-    coefficients.  The slot width leaves room for that cap times ||D||_1
-    and the box has P's degrees, so a true Q packs, divides with remainder
-    zero and unpacks exactly.  Conversely, an unpacked Q within the cap and
-    with deg_i Q + deg_i D <= deg_i P makes Q * D a polynomial whose
-    encoding is injective at this width; the zero remainder says that
-    encoding equals P's, so Q * D == P.  Any other outcome means no
-    quotient exists.
+    A constant divisor scales the terms.  Any other divisor is divided out
+    by the schoolbook loop: each step cancels the remainder's leading term
+    in graded lexicographic order, so the loop ends, and it fails as soon
+    as that term is not a multiple of the divisor's leading term.
     """
     if not isinstance(d, SparsePoly):
         d = SparsePoly.constant(p.vars, d)
@@ -441,33 +428,24 @@ def try_divexact(p: SparsePoly, d: SparsePoly):
     if d.is_constant:
         inv = 1 / d.constant_value()
         return SparsePoly._raw(p.vars, {e: c * inv for e, c in p.terms.items()})
-    if p.is_zero:
-        return p
-    p_degrees = _degrees(p.terms)
-    d_degrees = _degrees(d.terms)
-    if any(a < b for a, b in zip(p_degrees, d_degrees)):
-        return None
-    p_ints, p_den = _cleared(p)
-    d_ints, d_den = _cleared(d)
-    content = math.gcd(*d_ints.values())
-    d_ints = {e: c // content for e, c in d_ints.items()}
-    norm2 = math.isqrt(sum(c * c for c in p_ints.values())) + 1
-    cap = norm2 << (sum(p_degrees) - sum(d_degrees))
-    width = _slot_width(cap * sum(abs(c) for c in d_ints.values()))
-    radices = [e + 1 for e in p_degrees]
-    packed, remainder = divmod(_pack(p_ints, radices, width), _pack(d_ints, radices, width))
-    if remainder:
-        return None
-    try:
-        q_ints = _unpack(packed, radices, width)
-    except OverflowError:
-        return None
-    if not q_ints or any(abs(c) > cap for c in q_ints.values()):
-        return None
-    if any(q + e > a for q, e, a in zip(_degrees(q_ints), d_degrees, p_degrees)):
-        return None
-    den = p_den * content
-    return SparsePoly._raw(p.vars, {e: Fraction(c * d_den, den) for e, c in q_ints.items()})
+    d_lead = max(d.terms, key=_grade_key)
+    remainder = dict(p.terms)
+    quotient = {}
+    while remainder:
+        r_lead = max(remainder, key=_grade_key)
+        shift = tuple(a - b for a, b in zip(r_lead, d_lead))
+        if min(shift) < 0:
+            raise ValueError("not an exact polynomial division")
+        c = quotient[shift] = remainder[r_lead] / d.terms[d_lead]
+        for e, dc in d.terms.items():
+            e = tuple(a + b for a, b in zip(shift, e))
+            rest = remainder.get(e, 0) - c * dc
+            if rest:
+                remainder[e] = rest
+            else:
+                del remainder[e]
+    return SparsePoly._raw(p.vars, quotient)
+
 
 # -- packed integers ----------------------------------------------------------
 

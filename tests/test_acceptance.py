@@ -6,6 +6,7 @@ twelve-line scoreboard whatever else the suite prints.
 """
 
 import io
+import math
 from fractions import Fraction
 
 from inflectionary.conjectures import (
@@ -80,10 +81,12 @@ def test_criterion_01_seed_and_degrees(capsys):
 def test_criterion_02_derivative_oracle(capsys):
     failures = []
     for m in range(1, 10):
-        form = derivative_oracle(m)
-        if form.exponent != m:
-            failures.append(f"denominator exponent at m={m}: {form.exponent}")
-        if form.numerator != basic_inflection(m - 1).poly:
+        numerator = derivative_oracle(m)
+        # N_m(0, lambda) != 0: neither x nor f divides N_m, so f^m is reduced
+        at_zero = Fraction(1, 2) * math.prod(Fraction(1, 2) - j for j in range(1, m))
+        if numerator.specialize(VAR_X, 0) != SparsePoly((VAR_LAMBDA,), {(m,): at_zero}):
+            failures.append(f"N_m(0, lambda) at m={m}: {numerator.specialize(VAR_X, 0)}")
+        if numerator != basic_inflection(m - 1).poly:
             failures.append(f"numerator mismatch at m={m}")
     calibration = calibrate_recurrence_coefficient()
     if not calibration["results"].get(calibration["selected"]):

@@ -53,7 +53,7 @@ def lemma_range_probe(mu, k):
         shift_var_name(off): basic_inflection(n + off - 1).poly
         for off in range(1 - mu, mu)})
     wronskian = det_polymatrix([
-        [math.perm(n + j, i) * derivative_oracle(n + j - i).numerator
+        [math.perm(n + j, i) * derivative_oracle(n + j - i)
          for j in range(mu)] for i in range(mu)])
     return template, wronskian
 

@@ -1,5 +1,6 @@
 """Construction routes and their cross-checks, all against frozen oracles."""
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -27,7 +28,7 @@ from inflectionary.inflection import (
     wronskian_direct,
     _recurrence_step,
 )
-from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, try_divexact
+from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, divexact
 from inflectionary.reports import PreconditionError
 
 XL = (VAR_X, VAR_LAMBDA)
@@ -90,11 +91,13 @@ class TestRecurrence:
 
 class TestDerivativeOracle:
     def test_matches_recurrence(self):
-        for m in range(1, 7):
-            form = derivative_oracle(m)
-            assert form.order == m
-            assert form.exponent == m
-            assert form.numerator == basic_inflection(m - 1).poly
+        for m in range(1, 10):
+            numerator = derivative_oracle(m)
+            # N_m(0, lambda) = (lambda^m / 2) * prod_(j<m) (1/2 - j) is
+            # nonzero, so neither x nor f divides N_m: f^m is reduced
+            at_zero = Fraction(1, 2) * math.prod(Fraction(1, 2) - j for j in range(1, m))
+            assert numerator.specialize(VAR_X, 0) == SparsePoly((VAR_LAMBDA,), {(m,): at_zero})
+            assert numerator == basic_inflection(m - 1).poly
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -257,7 +260,7 @@ class TestDivisionPolynomials:
         # 3 divides 6, so the reduced 6-division polynomial inherits psi_3
         g6 = division_polynomial(6)
         psi3 = division_polynomial(3)
-        assert try_divexact(g6, psi3) is not None
+        assert divexact(g6, psi3) * psi3 == g6
 
     def test_index_validation(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from inflectionary.poly import (
     poly_to_json,
     poly_to_json_dict,
     substitute_polys,
-    try_divexact,
 )
 
 XL = (VAR_X, VAR_LAMBDA)
@@ -105,6 +104,13 @@ class TestConstruction:
         assert SparsePoly.variable(XL, VAR_LAMBDA) == L
         with pytest.raises(ValueError):
             SparsePoly.variable(XL, "y")
+
+    def test_constant_hashes_like_its_value(self):
+        three = SparsePoly.constant(XL, 3)
+        assert three == 3 and hash(three) == hash(3)
+        assert len({three, 3, Fraction(3)}) == 1
+        assert {SparsePoly.zero(XL), 0} == {0}
+        assert hash(SparsePoly.constant(XL, Fraction(1, 2))) == hash(Fraction(1, 2))
 
     def test_from_univariate(self):
         p = SparsePoly.from_univariate("t", [1, 0, -2])
@@ -205,8 +211,9 @@ class TestDivision:
         assert divexact(X ** 2 - L ** 2, X - L) == X + L
 
     def test_try_divexact_failure(self):
-        assert try_divexact(X ** 2 + 1, X) is None
-        assert try_divexact(X ** 2 - L ** 2, X + L) == X - L
+        with pytest.raises(ValueError):
+            divexact(X ** 2 + 1, X)
+        assert divexact(X ** 2 - L ** 2, X + L) == X - L
 
     def test_divide_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -326,7 +333,7 @@ def oracle_divexact(p, d):
     Each step cancels the remainder's leading term in graded lexicographic
     order, so the loop ends; it fails as soon as that term is not a
     multiple of the divisor's.  Slow and obviously right: the oracle for
-    the packed division.
+    ``divexact``.
     """
     def lead(terms):
         return max(terms, key=lambda e: (sum(e), e))
@@ -381,8 +388,7 @@ def test_packed_product_matches_dict_product(pair):
 @PACKED
 @given(poly_pairs, st.sampled_from([2, 6, Fraction(3, 4), Fraction(-10, 7)]))
 @example((X * L + 1, X - L), 1)
-# x does not divide the L**3 term, but the packed quotient's slot for it
-# borrows from the next L power: only the degree check rejects it
+# exact but for the L**3 term, which x does not divide
 @example((2 * L ** 3 - 2 * X * L ** 3 - 3 * X ** 2 * L ** 3 - 2 * X ** 2 * L, 3 * X), 1)
 def test_packed_quotient_matches_dict_division(pair, scale):
     a, b = pair
@@ -390,10 +396,16 @@ def test_packed_quotient_matches_dict_division(pair, scale):
     assume(not b.is_constant)
     product = a * b
     assert divexact(product, b) == a == oracle_divexact(product, b)
-    assert try_divexact(product + 1, b) is None
+    with pytest.raises(ValueError):
+        divexact(product + 1, b)
     assert oracle_divexact(product + 1, b) is None
     # an arbitrary pair, mostly inexact
-    assert try_divexact(a, b) == oracle_divexact(a, b)
+    expected = oracle_divexact(a, b)
+    if expected is None:
+        with pytest.raises(ValueError):
+            divexact(a, b)
+    else:
+        assert divexact(a, b) == expected
 
 
 class TestRouteSelection:
