@@ -3,10 +3,12 @@
 The pipeline samples exact signs of the curve polynomial on a rational
 grid, extracts contour segments by marching squares, and writes an SVG
 with regions where the Legendre cubic is positive shaded underneath.
-Both run on integers: grid nodes over one denominator per axis, an integer
-coefficient table scaled by positive factors, contours in doubled grid
-units.  So every sign and every emitted coordinate is exact and the output
-bytes are reproducible.
+Everything runs on integers: grid nodes over one denominator per axis, an
+integer coefficient table scaled by positive factors, contours in doubled
+grid units, so every sign and coordinate is exact and the bytes reproducible.
+A grid row is one packed integer with a slot per node and its signs are two
+bitmasks (bit i is node i): contours and shading are mask operations per
+row, so the cost goes per row and per crossed cell, not per node.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .inflection import legendre_f
-from .poly import VAR_LAMBDA, VAR_X, SparsePoly, as_fraction, poly_to_json
+from .poly import VAR_LAMBDA, VAR_X, SparsePoly, _pack, _slot_width, as_fraction, poly_to_json
 
 # Exact-zero samples count as positive everywhere: in sign-change counts,
 # in cell shading and in the marching-squares case index.
@@ -66,25 +68,34 @@ DEFAULT_WINDOW = Window(Fraction(-1), Fraction(3), Fraction(-1), Fraction(3))
 
 @dataclass(frozen=True)
 class SignGrid:
-    """Exact signs at the nodes of a window grid.
+    """Exact signs at the nodes of a window grid, one bitmask pair per row.
 
-    ``values[i][j]`` is the sign (-1, 0 or +1) of the sampled polynomial at
-    the node (x_i, lambda_j), so the array is (nx+1) by (nlambda+1).
+    ``rows[j]`` is ``(nonneg, positive)`` for the row lambda_j: bit i of each
+    is set where the sampled polynomial is >= 0, resp. > 0, at (x_i, lambda_j).
     """
 
     window: Window
-    values: tuple
+    rows: tuple
 
     def __post_init__(self):
         w = self.window
-        if len(self.values) != w.nx + 1:
-            raise ValueError("grid width does not match the window")
-        for column in self.values:
-            if len(column) != w.nlambda + 1:
-                raise ValueError("grid height does not match the window")
-            for v in column:
-                if v not in (-1, 0, 1):
-                    raise ValueError(f"sign grid entry out of range: {v!r}")
+        if len(self.rows) != w.nlambda + 1:
+            raise ValueError("grid height does not match the window")
+        for row in self.rows:
+            if len(row) != 2:
+                raise ValueError(f"grid row is not a (nonneg, positive) pair: {row!r}")
+            nonneg, positive = row
+            if not 0 <= nonneg < 1 << (w.nx + 1) or positive < 0 or positive & ~nonneg:
+                raise ValueError(f"grid row does not fit {w.nx + 1} nodes: {row!r}")
+
+    @property
+    def values(self):
+        """``values[i][j]``, the sign (-1, 0 or +1) at (x_i, lambda_j), read
+        back from the masks as an (nx+1) by (nlambda+1) array."""
+        spec = f"0{self.window.nx + 1}b"
+        return tuple(zip(*([int(a) + int(b) - 1 for a, b in zip(format(nonneg, spec)[::-1],
+                                                                format(positive, spec)[::-1])]
+                           for nonneg, positive in self.rows)))
 
 
 def _ladder(lo: Fraction, hi: Fraction, n: int):
@@ -95,22 +106,29 @@ def _ladder(lo: Fraction, hi: Fraction, n: int):
     return int(lo * den), int(step * den), den
 
 
-def _horner(coeffs, t: int) -> int:
-    """The integer list ``coeffs``, in descending powers, evaluated at t."""
-    value = 0
-    for c in coeffs:
-        value = value * t + c
-    return value
+# a byte -> ASCII "1" when its top bit is set, "0" otherwise
+_TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
+
+
+def _top_bits(value: int, width: int, n: int) -> int:
+    """Bitmask of the top bits of the n slots of a nonnegative packed value."""
+    digits = value.to_bytes(n * width, "little")
+    return int(digits[width - 1::width].translate(_TOP_BIT)[::-1], 2)
 
 
 def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
-    """Exact sign of p at every grid node of the window.
+    """Exact sign of p at every grid node of the window, a packed row at a time.
 
     With x_i = (a0 + i a_step) / a_den and lambda_j = (c0 + j c_step) / c_den,
     the coefficient of x^t lambda^s is cleared to an integer and scaled by
-    a_den^(deg_x - t) c_den^(deg_lambda - s).  Each row then takes one
-    integer Horner pass in lambda per power of x and each node one in x,
-    which gives p(x_i, lambda_j) times a positive integer: its exact sign.
+    a_den^(deg_x - t) c_den^(deg_lambda - s): then v_ij = sum table * a_i^t
+    c_j^s is p(x_i, lambda_j) times a positive integer.  The powers a_i^t of
+    all nodes are packed once (``poly._pack``) and folded with the table into
+    one packed coefficient per power of lambda, so one Horner pass in lambda,
+    a big integer times a small one per step, packs v_ij for all of row j.
+    The slot width holds sum |table| * max|a|^t * max|c|^s + 1, which bounds
+    |v| and |v - 1|, inside half a slot; biased by half a slot, the top bits
+    of v then read v >= 0 and those of v - 1 read v > 0.
     """
     if p.vars != (VAR_X, VAR_LAMBDA):
         raise ValueError(f"expected variables {(VAR_X, VAR_LAMBDA)!r}, got {p.vars!r}")
@@ -125,12 +143,32 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     for (t, s), c in p.terms.items():
         table[deg_x - t][deg_l - s] = (c.numerator * (clear // c.denominator)
                                        * a_den ** (deg_x - t) * c_den ** (deg_l - s))
-    xs = [a0 + i * a_step for i in range(w.nx + 1)]
+    n = w.nx + 1
+    a_max = max(abs(a0), abs(a0 + w.nx * a_step))
+    c_max = max(abs(c0), abs(c0 + w.nlambda * c_step))
+    width = _slot_width(1 + sum(abs(table[deg_x - t][deg_l - s]) * a_max ** t * c_max ** s
+                                for t, s in p.terms))
+    xs = [a0 + i * a_step for i in range(n)]
+    powers = [1] * n
+    packed = [0] * (deg_l + 1)  # packed[deg_l - s]: the coefficient of lambda^s
+    # t = 0, 1, ..., deg_x with powers[i] = a_i^t; each a_i^t of a nonzero row
+    # is within the width's bound, so it fits its slot
+    for row in reversed(table):
+        if any(row):
+            slots = _pack({(i,): v for i, v in enumerate(powers)}, (n,), width)
+            packed = [acc + c * slots for acc, c in zip(packed, row)]
+        powers = list(map(int.__mul__, powers, xs))
+    # bias every slot by half a slot through the constant term of Horner
+    packed[-1] += int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
+    ones = int.from_bytes((1).to_bytes(width, "little") * n, "little")
     rows = []
     for j in range(w.nlambda + 1):
-        coeffs = [_horner(column, c0 + j * c_step) for column in table]
-        rows.append(tuple((v > 0) - (v < 0) for v in (_horner(coeffs, a) for a in xs)))
-    return SignGrid(w, tuple(zip(*rows)))
+        c = c0 + j * c_step
+        value = 0
+        for coeff in packed:
+            value = value * c + coeff
+        rows.append((_top_bits(value, width, n), _top_bits(value - ones, width, n)))
+    return SignGrid(w, tuple(rows))
 
 
 # Marching squares: corners of the unit cell are indexed counterclockwise
@@ -153,18 +191,24 @@ _CASES = {
 }
 
 
-def _crossing(i, j, edge, corners):
+def _crossing(i, j, edge, zero):
     # the case table only asks about edges whose effective signs differ, so
-    # at most one endpoint is zero; the crossing snaps to an exact-zero node
-    # and sits at the edge midpoint otherwise.  In doubled grid units a node
-    # is twice its index and a midpoint the sum of the edge's two corners.
+    # at most one endpoint is zero (a set bit of ``zero``); the crossing snaps
+    # to that node and sits at the edge midpoint otherwise.  In doubled grid
+    # units a node is twice its index and a midpoint the sum of its corners.
     a, b = edge
     (ai, aj), (bi, bj) = _CORNERS[a], _CORNERS[b]
-    if corners[a] == 0:
+    if zero >> a & 1:
         return (2 * (i + ai), 2 * (j + aj))
-    if corners[b] == 0:
+    if zero >> b & 1:
         return (2 * (i + bi), 2 * (j + bj))
     return (2 * i + ai + bi, 2 * j + aj + bj)
+
+
+def _corners(below: int, above: int, i: int) -> int:
+    """Cell i's corner bits in ``_CORNERS`` order, from the two rows' masks."""
+    quad = below >> i & 3 | (above >> i & 3) << 2
+    return quad & 3 | (quad & 4) << 1 | (quad & 8) >> 1
 
 
 def contour_segments(grid: SignGrid):
@@ -175,24 +219,24 @@ def contour_segments(grid: SignGrid):
     side (the documented tie rule) with crossings snapped onto them, saddle
     cells are always split around the positive corners, and cells are
     scanned bottom row first, so the output order and the segments
-    themselves are deterministic.
+    themselves are deterministic.  Only the crossed cells of a row pair are
+    visited, read off a mask of sign changes.
     """
-    w = grid.window
-    v = grid.values
+    cells = (1 << grid.window.nx) - 1
+    rows = [(nonneg, nonneg & ~positive) for nonneg, positive in grid.rows]
     segments = []
-    for j in range(w.nlambda):
-        for i in range(w.nx):
-            corners = (v[i][j], v[i + 1][j], v[i + 1][j + 1], v[i][j + 1])
-            index = 0
-            for bit, value in enumerate(corners):
-                if value >= 0:
-                    index |= 1 << bit
-            for edge_a, edge_b in _CASES[index]:
-                a = _crossing(i, j, edge_a, corners)
-                b = _crossing(i, j, edge_b, corners)
-                if a == b:
-                    continue
-                segments.append((a, b) if a <= b else (b, a))
+    for j, ((below, zero_below), (above, zero_above)) in enumerate(zip(rows, rows[1:])):
+        # bottom, top and left edges; the right one never changes alone in a cell
+        crossed = (below ^ below >> 1 | above ^ above >> 1 | below ^ above) & cells
+        while crossed:
+            i = (crossed & -crossed).bit_length() - 1
+            crossed &= crossed - 1
+            zero = _corners(zero_below, zero_above, i)
+            for edge_a, edge_b in _CASES[_corners(below, above, i)]:
+                a = _crossing(i, j, edge_a, zero)
+                b = _crossing(i, j, edge_b, zero)
+                if a != b:
+                    segments.append((a, b) if a <= b else (b, a))
     return segments
 
 
@@ -221,21 +265,17 @@ def _half(doubled: int) -> str:
 
 def _shade_rects(shade: SignGrid):
     """Per-row runs of cells whose four corners are all strictly positive."""
-    w = shade.window
-    v = shade.values
+    positive = [mask for _, mask in shade.rows]
     runs = []
-    for j in range(w.nlambda):
-        start = None
-        for i in range(w.nx):
-            shaded = (v[i][j] > 0 and v[i + 1][j] > 0
-                      and v[i + 1][j + 1] > 0 and v[i][j + 1] > 0)
-            if shaded and start is None:
-                start = i
-            if not shaded and start is not None:
-                runs.append((start, j, i - start))
-                start = None
-        if start is not None:
-            runs.append((start, j, w.nx - start))
+    for j, (below, above) in enumerate(zip(positive, positive[1:])):
+        cells = below & below >> 1 & above & above >> 1
+        while cells:
+            low = cells & -cells
+            start = low.bit_length() - 1
+            # adding the lowest set bit carries through its run of ones
+            stop = (cells + low & ~cells).bit_length() - 1
+            runs.append((start, j, stop - start))
+            cells &= cells + low
     return runs
 
 

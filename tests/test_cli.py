@@ -1,15 +1,22 @@
 """Command-line contract: exit codes, JSON output and file side effects."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from test_poly import poly_from_json
 
 from inflectionary.cli import OUTDIR_ENV, main
 from inflectionary.inflection import basic_inflection
-from inflectionary.poly import poly_from_json, poly_to_json
+from inflectionary.poly import poly_to_json
 from inflectionary.reports import FAIL, UNRESOLVED, CheckReport
 
 
@@ -243,6 +250,36 @@ class TestPlot:
                            "--out", str(target), "--nx", "4", "--nlambda", "4")
         assert code == 4
         assert err.startswith("error:")
+
+    # Edge values for every plot argument.  A run that would sample is capped
+    # at about 10^4 nodes; mu = 2 stops at k = 3, P(2, 3), to stay fast.
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(mu=st.sampled_from((0, 1, 2)), k=st.sampled_from((0, 1, 2, 3)),
+           nx=st.sampled_from((0, 1, 2, 4096, 4097)),
+           nlambda=st.sampled_from((0, 1, 2, 4096, 4097)),
+           window=st.sampled_from((None, "-1,3,-1,3", "-1/2,1/3,0,7/4", "1,1,0,1",
+                                   "0,1,2,-2", "0,1/0,0,1", "0.5,1,0,1", "0,1,0", "")),
+           missing_dir=st.booleans())
+    @example(mu=1, k=2, nx=4096, nlambda=2, window=None, missing_dir=False)
+    @example(mu=2, k=3, nx=2, nlambda=4096, window="-1/2,1/3,0,7/4", missing_dir=False)
+    @example(mu=1, k=0, nx=2, nlambda=2, window="-1,3,-1,3", missing_dir=True)
+    @example(mu=2, k=2, nx=4096, nlambda=2, window=None, missing_dir=False)
+    @example(mu=0, k=3, nx=2, nlambda=2, window=None, missing_dir=True)
+    def test_exit_code_contract(self, mu, k, nx, nlambda, window, missing_dir):
+        assume(min(nx, nlambda) < 2 or max(nx, nlambda) > 4096
+               or (nx + 1) * (nlambda + 1) <= 13_000)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = os.path.join(tmp, "missing", "p.svg") if missing_dir \
+                else os.path.join(tmp, "p.svg")
+            argv = ["plot", "--mu", str(mu), "--k", str(k), "--out", target,
+                    "--nx", str(nx), "--nlambda", str(nlambda)]
+            if window is not None:
+                argv += ["--window", window]
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3, 4)
+            # a nonzero exit leaves no file at --out; a zero one wrote it
+            assert os.path.exists(target) == (code == 0)
 
 
 class TestGenus:

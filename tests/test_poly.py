@@ -21,8 +21,6 @@ from inflectionary.poly import (
     as_fraction,
     divexact,
     parse_rational,
-    poly_from_json,
-    poly_from_json_dict,
     poly_to_json,
     poly_to_json_dict,
     substitute_polys,
@@ -218,6 +216,33 @@ class TestDivision:
     def test_divide_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             divexact(X, SparsePoly.zero(XL))
+
+
+# -- the JSON reader: the round-trip oracle of poly_to_json -------------------
+
+def poly_from_json_dict(data) -> SparsePoly:
+    if not isinstance(data, dict) or set(data) != {"vars", "terms"}:
+        raise ValueError("polynomial JSON needs exactly the keys 'vars' and 'terms'")
+    variables = data["vars"]
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise ValueError("'vars' must be a list of strings")
+    terms = {}
+    for item in data["terms"]:
+        if not isinstance(item, dict) or set(item) != {"e", "n", "d"}:
+            raise ValueError("each term needs exactly the keys 'e', 'n' and 'd'")
+        exps = tuple(int(e) for e in item["e"])
+        if exps in terms:
+            raise ValueError(f"duplicate exponent tuple {exps!r}")
+        num = int(str(item["n"]), 10)
+        den = int(str(item["d"]), 10)
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        terms[exps] = Fraction(num, den)
+    return SparsePoly(variables, terms)
+
+
+def poly_from_json(text: str) -> SparsePoly:
+    return poly_from_json_dict(json.loads(text))
 
 
 class TestJson:

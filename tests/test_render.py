@@ -1,7 +1,9 @@
 """Sign grids, marching squares and byte-deterministic SVG output."""
 
+import functools
 import io
 import math
+import operator
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -50,6 +52,16 @@ def lambda_at(w, j):
 def row(grid, j):
     """All signs along the lambda_j grid row, in ascending x order."""
     return [column[j] for column in grid.values]
+
+
+def grid_of(w, values):
+    """The SignGrid of per-node signs, ``values[i][j]`` at (x_i, lambda_j)."""
+    rows = []
+    for j in range(w.nlambda + 1):
+        signs = [column[j] for column in values]
+        rows.append((sum(1 << i for i, v in enumerate(signs) if v >= 0),
+                     sum(1 << i for i, v in enumerate(signs) if v > 0)))
+    return SignGrid(w, tuple(rows))
 
 
 def row_sign_changes(grid, j):
@@ -133,6 +145,21 @@ class TestSignGrid:
         with pytest.raises(ValueError):
             SignGrid(small_window(), ((1, 2, 1),) * 3)
 
+    def test_row_masks_validated(self):
+        w = small_window()
+        assert SignGrid(w, ((0b111, 0b101),) * 3).values == ((1,) * 3, (0,) * 3, (1,) * 3)
+        for bad in ((0b1000, 0), (-1, 0), (0b011, 0b100), (0b111, -1)):
+            with pytest.raises(ValueError):
+                SignGrid(w, (bad, (0, 0), (0, 0)))
+
+    def test_largest_sample_fits_its_slot(self):
+        # all coefficients positive: the top-right node attains the slot
+        # bound, and the scalings 2^m carry it across byte boundaries
+        base = (P_ONE + P_X + P_LAMBDA) ** 4 * P_X ** 4
+        w = Window(1, 2, 1, 2, 3, 2)
+        for m in range(24):
+            assert sample_sign_grid(2 ** m * base, w).values == ((1,) * 3,) * 4
+
 
 class TestRowSignChanges:
     def test_zero_counts_as_positive(self):
@@ -165,7 +192,7 @@ class TestContour:
         values = tuple(
             tuple(1 if (i + j) % 2 == 0 else -1 for j in range(3))
             for i in range(3))
-        grid = SignGrid(small_window(), values)
+        grid = grid_of(small_window(), values)
         segments = contour_segments(grid)
         # doubled grid units: every crossing is an edge midpoint
         assert segments == [
@@ -355,22 +382,93 @@ def windows(draw):
                   draw(RESOLUTIONS), draw(RESOLUTIONS))
 
 
+@st.composite
+def sign_grids(draw, widths=RESOLUTIONS, heights=RESOLUTIONS):
+    """(window, values) with per-node signs ``values[i][j]``.  Two cut points
+    drawn first set the shares of -1, 0 and +1, so long runs of one sign,
+    grids full of zeros and even mixtures all occur."""
+    nx, nlambda = draw(widths), draw(heights)
+    low, high = sorted((draw(st.integers(0, 10)), draw(st.integers(0, 10))))
+    size = (nx + 1) * (nlambda + 1)
+    digits = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+    signs = [-1 if d < low else 0 if d < high else 1 for d in digits]
+    values = tuple(tuple(signs[i * (nlambda + 1):(i + 1) * (nlambda + 1)]) for i in range(nx + 1))
+    return Window(0, 1, 0, 1, nx, nlambda), values
+
+
+# Pinned wide cases.  Degree 10 in x: the roots k/7 and 29/35 are nodes of
+# the 70-step ladder on [-1, 1] (29/35 is node 64, where a row mask crosses
+# 64 bits) and 59/70 lies between nodes 64 and 65; lambda = 1/2 is node 3.
+ROOTS_ON_NODES = functools.reduce(
+    operator.mul, [P_X - Fraction(k, 7) * P_ONE for k in range(-4, 5)],
+    (P_X - Fraction(29, 35) * P_ONE) * (P_X - Fraction(59, 70) * P_ONE)
+    * (P_LAMBDA - Fraction(1, 2) * P_ONE))
+ROOTS_WINDOW = Window(-1, 1, -1, 1, 70, 4)
+# degree 8 in x with coefficients of 90-bit numerators and denominators
+WIDE_COEFFICIENTS = SparsePoly(XL, {
+    (8, 2): Fraction(2 ** 90 + 1, 2 ** 90 - 3),
+    (3, 1): -Fraction(3 ** 57, 3 ** 57 + 2),
+    (0, 5): -Fraction(10 ** 30 + 7, 10 ** 31),
+    (1, 0): Fraction(5 ** 40 - 1, 5 ** 41),
+    (0, 0): -Fraction(1, 2 ** 89 + 1),
+})
+WIDE_WINDOW = Window(Fraction(-5, 3), Fraction(7, 2), Fraction(-2, 7), Fraction(9, 4), 65, 3)
+
+
 class TestIntegerPathsAgainstFractionOracle:
     @PROPERTY
     @given(bivariate_polys(), windows())
     @example(P_X * P_LAMBDA - P_ONE,
              Window(Fraction(-7, 3), Fraction(5, 3), Fraction(-9, 5), Fraction(-1, 7), 7, 4))
     @example(P_X * P_X - P_LAMBDA, Window(Fraction(-3, 2), Fraction(3, 2), -1, 2, 6, 3))
+    @example(ROOTS_ON_NODES, ROOTS_WINDOW)
+    @example(WIDE_COEFFICIENTS, WIDE_WINDOW)
     def test_sign_grid_matches(self, p, w):
         assert sample_sign_grid(p, w).values == oracle_sign_values(p, w)
 
     @PROPERTY
-    @given(st.data(), RESOLUTIONS, RESOLUTIONS)
-    def test_contour_is_doubled_fraction_contour(self, data, nx, nlambda):
-        column = st.tuples(*[st.sampled_from((-1, 0, 1))] * (nlambda + 1))
-        values = data.draw(st.tuples(*[column] * (nx + 1)))
-        segments = contour_segments(SignGrid(Window(0, 1, 0, 1, nx, nlambda), values))
+    @given(sign_grids())
+    @example((ROOTS_WINDOW, oracle_sign_values(ROOTS_ON_NODES, ROOTS_WINDOW)))
+    @example((WIDE_WINDOW, oracle_sign_values(WIDE_COEFFICIENTS, WIDE_WINDOW)))
+    def test_contour_is_doubled_fraction_contour(self, case):
+        w, values = case
+        segments = contour_segments(grid_of(w, values))
         expected = [tuple((2 * u, 2 * v) for u, v in seg)
-                    for seg in oracle_segments(values, nx, nlambda)]
+                    for seg in oracle_segments(values, w.nx, w.nlambda)]
         assert segments == expected
         assert all(type(c) is int for seg in segments for point in seg for c in point)
+
+
+# -- the cell-by-cell shading the row bitmasks replaced -------------------------
+
+def oracle_shade_rects(values, nx, nlambda):
+    """Per-row runs of cells whose four corners are all strictly positive."""
+    runs = []
+    for j in range(nlambda):
+        start = None
+        for i in range(nx):
+            shaded = (values[i][j] > 0 and values[i + 1][j] > 0
+                      and values[i + 1][j + 1] > 0 and values[i][j + 1] > 0)
+            if shaded and start is None:
+                start = i
+            if not shaded and start is not None:
+                runs.append((start, j, i - start))
+                start = None
+        if start is not None:
+            runs.append((start, j, nx - start))
+    return runs
+
+
+class TestBitmaskShadingAgainstCellOracle:
+    @PROPERTY
+    @given(sign_grids(widths=st.integers(2, 80), heights=st.integers(2, 5)))
+    @example((Window(0, 1, 0, 1, 80, 2), ((1,) * 3,) * 81))
+    # zeros at nodes 63 and 65 break the runs on either side of bit 64
+    @example((Window(0, 1, 0, 1, 80, 2),
+              tuple(((0,) if i in (63, 65) else (1,)) * 3 for i in range(81))))
+    @example((ROOTS_WINDOW, oracle_sign_values(-ROOTS_ON_NODES, ROOTS_WINDOW)))
+    def test_runs_match(self, case):
+        w, values = case
+        grid = grid_of(w, values)
+        assert grid.values == values
+        assert _shade_rects(grid) == oracle_shade_rects(values, w.nx, w.nlambda)
