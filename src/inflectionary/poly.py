@@ -412,39 +412,16 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
 
 
 def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:
-    """Exact polynomial division; raises ValueError if ``d`` does not divide ``p``.
-
-    A constant divisor scales the terms.  Any other divisor is divided out
-    by the schoolbook loop: each step cancels the remainder's leading term
-    in graded lexicographic order, so the loop ends, and it fails as soon
-    as that term is not a multiple of the divisor's leading term.
-    """
-    if not isinstance(d, SparsePoly):
-        d = SparsePoly.constant(p.vars, d)
+    """``p`` divided by the nonzero constant polynomial ``d``; a non-constant
+    divisor raises ValueError."""
     if d.vars != p.vars:
         raise ValueError(f"variable tuple mismatch: {p.vars!r} vs {d.vars!r}")
     if d.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if d.is_constant:
-        inv = 1 / d.constant_value()
-        return SparsePoly._raw(p.vars, {e: c * inv for e, c in p.terms.items()})
-    d_lead = max(d.terms, key=_grade_key)
-    remainder = dict(p.terms)
-    quotient = {}
-    while remainder:
-        r_lead = max(remainder, key=_grade_key)
-        shift = tuple(a - b for a, b in zip(r_lead, d_lead))
-        if min(shift) < 0:
-            raise ValueError("not an exact polynomial division")
-        c = quotient[shift] = remainder[r_lead] / d.terms[d_lead]
-        for e, dc in d.terms.items():
-            e = tuple(a + b for a, b in zip(shift, e))
-            rest = remainder.get(e, 0) - c * dc
-            if rest:
-                remainder[e] = rest
-            else:
-                del remainder[e]
-    return SparsePoly._raw(p.vars, quotient)
+    if not d.is_constant:
+        raise ValueError("divexact divides by constants only")
+    inv = 1 / d.constant_value()
+    return SparsePoly._raw(p.vars, {e: c * inv for e, c in p.terms.items()})
 
 
 # -- packed integers ----------------------------------------------------------

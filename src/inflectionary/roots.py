@@ -6,19 +6,19 @@ one form: a primitive integer list, the ascending coprime coefficients of a
 positive multiple of it.  ``_primitive`` clears denominators and content by
 positive factors, so every sign is kept.  There is one division, the
 integer pseudo-division ``_pseudo_divmod``, whose quotient and remainder are
-scaled by a positive power of the divisor's leading coefficient.  It gives
-the gcd and Sturm remainders, the exact quotients of ``squarefree_part`` and
-``repeated_part``, and deflation of a rational root a/b by b x - a.  An
-integer list is evaluated at a rational a/b (b > 0) by homogeneous Horner,
-sum c_i a^i b^(d-i), which has the sign of its value at a/b.
+scaled by a positive power of the divisor's leading coefficient, and one
+remainder sequence on it, ``_remainders``, which ends at the gcd and is the
+Sturm chain when its second list is the derivative of its first.  The same
+division gives p / gcd(p, p') and deflates a rational root a/b by b x - a.
+An integer list is evaluated at a rational a/b (b > 0) by homogeneous
+Horner, sum c_i a^i b^(d-i), which has the sign of its value at a/b.
 
 A :class:`RootIsolator` is built once per polynomial, e.g. one fiber of
-P(mu, k) at a fixed lambda, and owns that fiber's univariate work: the
-squarefree part, its chain and root bound serve isolation, rational
-certification and ``sign_at_root``, which signs q at all the fiber's roots
-in one call; ``repeated_part`` recovers gcd(p, p') from the squarefree part
-without a second gcd.  ``deflate`` splits a rational root off with its
-multiplicity.
+P(mu, k) at a fixed lambda, and owns that fiber's univariate work: p's
+chain ends at gcd(p, p'), its ``repeated_part``; the squarefree part's
+chain and root bound serve isolation, rational certification and
+``sign_at_root``, which signs q at all the fiber's roots in one call.
+``deflate`` splits a rational root off with its multiplicity.
 """
 
 from __future__ import annotations
@@ -109,14 +109,25 @@ def _exact_quotient(a, b):
     return _positive(q)
 
 
+def _remainders(a, b):
+    """The primitive lists a, b, then the negated pseudo-remainder of the two
+    before, up to the last nonzero one, a multiple of gcd(a, b); a != [] and
+    deg a >= deg b."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        if _degree(b) < 1:
+            break
+        b = _primitive([-v for v in _pseudo_divmod(seq[-2], b)[1]])
+    return seq
+
+
 def _gcd_lists(a, b):
     """The primitive gcd, leading coefficient positive, of the primitive
-    lists ``a`` != [] and ``b``, by the primitive pseudo-remainder sequence."""
+    lists ``a`` != [] and ``b``."""
     if _degree(a) < _degree(b):
         a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return _positive(a)
+    return _positive(_remainders(a, b)[-1])
 
 
 def _powers(base, n):
@@ -186,7 +197,8 @@ def deflate(p: SparsePoly, r):
 # -- Sturm chains -------------------------------------------------------------
 
 class SturmChain:
-    """Sturm remainder chain of a nonzero primitive integer list.
+    """Sturm chain: the remainder sequence of a nonzero primitive list and
+    its derivative.
 
     Element i is a coprime integer coefficient list that is a positive
     multiple of the standard element: the input, its derivative, then the
@@ -197,14 +209,7 @@ class SturmChain:
 
     def __init__(self, var, c):
         self.var = var
-        chain = [c]
-        nxt = _primitive(_derive(c))
-        while nxt:
-            chain.append(nxt)
-            if _degree(nxt) < 1:
-                break
-            nxt = _primitive([-v for v in _pseudo_divmod(chain[-2], nxt)[1]])
-        self._chain = chain
+        self._chain = _remainders(c, _primitive(_derive(c)))
 
     @property
     def polys(self):
@@ -243,27 +248,29 @@ class IsolatingInterval:
 class RootIsolator:
     """Isolates, signs and certifies the real roots of one polynomial.
 
-    The squarefree part, its Sturm chain and its Cauchy root bound
-    1 + max |c_i| / c_n are built once and reused by every query,
-    ``repeated_part``, ``sign_at_root`` and ``certified_rational_roots``
-    included; multiple roots of the input are counted once and endpoint
-    degeneracies cannot occur.  Each bisection carries the variation counts
-    of the endpoints it already knows, so a step evaluates the chain only at
-    the new midpoint.
+    p's chain ends at ``shared`` = gcd(p, p'); only a non-constant
+    ``shared`` makes the squarefree part p / shared a chain of its own.
+    That chain and the part's Cauchy bound 1 + max |c_i| / c_n serve every
+    query, so multiple roots count once and endpoints never degenerate.  A
+    bisection step, ``_halve``, evaluates the chain only at the midpoint.
     """
 
     def __init__(self, p: SparsePoly):
         if p.is_zero:
             raise ValueError("cannot isolate roots of the zero polynomial")
-        name, self.coeffs = _ints(p)
-        self.reduced = squarefree_part(self.coeffs)
-        self.chain = SturmChain(name, self.reduced)
+        name, coeffs = _ints(p)
+        self.chain = SturmChain(name, _positive(coeffs))
+        self.shared = _positive(self.chain._chain[-1])
+        self.reduced = self.chain._chain[0]
+        if _degree(self.shared) >= 1:
+            self.reduced = _exact_quotient(coeffs, self.shared)
+            self.chain = SturmChain(name, self.reduced)
         self.bound = 1 + Fraction(max(map(abs, self.reduced[:-1]), default=0),
                                   self.reduced[-1])
 
     def repeated_part(self) -> SparsePoly:
-        """The monic gcd(p, p'), recovered as p divided by its squarefree part."""
-        return _poly(self.chain.var, _exact_quotient(self.coeffs, self.reduced))
+        """The monic gcd(p, p'), the last element of p's own chain."""
+        return _poly(self.chain.var, self.shared)
 
     def isolate(self):
         """Disjoint isolating intervals, in ascending order of the roots."""
@@ -295,16 +302,14 @@ class RootIsolator:
             raise ValueError("interval does not isolate a root of this polynomial")
         return vlo, vhi
 
-    def _shrink(self, lo, vlo, hi, vhi, width):
-        """Bisect (lo, hi], which holds one root, until hi - lo <= width."""
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            vmid = self.chain.variations_at(mid)
-            if vlo - vmid == 1:
-                hi, vhi = mid, vmid
-            else:
-                lo, vlo = mid, vmid
-        return lo, vlo, hi, vhi
+    def _halve(self, lo, vlo, hi, vhi):
+        """The half of (lo, hi], which holds one root, that holds it, with
+        the variation counts at its endpoints."""
+        mid = (lo + hi) / 2
+        vmid = self.chain.variations_at(mid)
+        if vlo - vmid == 1:
+            return lo, vlo, mid, vmid
+        return mid, vmid, hi, vhi
 
 
 def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
@@ -313,11 +318,11 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
 
     gcd(p, q), its chain and the chain of q's squarefree part are built once
     for all the intervals.  A zero sign is certified through gcd(p, q);
-    otherwise the interval is refined with iso's chain until q provably has
+    otherwise the interval is halved with iso's chain until q provably has
     no root inside, making its sign constant.
     """
     intervals = list(intervals)
-    counts = [iso._isolating_variations(iv)[0] for iv in intervals]
+    counts = [iso._isolating_variations(iv) for iv in intervals]
     if q.is_zero:
         return [0] * len(intervals)
     name = iso.chain.var
@@ -326,25 +331,24 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
         raise ValueError(f"variable mismatch: {name!r} vs {qname!r}")
     if _degree(qc) < 1:
         return [1 if qc[0] > 0 else -1] * len(intervals)
-    shared = _gcd_lists(iso.reduced, qc)
-    shared_chain = SturmChain(name, shared) if _degree(shared) >= 1 else None
+    common = _gcd_lists(iso.reduced, qc)
+    common_chain = SturmChain(name, common) if _degree(common) >= 1 else None
     qchain = SturmChain(name, squarefree_part(qc))
     signs = []
-    for iv, vlo in zip(intervals, counts):
+    for iv, (vlo, vhi) in zip(intervals, counts):
         lo, hi = iv.lo, iv.hi
-        if (shared_chain is not None
-                and shared_chain.variations_at(lo) - shared_chain.variations_at(hi) == 1):
+        if (common_chain is not None
+                and common_chain.variations_at(lo) - common_chain.variations_at(hi) == 1):
             signs.append(0)
             continue
         qlo, qhi = qchain.variations_at(lo), qchain.variations_at(hi)
         while qlo != qhi:
-            mid = (lo + hi) / 2
-            vmid = iso.chain.variations_at(mid)
-            qmid = qchain.variations_at(mid)
-            if vlo - vmid == 1:
-                hi, qhi = mid, qmid
+            half = iso._halve(lo, vlo, hi, vhi)
+            if half[0] == lo:
+                qhi = qchain.variations_at(half[2])
             else:
-                lo, vlo, qlo = mid, vmid, qmid
+                qlo = qchain.variations_at(half[0])
+            lo, vlo, hi, vhi = half
         # q has no root in (lo, hi], so q(hi) is nonzero
         signs.append(_sign_at(qc, hi))
     return signs
@@ -384,19 +388,17 @@ def certified_rational_roots(p: SparsePoly):
     rationals = []
     unresolved = []
     for iv in iso.isolate():
-        found = None
         lo, hi = iv.lo, iv.hi
         vlo, vhi = iso._isolating_variations(iv)
         width = Fraction(1, MAX_DENOMINATOR ** 2)
         for _ in range(4):
-            lo, vlo, hi, vhi = iso._shrink(lo, vlo, hi, vhi, width)
+            while hi - lo > width:
+                lo, vlo, hi, vhi = iso._halve(lo, vlo, hi, vhi)
             cand = simplest_rational_between(lo, hi)
             if lo < cand <= hi and not _sign_at(iso.reduced, cand):
-                found = cand
+                rationals.append(cand)
                 break
             width /= 2 ** 8
-        if found is not None:
-            rationals.append(found)
         else:
             unresolved.append(IsolatingInterval(lo, hi))
     return rationals, unresolved

@@ -296,7 +296,65 @@ class TestGenus:
         assert "negative" in err
 
 
+# Argv for every subcommand but plot, which has its own property.  k stays in
+# -1..4 and mu in -1..2, where every census takes milliseconds.
+_FLAG_VALUES = {
+    "--mu": tuple(map(str, range(-1, 3))),
+    "--k": tuple(map(str, range(-1, 5))),
+    "--k-max": tuple(map(str, range(-1, 5))),
+    "--lambda": ("0", "1", "-1", "1/2", "0.5", "1/0", ""),
+    "--lambda-grid": ("0", "1", "0,1", "1,0,1", "-1,0,1/2"),
+    "--format": ("json", "text"),
+}
+# subcommand -> (flags it requires, flags it may take)
+_FAMILY = {
+    "compute": (("--mu", "--k"), ("--format",)),
+    "verify": ((), ("--k", "--k-max", "--mu", "--lambda")),
+    "roots": (("--mu", "--k", "--lambda"), ()),
+    "scan": (("--mu", "--k"), ("--lambda-grid",)),
+    "genus": (("--k",), ()),
+}
+_OUTSIDE = (("--nx", "4"), ("--format", "text"), ("--lambda", "1/2"), ("--bogus",))
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(_FAMILY)))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(
+            ("symmetry", "support", "faces", "lemma1", "torsion", "singular"))))
+    required, optional = _FAMILY[command]
+    for flag in required + optional:
+        # a required flag is left out one time in six, an optional one is
+        # given one time in three
+        if draw(st.integers(0, 5)) < (5 if flag in required else 2):
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    if not draw(st.integers(0, 5)):
+        argv += draw(st.sampled_from(_OUTSIDE))
+    return argv
+
+
 class TestTopLevel:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cli_argvs())
+    @example(["verify", "faces", "--k", "2", "--k-max", "3"])
+    @example(["verify", "faces", "--k", "-1"])
+    @example(["verify", "torsion", "--lambda", "1/0"])
+    @example(["verify", "lemma1", "--mu", "2", "--k", "4", "--lambda", "1/2"])
+    @example(["roots", "--mu", "1", "--k", "2", "--lambda", "0.5"])
+    @example(["scan", "--mu", "2", "--k", "4", "--lambda-grid", "1,0,1"])
+    @example(["compute", "--mu", "-1", "--k", "4", "--format", "text"])
+    @example(["genus", "--k", "0", "--bogus"])
+    def test_exit_code_contract(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3, 4)
+        # a usage error or a violated precondition prints no result
+        if code in (2, 3):
+            assert out.getvalue() == ""
+
     def test_no_subcommand_is_exit_2(self, capsys):
         code, _, err = run(capsys)
         assert code == 2

@@ -1,9 +1,10 @@
-"""Source hygiene: no unused import and no uncalled private helper in ``src/``.
+"""Source hygiene: no unused import, no uncalled private helper and no
+unread public name in ``src/``.
 
 A prune that removes the last use of an imported name, or the last caller
-of a private helper, leaves dead code that no behavioural test notices.
-These checks read the package's modules with ``ast``, so they need no
-linter.
+of a helper, leaves dead code that no behavioural test notices.  A public
+name also counts as read when an acceptance criterion reads it.  These
+checks read the modules with ``ast``, so they need no linter.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "inflectionary"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def _imported(tree):
@@ -47,6 +49,25 @@ def _private_definitions(tree):
             yield node
 
 
+def _public_definitions(tree):
+    """``(name, node)`` for each public function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def _read_elsewhere(name, definition):
+    return any(name in _referenced(node) for tree in TREES.values()
+               for node in tree.body if node is not definition)
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_import_is_used(module):
     tree = TREES[module]
@@ -57,15 +78,21 @@ def test_every_import_is_used(module):
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_private_helper_is_referenced(module):
     # references from a helper's own body (recursion) do not count
-    unreferenced = []
-    for definition in _private_definitions(TREES[module]):
-        if not any(definition.name in _referenced(node)
-                   for tree in TREES.values() for node in tree.body
-                   if node is not definition):
-            unreferenced.append(definition.name)
+    unreferenced = [definition.name for definition in _private_definitions(TREES[module])
+                    if not _read_elsewhere(definition.name, definition)]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_public_name_is_read(module):
+    # read in src/ outside its own definition, or by an acceptance criterion
+    criteria = _referenced(ast.parse(ACCEPTANCE.read_text()))
+    unread = [name for name, definition in _public_definitions(TREES[module])
+              if not _read_elsewhere(name, definition) and name not in criteria]
+    assert unread == []
 
 
 def test_the_checks_see_the_package():
     assert {"poly.py", "inflection.py", "cli.py"} <= set(TREES)
     assert any(_private_definitions(TREES["poly.py"]))
+    assert "MAX_DENOMINATOR" in dict(_public_definitions(TREES["roots.py"]))

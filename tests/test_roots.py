@@ -93,6 +93,26 @@ class TestSquarefreeAndMultiplicity:
         assert RootIsolator(p).repeated_part() == from_roots(Fraction(1, 2), 3, 3)
         assert RootIsolator(from_roots(2, -2)).repeated_part() == ONE
 
+    def test_one_remainder_sequence_per_squarefree_fiber(self, monkeypatch):
+        # p's own chain ends at gcd(p, p'); only a repeated factor makes a
+        # second sequence, the chain of the squarefree part
+        runs = []
+        sequence = roots._remainders
+
+        def spy(a, b):
+            runs.append(a)
+            return sequence(a, b)
+
+        monkeypatch.setattr(roots, "_remainders", spy)
+        iso = RootIsolator(-3 * from_roots(0, 2, Fraction(1, 3)))
+        assert len(runs) == 1
+        assert iso.repeated_part() == ONE
+        runs.clear()
+        iso = RootIsolator(from_roots(1, 1, -2))
+        assert len(runs) == 2
+        assert runs[1] == iso.reduced == to_ints(from_roots(1, -2))
+        assert [(iv.lo, iv.hi) for iv in iso.isolate()] == [(-3, 0), (0, 3)]
+
     def test_inexact_division_is_an_internal_fault(self):
         with pytest.raises(RuntimeError, match="internal fault"):
             roots._exact_quotient([1, 0, 1], [-1, 1])

@@ -5,7 +5,7 @@ element the negated remainder of the two before it.  It is slow and its
 coefficients swell, but it is obviously right, so it serves as the oracle
 for the primitive integer chain in ``inflectionary.roots``.  The sparse
 routes the integer lists replaced are oracles too: the squarefree part by
-``gcd_univariate`` and ``divexact``, and the Cauchy bound over the monic
+``gcd_univariate`` and ``oracle_divexact``, and the Cauchy bound over the monic
 coefficient list.
 """
 
@@ -14,9 +14,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_poly import oracle_divexact
 
 from inflectionary import roots
-from inflectionary.poly import SparsePoly, divexact
+from inflectionary.poly import SparsePoly
 from inflectionary.roots import (
     RootIsolator,
     SturmChain,
@@ -83,7 +84,7 @@ def _monic(p: SparsePoly) -> SparsePoly:
 
 def oracle_squarefree_part(p: SparsePoly) -> SparsePoly:
     """The monic radical p / gcd(p, p') by the sparse exact division."""
-    return _monic(divexact(p, gcd_univariate(p, p.derivative("t"))))
+    return _monic(oracle_divexact(p, gcd_univariate(p, p.derivative("t"))))
 
 
 def oracle_cauchy_bound(p: SparsePoly) -> Fraction:
@@ -177,8 +178,14 @@ def test_elements_are_positive_multiples_of_the_standard_chain(p):
         assert [v * scale for v in exact] == ints
 
 
+# repeated roots: an irrational pair, and double roots at 0 and 1
+REPEATED = ((T * T - 2) ** 2 * (T + 1), (T * (T - 1)) ** 2)
+
+
 @PROPERTY
 @given(any_polys)
+@example(REPEATED[0])
+@example(REPEATED[1])
 def test_isolate_matches_the_oracle(p):
     got = [(iv.lo, iv.hi) for iv in RootIsolator(p).isolate()]
     assert got == oracle_isolate(p)
@@ -240,6 +247,8 @@ def test_squarefree_list_is_a_positive_multiple_of_the_oracle(p):
 
 @PROPERTY
 @given(any_polys)
+@example(REPEATED[0])
+@example(REPEATED[1])
 def test_isolator_bound_and_repeated_part_match_the_oracles(p):
     iso = RootIsolator(p)
     assert iso.bound == oracle_cauchy_bound(oracle_squarefree_part(p))
