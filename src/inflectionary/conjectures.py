@@ -298,7 +298,10 @@ class RootCensus:
 
 def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     """Isolate the distinct real roots at one lambda and classify each one
-    by the exact sign of f there."""
+    by the exact sign of f there.  A root r in {0, 1} of p of multiplicity
+    m >= 1 is one of gcd(p, p') of multiplicity m - 1, so ``roots_at_01[r]``
+    is the gcd's multiplicity plus one when p(r), the constant coefficient
+    or the coefficient sum, is zero."""
     p = inflection_fiber(mu, k, lambda0)
     lambda0 = as_fraction(lambda0)
     mu = int(mu)
@@ -307,12 +310,13 @@ def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     iso = RootIsolator(p)
     intervals = iso.isolate()
     positive = sum(1 for sign in sign_at_root(f_here, iso, intervals) if sign > 0)
-    separable, _ = _separability(iso.repeated_part())
+    separable, details = _separability(iso.repeated_part())
     return RootCensus(
         mu=mu, k=k, lambda0=lambda0,
         total_real_roots=len(intervals),
         roots_f_positive=positive,
-        roots_at_01={0: deflate(p, 0)[0], 1: deflate(p, 1)[0]},
+        roots_at_01={0: details["mult_at_0"] + (not p.coefficient((0,))),
+                     1: details["mult_at_1"] + (not sum(p.terms.values()))},
         separable_away_from_01=separable,
         intervals=intervals,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import SparsePoly, _pack, _slot_width, _unpack
+from .poly import SparsePoly, _cleared, _pack, _slot_width, _unpack
 
 
 def _check_square(rows):
@@ -46,21 +46,14 @@ def det_polymatrix(rows) -> SparsePoly:
     """
     _, variables = _check_square(rows)
     radices = _degree_box(rows)
-    cleared = []
-    bound = 1
-    den = 1
-    for r in rows:
-        row_den = math.lcm(*(c.denominator for entry in r for c in entry.terms.values()))
-        row = [{e: c.numerator * (row_den // c.denominator) for e, c in entry.terms.items()}
-               for entry in r]
-        bound *= sum(abs(c) for ints in row for c in ints.values())
-        den *= row_den
-        cleared.append(row)
+    cleared = [_cleared(r) for r in rows]
+    bound = math.prod(sum(abs(c) for ints in row for c in ints.values()) for row, _ in cleared)
     if not bound:
         return SparsePoly.zero(variables)  # a zero row
     width = _slot_width(bound)
-    det = _bareiss([[_pack(ints, radices, width) for ints in row] for row in cleared])
+    det = _bareiss([[_pack(ints, radices, width) for ints in row] for row, _ in cleared])
     terms = _unpack(det, radices, width) if det else {}
+    den = math.prod(row_den for _, row_den in cleared)
     return SparsePoly._raw(variables, {e: Fraction(c, den) for e, c in terms.items()})
 
 

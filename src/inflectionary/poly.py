@@ -431,10 +431,16 @@ def _degrees(terms):
     return [max(column) for column in zip(*terms)]
 
 
-def _cleared(p: SparsePoly):
-    """Integer terms of ``den * p`` and the least common denominator ``den``."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+def _cleared(polys):
+    """Integer terms of each ``den * p`` and the polys' least common denominator ``den``."""
+    den = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+            for p in polys], den
+
+
+def _repeat(digit: int, width: int, n: int) -> int:
+    """The packed constant with ``digit`` in each of n slots of ``width`` bytes."""
+    return int.from_bytes(digit.to_bytes(width, "little") * n, "little")
 
 
 def _slot_width(bound: int) -> int:
@@ -473,8 +479,7 @@ def _unpack(value: int, radices, width: int):
     """
     slots = math.prod(radices)
     half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-    digits = (value + bias).to_bytes(slots * width, "little")
+    digits = (value + _repeat(half, width, slots)).to_bytes(slots * width, "little")
     terms = {}
     for slot in range(slots):
         c = int.from_bytes(digits[slot * width:(slot + 1) * width], "little") - half
@@ -494,8 +499,8 @@ def _packed_product(a: SparsePoly, b: SparsePoly, radices):
     Every product coefficient is at most max|A| * ||B||_1 for the cleared
     integer operands A and B, and ``radices`` bound its exponents.
     """
-    a_ints, a_den = _cleared(a)
-    b_ints, b_den = _cleared(b)
+    (a_ints,), a_den = _cleared([a])
+    (b_ints,), b_den = _cleared([b])
     a_abs = [abs(c) for c in a_ints.values()]
     b_abs = [abs(c) for c in b_ints.values()]
     width = _slot_width(min(max(a_abs) * sum(b_abs), max(b_abs) * sum(a_abs)))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .inflection import legendre_f
-from .poly import VAR_LAMBDA, VAR_X, SparsePoly, _pack, _slot_width, as_fraction, poly_to_json
+from .poly import (VAR_LAMBDA, VAR_X, SparsePoly, _cleared, _pack, _repeat, _slot_width,
+                   as_fraction, poly_to_json)
 
 # Exact-zero samples count as positive everywhere: in sign-change counts,
 # in cell shading and in the marching-squares case index.
@@ -136,13 +137,12 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     c0, c_step, c_den = _ladder(w.lambda_min, w.lambda_max, w.nlambda)
     deg_x = max((t for t, _ in p.terms), default=0)
     deg_l = max((s for _, s in p.terms), default=0)
-    clear = math.lcm(*(c.denominator for c in p.terms.values()))
+    (ints,), _ = _cleared([p])
     # table[deg_x - t][deg_l - s] is the scaled coefficient of x^t lambda^s:
     # both axes in descending powers, ready for Horner
     table = [[0] * (deg_l + 1) for _ in range(deg_x + 1)]
-    for (t, s), c in p.terms.items():
-        table[deg_x - t][deg_l - s] = (c.numerator * (clear // c.denominator)
-                                       * a_den ** (deg_x - t) * c_den ** (deg_l - s))
+    for (t, s), c in ints.items():
+        table[deg_x - t][deg_l - s] = c * a_den ** (deg_x - t) * c_den ** (deg_l - s)
     n = w.nx + 1
     a_max = max(abs(a0), abs(a0 + w.nx * a_step))
     c_max = max(abs(c0), abs(c0 + w.nlambda * c_step))
@@ -159,8 +159,8 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
             packed = [acc + c * slots for acc, c in zip(packed, row)]
         powers = list(map(int.__mul__, powers, xs))
     # bias every slot by half a slot through the constant term of Horner
-    packed[-1] += int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
-    ones = int.from_bytes((1).to_bytes(width, "little") * n, "little")
+    packed[-1] += _repeat(1 << (8 * width - 1), width, n)
+    ones = _repeat(1, width, n)
     rows = []
     for j in range(w.nlambda + 1):
         c = c0 + j * c_step

@@ -17,8 +17,10 @@ A :class:`RootIsolator` is built once per polynomial, e.g. one fiber of
 P(mu, k) at a fixed lambda, and owns that fiber's univariate work: p's
 chain ends at gcd(p, p'), its ``repeated_part``; the squarefree part's
 chain and root bound serve isolation, rational certification and
-``sign_at_root``, which signs q at all the fiber's roots in one call.
-``deflate`` splits a rational root off with its multiplicity.
+``sign_at_root``, which signs q at all the fiber's roots in one call.  An
+isolating interval carries the chain's variation counts at its ends, so
+later bisection evaluates the chain only at new midpoints.  ``deflate``
+splits a rational root off with its multiplicity.
 """
 
 from __future__ import annotations
@@ -236,10 +238,13 @@ class SturmChain:
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Half-open rational interval (lo, hi] isolating one real root."""
+    """Half-open rational interval (lo, hi] isolating one real root; ``vlo``
+    = ``vhi`` + 1 count the isolator chain's variations at lo and hi."""
 
     lo: Fraction
     hi: Fraction
+    vlo: int
+    vhi: int
 
     def to_json_dict(self):
         return {"lo": str(self.lo), "hi": str(self.hi)}
@@ -285,7 +290,7 @@ class RootIsolator:
             if n == 0:
                 continue
             if n == 1:
-                out.append(IsolatingInterval(lo, hi))
+                out.append(IsolatingInterval(lo, hi, vlo, vhi))
                 continue
             mid = (lo + hi) / 2
             vmid = variations(mid)
@@ -293,14 +298,6 @@ class RootIsolator:
             stack.append((lo, vlo, mid, vmid))
         out.sort(key=lambda iv: iv.lo)
         return out
-
-    def _isolating_variations(self, iv: IsolatingInterval):
-        """Variation counts at the endpoints of ``iv``, which must hold one root."""
-        vlo = self.chain.variations_at(iv.lo)
-        vhi = self.chain.variations_at(iv.hi)
-        if vlo - vhi != 1:
-            raise ValueError("interval does not isolate a root of this polynomial")
-        return vlo, vhi
 
     def _halve(self, lo, vlo, hi, vhi):
         """The half of (lo, hi], which holds one root, that holds it, with
@@ -316,13 +313,16 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
     """Exact signs of q at the roots of ``iso``'s polynomial p isolated by
     ``intervals``, one sign per interval.
 
-    gcd(p, q), its chain and the chain of q's squarefree part are built once
-    for all the intervals.  A zero sign is certified through gcd(p, q);
-    otherwise the interval is halved with iso's chain until q provably has
-    no root inside, making its sign constant.
+    The intervals carry iso's variation counts, as ``iso.isolate()`` gives
+    them; counts that do not differ by one raise ValueError.  gcd(p, q), its
+    chain and the chain of q's squarefree part are built once for all the
+    intervals.  A zero sign is certified through gcd(p, q); otherwise the
+    interval is halved with iso's chain until q provably has no root
+    inside, making its sign constant.
     """
     intervals = list(intervals)
-    counts = [iso._isolating_variations(iv) for iv in intervals]
+    if any(iv.vlo - iv.vhi != 1 for iv in intervals):
+        raise ValueError("interval does not isolate a root of this polynomial")
     if q.is_zero:
         return [0] * len(intervals)
     name = iso.chain.var
@@ -335,8 +335,8 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
     common_chain = SturmChain(name, common) if _degree(common) >= 1 else None
     qchain = SturmChain(name, squarefree_part(qc))
     signs = []
-    for iv, (vlo, vhi) in zip(intervals, counts):
-        lo, hi = iv.lo, iv.hi
+    for iv in intervals:
+        lo, vlo, hi, vhi = iv.lo, iv.vlo, iv.hi, iv.vhi
         if (common_chain is not None
                 and common_chain.variations_at(lo) - common_chain.variations_at(hi) == 1):
             signs.append(0)
@@ -380,16 +380,13 @@ def certified_rational_roots(p: SparsePoly):
     Returns ``(rationals, unresolved)`` where ``rationals`` are certified
     exact roots and ``unresolved`` are isolating intervals whose root could
     not be recognized as a rational of denominator <= MAX_DENOMINATOR.  No
-    root is ever dropped.
+    root is ever dropped.  A zero ``p`` raises ValueError.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
     iso = RootIsolator(p)
     rationals = []
     unresolved = []
     for iv in iso.isolate():
-        lo, hi = iv.lo, iv.hi
-        vlo, vhi = iso._isolating_variations(iv)
+        lo, vlo, hi, vhi = iv.lo, iv.vlo, iv.hi, iv.vhi
         width = Fraction(1, MAX_DENOMINATOR ** 2)
         for _ in range(4):
             while hi - lo > width:
@@ -400,5 +397,5 @@ def certified_rational_roots(p: SparsePoly):
                 break
             width /= 2 ** 8
         else:
-            unresolved.append(IsolatingInterval(lo, hi))
+            unresolved.append(IsolatingInterval(lo, hi, vlo, vhi))
     return rationals, unresolved

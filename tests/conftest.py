@@ -1,0 +1,34 @@
+"""A time bound on every test.
+
+A regression that makes a loop run forever (a bisection that never narrows,
+a remainder sequence that never shrinks) should stop the suite with the
+stuck test's traceback, not hang it.  ``faulthandler`` dumps every thread's
+stack and exits the process once the bound passes; an exception raised
+from a signal handler would not do, since ``hypothesis`` would catch it and
+run the hanging example again while shrinking.  The slowest test takes a
+few seconds, far inside the bound.
+"""
+
+import faulthandler
+import os
+
+import pytest
+
+TEST_TIME_BOUND_S = 60
+
+_stderr_fd = None
+
+
+def pytest_configure(config):
+    # pytest captures fd 2 while a test runs and drops the capture when the
+    # process exits, so the dump goes to a copy of the real stderr, taken
+    # here while capturing is off
+    global _stderr_fd
+    _stderr_fd = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def _time_bound():
+    faulthandler.dump_traceback_later(TEST_TIME_BOUND_S, exit=True, file=_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()

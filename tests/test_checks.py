@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from inflectionary import conjectures
 from inflectionary.conjectures import (
     DEFAULT_LAMBDA_GRID,
     _affine_singular_candidates,
@@ -34,7 +35,7 @@ from inflectionary.inflection import (
 from inflectionary.matrices import det_polymatrix
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json, substitute_polys
 from inflectionary.reports import FAIL, OUT_OF_RANGE, PASS, CheckReport, jsonable
-from inflectionary.roots import MAX_DENOMINATOR, RootIsolator, SturmChain
+from inflectionary.roots import MAX_DENOMINATOR, RootIsolator, SturmChain, deflate
 
 XL = (VAR_X, VAR_LAMBDA)
 X = SparsePoly.variable(XL, VAR_X)
@@ -262,6 +263,29 @@ class TestRootCensus:
         assert built.count(f_here) == 1
         # the isolator's chain and f's: gcd(p, f) is constant here
         assert len(built) == 2
+
+    @pytest.mark.parametrize("roots_, factor", [
+        ((0, 0, 1, 1, 1), -2),  # x^2 (x - 1)^3 (x^2 - 2)
+        ((1,), 1),              # (x - 1)(x^2 + 1)
+        ((0, 0, 0), 3),         # x^3 (x^2 + 3)
+        ((2, 2, -3), -5),       # no root at 0 or 1
+    ])
+    def test_roots_at_01_match_deflation(self, monkeypatch, roots_, factor):
+        x = SparsePoly.variable((VAR_X,), VAR_X)
+        p = x * x + factor
+        for r in roots_:
+            p = p * (x - r)
+        monkeypatch.setattr(conjectures, "inflection_fiber", lambda mu, k, lambda0: p)
+        census = real_root_census(1, 2, 2)
+        assert census.roots_at_01 == {r: deflate(p, r)[0] for r in (0, 1)}
+        assert all(type(m) is int for m in census.roots_at_01.values())
+
+    def test_census_deflates_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(conjectures, "deflate", lambda *a: calls.append(a) or deflate(*a))
+        census = real_root_census(1, 4, Fraction(-3, 2))
+        assert census.roots_at_01 == {0: 0, 1: 0}
+        assert calls == []
 
 
 class TestScan:

@@ -208,9 +208,26 @@ class TestSignAtRoot:
 
     def test_rejects_a_non_isolating_interval(self):
         iso = RootIsolator(from_roots(1, 2))
-        whole = IsolatingInterval(Fraction(0), Fraction(3))
+        # (0, 3] holds both roots: the chain's own counts there differ by two
+        whole = IsolatingInterval(Fraction(0), Fraction(3),
+                                  iso.chain.variations_at(0), iso.chain.variations_at(3))
         with pytest.raises(ValueError):
             sign_at_root(T, iso, [iso.isolate()[0], whole])
+
+    def test_evaluates_the_chain_only_at_midpoints(self, monkeypatch):
+        iso = RootIsolator(T * T - 2)
+        intervals = iso.isolate()
+        seen = []
+        variations = iso.chain.variations_at
+        monkeypatch.setattr(iso.chain, "variations_at", lambda t: seen.append(t) or variations(t))
+        # T - 10 has no root near either interval: no halving, no evaluation
+        assert sign_at_root(T - 10, iso, intervals) == [-1, -1]
+        assert seen == []
+        # 7/5 lies next to sqrt(2): halving evaluates new midpoints only
+        assert sign_at_root(5 * T - 7, iso, intervals) == [-1, 1]
+        assert seen
+        ends = {iv.lo for iv in intervals} | {iv.hi for iv in intervals}
+        assert not ends & set(seen)
 
 
 class TestSimplestRational:
@@ -289,7 +306,7 @@ class TestCertifiedRationalRoots:
 
 class TestIsolatorObject:
     def test_interval_json(self):
-        iv = IsolatingInterval(Fraction(1, 3), Fraction(1, 2))
+        iv = IsolatingInterval(Fraction(1, 3), Fraction(1, 2), 2, 1)
         assert iv.to_json_dict() == {"lo": "1/3", "hi": "1/2"}
 
 
@@ -339,3 +356,18 @@ def test_deflate_matches_the_oracle_pair(roots_, cofactor, r):
     for _ in range(expected):
         quotient = oracle_linear_quotient(quotient, r)
     assert deflate(p, r) == (expected, quotient)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(small_rationals, min_size=0, max_size=5),
+       st.lists(small_rationals, min_size=1, max_size=4).filter(lambda c: c[-1]),
+       st.integers(min_value=-3, max_value=5))
+def test_intervals_carry_the_chain_counts_at_their_ends(roots_, cofactor, n):
+    # t^2 - n adds irrational roots for n = 2, 3, 5 and none for n < 0
+    p = from_roots(*roots_) * SparsePoly.from_univariate("t", cofactor) * (T * T - n)
+    iso = RootIsolator(p)
+    _, unresolved = certified_rational_roots(p)
+    for iv in iso.isolate() + unresolved:
+        assert (iv.vlo, iv.vhi) == (iso.chain.variations_at(iv.lo),
+                                    iso.chain.variations_at(iv.hi))
+        assert iv.vlo - iv.vhi == 1
