@@ -13,6 +13,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -106,6 +107,7 @@ def _window_corners(text: str):
     return values
 
 
+@functools.cache  # built on the first main call; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inflectionary",

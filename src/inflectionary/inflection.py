@@ -14,9 +14,9 @@ are implemented:
 
 Keeping the routes separate is the point: they cross-validate each other,
 so none of them is ever rewritten in terms of another.  The Wronskian is a
-Bareiss determinant (``det_polymatrix``); the template, whose entries are
-single shift variables, is expanded over permutations instead, one term
-per permutation, with no polynomial product or division.
+Bareiss determinant (``det_polymatrix``) of oracle entries; the template
+route expands by minors (``expand_by_minors``), with shift variables as
+entries in ``q_template`` and P(1, j) in ``general_inflection``.
 
 Each route has one entry point, which checks the series range.  The checks
 that read P(mu, k) at one curve parameter do so through
@@ -26,20 +26,12 @@ that read P(mu, k) at one curve parameter do so through
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import det_polymatrix
-from .poly import (
-    VAR_LAMBDA,
-    VAR_X,
-    SparsePoly,
-    as_fraction,
-    divexact,
-    substitute_polys,
-)
+from .matrices import det_polymatrix, expand_by_minors
+from .poly import VAR_LAMBDA, VAR_X, SparsePoly, as_fraction, divexact
 from .reports import FAIL, PASS, CheckReport, PreconditionError
 
 _XL = (VAR_X, VAR_LAMBDA)
@@ -171,10 +163,8 @@ def shift_var_name(offset: int) -> str:
 
 
 def q_template(mu: int, n: int) -> SparsePoly:
-    """det((n+j) falling i * t_(j-i)) over 0 <= i, j < mu.
+    """det((n+j) falling i * t_(j-i)) over 0 <= i, j < mu, expanded by minors.
 
-    Built from the permutation expansion of the determinant: each sigma
-    contributes sign(sigma) * prod_i (n+sigma(i)) falling i * t_(sigma(i)-i).
     The result is homogeneous of degree mu in the 2*mu - 1 shift variables
     t_(1-mu), ..., t_(mu-1).
     """
@@ -185,30 +175,19 @@ def q_template(mu: int, n: int) -> SparsePoly:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     names = tuple(shift_var_name(off) for off in range(1 - mu, mu))
-    factors = [[math.perm(n + j, i) for j in range(mu)] for i in range(mu)]
-    terms = {}
-    for sigma in itertools.permutations(range(mu)):
-        coeff = 1
-        exponents = [0] * (2 * mu - 1)
-        for i, j in enumerate(sigma):
-            coeff *= factors[i][j]
-            exponents[mu - 1 + j - i] += 1
-        if coeff:
-            if sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2:
-                coeff = -coeff
-            key = tuple(exponents)
-            terms[key] = terms.get(key, 0) + coeff
-    return SparsePoly._raw(names, {e: Fraction(c) for e, c in terms.items() if c})
+    t = {off: SparsePoly.variable(names, name) for off, name in zip(range(1 - mu, mu), names)}
+    return expand_by_minors([[math.perm(n + j, i) * t[j - i] for j in range(mu)] for i in range(mu)])
 
 
 @functools.cache
 def general_inflection(mu: int, k: int) -> InflectionPoly:
-    """P(mu, k) by substituting the mu = 1 family into the q template, memoized.
+    """P(mu, k) as the q template with each t_l replaced by P(1, n + l - 1), memoized.
 
     For mu = 1 this delegates to the recurrence.  For mu >= 2 the series
     parameters must satisfy k > mu, which puts k in the template's proven
-    range k >= 3 automatically.  The q template for n = k + 1 gets each t_l
-    replaced by P(1, n + l - 1).
+    range k >= 3 automatically.  With n = k + 1, the template's matrix is
+    expanded by minors with entry (i, j) = (n+j) falling i * P(1, n+j-i-1),
+    so the template itself is never built.
     """
     mu = int(mu)
     k = int(k)
@@ -219,11 +198,9 @@ def general_inflection(mu: int, k: int) -> InflectionPoly:
     if k <= mu:
         raise PreconditionError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
     n = k + 1
-    assignments = {
-        shift_var_name(off): basic_inflection(n + off - 1).poly
-        for off in range(1 - mu, mu)
-    }
-    return InflectionPoly(mu, k, substitute_polys(q_template(mu, n), assignments))
+    rows = [[math.perm(n + j, i) * basic_inflection(n + j - i - 1).poly for j in range(mu)]
+            for i in range(mu)]
+    return InflectionPoly(mu, k, expand_by_minors(rows))
 
 
 def inflection_fiber(mu: int, k: int, lambda0) -> SparsePoly:

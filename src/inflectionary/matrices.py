@@ -1,5 +1,7 @@
 """Exact determinants of polynomial matrices and Sylvester resultants.
 
+``expand_by_minors`` is the division-free expansion by minors (Gentleman &
+Johnson, ACM TOMS 2(3), 1976) that the determinant template uses.
 ``det_polymatrix`` clears each row of denominators, packs each entry into
 one integer, as ``poly``'s packed product does, runs one fraction-free
 Bareiss elimination (``_bareiss``) on the integers and unpacks the
@@ -55,6 +57,26 @@ def det_polymatrix(rows) -> SparsePoly:
     terms = _unpack(det, radices, width) if det else {}
     den = math.prod(row_den for _, row_den in cleared)
     return SparsePoly._raw(variables, {e: Fraction(c, den) for e, c in terms.items()})
+
+
+def expand_by_minors(m):
+    """Determinant of the square matrix ``m``: row i extends each minor on
+    rows < i, keyed by its columns' bitmask, by a column j, signed by the
+    parity of its columns right of j.  That is n * 2^(n-1) entry products
+    for n rows, and no division."""
+    minors = {0: None}
+    for row in m:
+        grown = {}
+        for mask, minor in minors.items():
+            for j, entry in enumerate(row):
+                if not mask >> j & 1:
+                    term = entry if minor is None else entry * minor
+                    if (mask >> j).bit_count() & 1:
+                        term = -term
+                    key = mask | 1 << j
+                    grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors[(1 << len(m)) - 1]
 
 
 def _bareiss(m) -> int:

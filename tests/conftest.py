@@ -1,4 +1,11 @@
-"""A time bound on every test.
+"""One ``hypothesis`` profile and a time bound on every test.
+
+Every property runs without a deadline, from seeds derived from the test
+itself and with no example database, so a run replays the same examples on
+any machine.  The profile is loaded here, before any test module is
+imported, so each ``settings(max_examples=...)`` inherits it.  The seed of a
+module-level test hashes its body; for a method, ``hypothesis`` hashes its
+decorators too, so editing a method's ``settings`` draws new examples.
 
 A regression that makes a loop run forever (a bisection that never narrows,
 a remainder sequence that never shrinks) should stop the suite with the
@@ -13,8 +20,12 @@ import faulthandler
 import os
 
 import pytest
+from hypothesis import settings
 
 TEST_TIME_BOUND_S = 60
+
+settings.register_profile("exact", deadline=None, derandomize=True, database=None)
+settings.load_profile("exact")
 
 _stderr_fd = None
 

@@ -42,21 +42,27 @@ X = SparsePoly.variable(XL, VAR_X)
 L = SparsePoly.variable(XL, VAR_LAMBDA)
 
 
+def template_side(mu, k):
+    """The template side of the determinant identity, without the range
+    check k > mu: P(1, k + l) substituted for each t_l of the q template at
+    n = k + 1."""
+    n = k + 1
+    return substitute_polys(q_template(mu, n), {
+        shift_var_name(off): basic_inflection(n + off - 1).poly
+        for off in range(1 - mu, mu)})
+
+
 def lemma_range_probe(mu, k):
     """Both sides of the determinant identity, without the range check k > mu.
 
-    The template side substitutes P(1, k + l) for each t_l of the q template
-    at n = k + 1; the Wronskian side is the determinant of the scaled
-    derivative-oracle numerators (k+1+j) falling i * N(k+1+j-i).
+    The Wronskian side is the determinant of the scaled derivative-oracle
+    numerators (k+1+j) falling i * N(k+1+j-i).
     """
     n = k + 1
-    template = substitute_polys(q_template(mu, n), {
-        shift_var_name(off): basic_inflection(n + off - 1).poly
-        for off in range(1 - mu, mu)})
     wronskian = det_polymatrix([
         [math.perm(n + j, i) * derivative_oracle(n + j - i)
          for j in range(mu)] for i in range(mu)])
-    return template, wronskian
+    return template_side(mu, k), wronskian
 
 
 def perturbed(k, exponent, delta):
@@ -346,6 +352,14 @@ class TestDeterminantIdentity:
         assert template == wronskian
         # in range, the rebuilt sides are the two construction routes
         assert lemma_range_probe(2, 3) == (general_inflection(2, 3).poly,) * 2
+
+    def test_expansion_by_minors_equals_the_substituted_template(self):
+        # general_inflection never builds the template; the substitution
+        # into it is the oracle for the expansion of P(1, j) entries
+        general_inflection.cache_clear()
+        pairs = [(mu, k) for mu in range(1, 5) for k in range(mu + 1, 8)] + [(5, 6)]
+        for mu, k in pairs:
+            assert general_inflection(mu, k).poly == template_side(mu, k), (mu, k)
 
 
 class TestSingularCandidates:

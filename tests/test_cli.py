@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, JSON output and file side effects."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,10 +15,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_poly import poly_from_json
 
+from inflectionary import cli
 from inflectionary.cli import OUTDIR_ENV, main
 from inflectionary.inflection import basic_inflection
 from inflectionary.poly import poly_to_json
 from inflectionary.reports import FAIL, UNRESOLVED, CheckReport
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -253,7 +258,7 @@ class TestPlot:
 
     # Edge values for every plot argument.  A run that would sample is capped
     # at about 10^4 nodes; mu = 2 stops at k = 3, P(2, 3), to stay fast.
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(mu=st.sampled_from((0, 1, 2)), k=st.sampled_from((0, 1, 2, 3)),
            nx=st.sampled_from((0, 1, 2, 4096, 4097)),
            nlambda=st.sampled_from((0, 1, 2, 4096, 4097)),
@@ -336,7 +341,7 @@ def cli_argvs(draw):
 
 
 class TestTopLevel:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(cli_argvs())
     @example(["verify", "faces", "--k", "2", "--k-max", "3"])
     @example(["verify", "faces", "--k", "-1"])
@@ -417,6 +422,38 @@ class TestTopLevel:
         for argv in commands:
             _, out, _ = run(capsys, *argv)
             assert json_lines(out)
+
+    def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        builds = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            builds.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "genus", "--k", "3")[0] == 0
+        first = len(builds)
+        assert builds[0] == "inflectionary" and first > 1  # the parser and its subparsers
+        assert run(capsys, "genus", "--k", "4")[0] == 0
+        assert len(builds) == first
+
+    def test_errors_leave_the_parser_as_a_fresh_process_has_it(self, capsys):
+        # scan reads a list default, which a shared parser must not let drift
+        valid = ("scan", "--mu", "1", "--k", "3")
+        fresh = subprocess.run([sys.executable, "-m", "inflectionary.cli", *valid],
+                               capture_output=True, env={**os.environ, "PYTHONPATH": SRC},
+                               timeout=60)
+        assert fresh.returncode == 0 and fresh.stdout
+        for argv, code in ((("scan", "--mu", "1", "--k", "3", "--lambda-grid", "0.5"), 2),
+                           (("verify", "symmetry", "--lambda", "1/2"), 2),
+                           (("scan", "--mu", "1", "--k", "2", "--lambda-grid", "0,1"), 3),
+                           (("verify", "symmetry", "--k", "0"), 3)):
+            assert run(capsys, *argv)[0] == code, argv
+        code, out, _ = run(capsys, *valid)
+        assert code == 0
+        assert out.encode() == fresh.stdout
 
     def test_installed_script(self):
         exe = shutil.which("inflectionary")

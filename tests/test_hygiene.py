@@ -1,5 +1,6 @@
 """Source hygiene: no unused import, no uncalled private helper and no
-unread public name in ``src/``.
+unread public name in ``src/``; and one ``hypothesis`` profile for every
+property.
 
 A prune that removes the last use of an imported name, or the last caller
 of a helper, leaves dead code that no behavioural test notices.  A public
@@ -11,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from test_poly import PACKED
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "inflectionary"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
@@ -96,3 +99,10 @@ def test_the_checks_see_the_package():
     assert {"poly.py", "inflection.py", "cli.py"} <= set(TREES)
     assert any(_private_definitions(TREES["poly.py"]))
     assert "MAX_DENOMINATOR" in dict(_public_definitions(TREES["roots.py"]))
+
+
+def test_every_property_runs_under_the_one_profile():
+    # conftest.py loads the profile before any test module is imported, so a
+    # settings object made at import time inherits it
+    for profile in (settings.default, settings(max_examples=5), PACKED):
+        assert (profile.deadline, profile.derandomize, profile.database) == (None, True, None)

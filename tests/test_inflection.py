@@ -1,5 +1,6 @@
 """Construction routes and their cross-checks, all against frozen oracles."""
 
+import itertools
 import math
 import sys
 import threading
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_poly import oracle_divexact
 
+from inflectionary import inflection
 from inflectionary.inflection import (
     InflectionPoly,
     RECURRENCE_COEFFICIENT_VARIANTS,
@@ -122,7 +124,34 @@ class TestDegreeContract:
             InflectionPoly(0, 1, SEED)
 
 
+def oracle_q_template(mu, n):
+    """The q template by its permutation expansion: each sigma contributes
+    sign(sigma) * prod_i (n+sigma(i)) falling i * t_(sigma(i)-i).
+
+    mu! terms, so an oracle only; ``q_template`` expands by minors.
+    """
+    names = tuple(shift_var_name(off) for off in range(1 - mu, mu))
+    terms = {}
+    for sigma in itertools.permutations(range(mu)):
+        coeff = 1
+        exponents = [0] * (2 * mu - 1)
+        for i, j in enumerate(sigma):
+            coeff *= math.perm(n + j, i)
+            exponents[mu - 1 + j - i] += 1
+        if sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2:
+            coeff = -coeff
+        key = tuple(exponents)
+        terms[key] = terms.get(key, 0) + coeff
+    return SparsePoly(names, terms)
+
+
 class TestQTemplate:
+    def test_matches_the_permutation_oracle(self):
+        # n < mu included: there (n+j) falling i vanishes below the diagonal
+        for mu in range(1, 7):
+            for n in range(1, 10):
+                assert q_template(mu, n) == oracle_q_template(mu, n), (mu, n)
+
     def test_mu2_closed_form(self):
         # det [[t0, (n+1) t1], [n t-1, (n+1) t0]] / scaling = (n+1) t0^2 - n t-1 t1
         for n in (2, 4, 7):
@@ -161,6 +190,15 @@ class TestRouteAgreement:
             wronskian_direct(3, 3)
         with pytest.raises(ValueError):
             general_inflection(0, 3)
+
+    def test_general_does_not_build_the_template(self, monkeypatch):
+        def no_template(mu, n):
+            raise AssertionError("general_inflection built the q template")
+
+        expected = wronskian_direct(3, 5).poly
+        general_inflection.cache_clear()
+        monkeypatch.setattr(inflection, "q_template", no_template)
+        assert general_inflection(3, 5).poly == expected
 
     def test_general_is_memoized(self):
         assert general_inflection(2, 4) is general_inflection(2, 4)
@@ -217,7 +255,7 @@ class TestInflectionFiber:
             # the leading x-coefficient is a nonzero constant, so no fiber vanishes
             assert fiber.degree(VAR_X) == 2 * mu * (k + 1)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(st.sampled_from([(1, 2), (1, 4), (2, 3), (2, 4)]),
            st.fractions(min_value=-9, max_value=9, max_denominator=40)
            .filter(lambda v: v not in (0, 1)),

@@ -11,7 +11,13 @@ from test_poly import oracle_divexact
 
 from inflectionary import matrices
 from inflectionary.inflection import basic_inflection, q_template
-from inflectionary.matrices import _bareiss, det_polymatrix, resultant, sylvester_matrix
+from inflectionary.matrices import (
+    _bareiss,
+    det_polymatrix,
+    expand_by_minors,
+    resultant,
+    sylvester_matrix,
+)
 from inflectionary.poly import SparsePoly
 
 XL = ("x", "lambda")
@@ -202,7 +208,7 @@ square_matrices = st.one_of(*(st.lists(_rational_row(n), min_size=n, max_size=n)
                               for n in (1, 2, 3, 4)))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(square_matrices, st.sampled_from(["as drawn", "zero pivot", "zero column"]))
 @example([[const(0), X, L], [L, const(1), X * L], [X + 1, L, const(2)]], "as drawn")
 @example([[X * 200 + L, L * 300 - 1], [const(0), const(0)]], "as drawn")
@@ -216,6 +222,7 @@ def test_packed_det_matches_dict_bareiss_and_cofactor(rows, shape):
             r[0] = zero
     det = det_polymatrix(rows)
     assert det == oracle_bareiss(rows) == det_cofactor(rows)
+    assert expand_by_minors(rows) == det
 
 
 def test_inexact_packed_division_is_an_internal_fault():

@@ -336,7 +336,7 @@ small_polys = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
 affine_maps = st.one_of(st.none(), st.tuples(small_rationals, small_rationals))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(small_polys, affine_maps, affine_maps)
 def test_substitute_polys_matches_affine_oracle(p, x_map, lambda_map):
     mapping = {}
@@ -401,7 +401,7 @@ def polys_in(nvars, max_degree=4, max_size=8):
 
 
 poly_pairs = st.one_of(*(st.tuples(polys_in(n), polys_in(n)) for n in (1, 2, 3)))
-PACKED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PACKED = settings(max_examples=40)
 
 
 @PACKED

@@ -358,7 +358,7 @@ def oracle_segments(values, nx, nlambda):
     return segments
 
 
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=80)
 RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 RESOLUTIONS = st.integers(2, 9)
 

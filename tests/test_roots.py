@@ -345,7 +345,7 @@ def oracle_linear_quotient(p: SparsePoly, r: Fraction) -> SparsePoly:
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.lists(small_rationals, min_size=0, max_size=6),
        st.lists(small_rationals, min_size=1, max_size=4).filter(lambda c: c[-1]),
        small_rationals)
@@ -358,7 +358,7 @@ def test_deflate_matches_the_oracle_pair(roots_, cofactor, r):
     assert deflate(p, r) == (expected, quotient)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.lists(small_rationals, min_size=0, max_size=5),
        st.lists(small_rationals, min_size=1, max_size=4).filter(lambda c: c[-1]),
        st.integers(min_value=-3, max_value=5))

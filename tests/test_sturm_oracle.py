@@ -28,7 +28,7 @@ from inflectionary.roots import (
 
 T = SparsePoly.variable(("t",), "t")
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 
 
 # -- the oracle ----------------------------------------------------------------
