@@ -16,6 +16,9 @@ width with a sign bit to spare.  Evaluation at the packing point is a ring
 homomorphism, so each integer division is exact; and since the encoding is
 injective on polynomials within those bounds, a packed zero pivot is a
 zero minor, the determinant unpacks exactly, and row swaps stay exact.
+Past ``DIVISION_CUTOFF`` divisor bits, each exact division recurses on
+halves (Burnikel & Ziegler, "Fast Recursive Division", MPI-I-98-1-022,
+1998), as CPython 3.12+ ``divmod`` does itself and 3.11's does not.
 """
 
 from __future__ import annotations
@@ -39,13 +42,9 @@ def _check_square(rows):
 
 
 def det_polymatrix(rows) -> SparsePoly:
-    """Fraction-free Bareiss determinant of a square polynomial matrix.
-
-    Every intermediate division is exact (the divisor is the previous pivot,
-    a leading minor), so the result is computed without leaving the
-    polynomial ring.  Zero pivots are handled by row swaps with sign
-    tracking; a fully zero pivot column short-circuits to zero.
-    """
+    """Fraction-free Bareiss determinant of a square polynomial matrix, exact
+    as the module docstring shows.  Zero pivots are handled by row swaps with
+    sign tracking; a fully zero pivot column short-circuits to zero."""
     _, variables = _check_square(rows)
     radices = _degree_box(rows)
     cleared = [_cleared(r) for r in rows]
@@ -105,11 +104,56 @@ def _bareiss(m) -> int:
     return sign * m[n - 1][n - 1]
 
 
+# Divisor bits up to which the builtin divmod beats the recursion on 3.11.
+DIVISION_CUTOFF = 4000
+
+
 def _divide_packed(entry: int, prev: int) -> int:
-    quotient, remainder = divmod(entry, prev)
+    """The exact quotient; ``_divmod`` gives the true remainder on both paths."""
+    quotient, remainder = _divmod(entry, prev)
     if remainder:
         raise RuntimeError("internal fault: inexact Bareiss division of packed minors")
     return quotient
+
+
+def _divmod(a: int, b: int):
+    """``divmod(a, b)``; past DIVISION_CUTOFF, by ``_div2n1n`` per b-sized digit."""
+    n = b.bit_length()
+    if n <= DIVISION_CUTOFF:
+        return divmod(a, b)
+    if b < 0:
+        q, r = _divmod(-a, -b)
+        return q, -r
+    if a < 0:
+        q, r = _divmod(~a, b)  # ~a = b*q + r gives a = b*~q + (b + ~r)
+        return ~q, b + ~r
+    q, r, mask = 0, 0, (1 << n) - 1
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        digit, r = _div2n1n(r << n | a >> shift & mask, b, n)
+        q = q << n | digit
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int):
+    """divmod(a, b) for b of n bits and 0 <= a < b << n: two 3-by-2-halves steps."""
+    if n <= DIVISION_CUTOFF:
+        return divmod(a, b)
+    pad = n & 1  # make n even
+    a, b, half = a << pad, b << pad, (n + pad) >> 1
+    mask = (1 << half) - 1
+    b_hi, b_lo = b >> half, b & mask
+    q, r = 0, a >> 2 * half
+    for a_lo in (a >> half & mask, a & mask):
+        if r >> half == b_hi:  # the estimate saturates at 2^half - 1
+            digit, r = mask, r - (b_hi << half) + b_hi
+        else:
+            digit, r = _div2n1n(r, b_hi, half)
+        r = (r << half | a_lo) - digit * b_lo
+        while r < 0:  # at most twice, since b_hi has its top bit set
+            digit -= 1
+            r += b
+        q = q << half | digit
+    return q, r >> pad
 
 
 def _degree_box(rows):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from test_poly import oracle_divexact
 
 from inflectionary import matrices
-from inflectionary.inflection import basic_inflection, q_template
+from inflectionary.inflection import basic_inflection, derivative_oracle, q_template
 from inflectionary.matrices import (
+    DIVISION_CUTOFF,
     _bareiss,
+    _divmod,
     det_polymatrix,
     expand_by_minors,
     resultant,
@@ -230,6 +232,62 @@ def test_inexact_packed_division_is_an_internal_fault():
         matrices._divide_packed(7, 2)
 
 
+def test_inexact_packed_division_above_the_cutoff_is_an_internal_fault():
+    b = random.Random(5).getrandbits(50_000) | 1 << 49_999
+    q = random.Random(6).getrandbits(100_000)
+    assert matrices._divide_packed(b * q, b) == q
+    with pytest.raises(RuntimeError, match="internal fault"):
+        matrices._divide_packed(b * q + 1, b)
+
+
+# -- recursive division against the builtin divmod ------------------------------
+
+def _signed(bits, seed, negative):
+    value = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    return -value if negative else value
+
+
+def _operand_pair(b_kbits, a_kbits, jitter, seed, a_neg, b_neg):
+    # b_kbits = 4 straddles the cutoff; a has up to 60k bits more than b
+    b_bits = max(1, 1000 * b_kbits + jitter)
+    a_bits = max(1, b_bits + 1000 * a_kbits + jitter)
+    return _signed(a_bits, seed, a_neg), _signed(b_bits, seed + 1, b_neg)
+
+
+signed_operands = st.builds(_operand_pair, st.integers(0, 60), st.integers(-1, 60),
+                            st.integers(-8, 8), st.integers(0, 2**32), st.booleans(),
+                            st.booleans())
+_B = _signed(3 * DIVISION_CUTOFF, 7, False)
+_A = _signed(9 * DIVISION_CUTOFF, 8, False)
+
+
+@settings(max_examples=60)
+@given(signed_operands)
+@example((_A, _signed(DIVISION_CUTOFF, 9, True)))  # the builtin's largest divisor
+@example((_A, _signed(DIVISION_CUTOFF + 1, 9, True)))  # the recursion's smallest
+@example((0, _B))
+@example((_A, 1))
+@example((_A, -1))
+@example((-_A, -_B))
+@example((-_A, _B))
+@example((_A * _B, _B))
+@example((-_A * _B, _B))
+@example((_A >> 1, _B))  # one bit short of three digits of b
+@example(((_B << _B.bit_length()) - 1, _B))  # the top quotient estimate saturates
+def test_recursive_division_matches_builtin_divmod(operands):
+    a, b = operands
+    assert _divmod(a, b) == divmod(a, b)
+
+
+def test_recursion_at_a_tiny_cutoff_matches_builtin_divmod(monkeypatch):
+    # every 6-bit divisor recurses down to 3-bit halves; some quotient
+    # estimates need both corrections
+    monkeypatch.setattr(matrices, "DIVISION_CUTOFF", 2)
+    for b in range(32, 64):
+        for a in range(-(1 << 10), 1 << 10):
+            assert _divmod(a, b) == divmod(a, b), (a, b)
+
+
 def test_q_template_matches_oracle_determinant():
     # n < mu included: there (n+j) falling i vanishes below the diagonal
     for mu in range(1, 6):
@@ -245,6 +303,21 @@ def test_q_template_matches_oracle_determinant():
 
 
 class TestRouteSelection:
+    def test_wronskian_divisions_cross_the_cutoff(self, monkeypatch):
+        # P(4, 5)'s Wronskian divides 300k-bit by 100k-bit packed minors
+        calls = []
+        div2n1n = matrices._div2n1n
+
+        def spy(a, b, n):
+            calls.append(n)
+            return div2n1n(a, b, n)
+
+        monkeypatch.setattr(matrices, "_div2n1n", spy)
+        rows = [[math.perm(6 + j, i) * derivative_oracle(6 + j - i) for j in range(4)]
+                for i in range(4)]
+        assert det_polymatrix(rows) == expand_by_minors(rows)
+        assert max(calls) > 10 * DIVISION_CUTOFF
+
     def test_sylvester_matrix_is_packed(self, monkeypatch):
         calls = []
 
