@@ -16,7 +16,6 @@ from .inflection import (
     basic_inflection,
     general_inflection,
     inflection_fiber,
-    legendre_f,
     wronskian_direct,
 )
 from .newton import face_restriction, lattice_points_in_hull, newton_data
@@ -35,7 +34,6 @@ from .roots import (
     certified_rational_roots,
     deflate,
     gcd_univariate,
-    sign_at_root,
 )
 from .matrices import resultant
 
@@ -296,9 +294,17 @@ class RootCensus:
         }
 
 
+def _roots_f_positive(iso: RootIsolator, lambda0: Fraction) -> int:
+    """Distinct real roots of iso's polynomial where f = x (x - 1) (x - lambda0)
+    is positive.  With f's roots sorted as e1 < e2 < e3, f > 0 exactly on
+    (e1, e2) and (e3, infinity), so a root at 0, 1 or lambda0 never counts."""
+    e1, e2, e3 = sorted((Fraction(0), Fraction(1), lambda0))
+    return iso.roots_between(e1, e2) + iso.roots_between(e3, iso.bound)
+
+
 def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
-    """Isolate the distinct real roots at one lambda and classify each one
-    by the exact sign of f there.  A root r in {0, 1} of p of multiplicity
+    """Isolate the distinct real roots at one lambda and count those where
+    f > 0 between f's own roots.  A root r in {0, 1} of p of multiplicity
     m >= 1 is one of gcd(p, p') of multiplicity m - 1, so ``roots_at_01[r]``
     is the gcd's multiplicity plus one when p(r), the constant coefficient
     or the coefficient sum, is zero."""
@@ -306,15 +312,13 @@ def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     lambda0 = as_fraction(lambda0)
     mu = int(mu)
     k = int(k)
-    f_here = legendre_f().specialize(VAR_LAMBDA, lambda0)
     iso = RootIsolator(p)
     intervals = iso.isolate()
-    positive = sum(1 for sign in sign_at_root(f_here, iso, intervals) if sign > 0)
     separable, details = _separability(iso.repeated_part())
     return RootCensus(
         mu=mu, k=k, lambda0=lambda0,
         total_real_roots=len(intervals),
-        roots_f_positive=positive,
+        roots_f_positive=_roots_f_positive(iso, lambda0),
         roots_at_01={0: details["mult_at_0"] + (not p.coefficient((0,))),
                      1: details["mult_at_1"] + (not sum(p.terms.values()))},
         separable_away_from_01=separable,
@@ -346,8 +350,8 @@ def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckR
         if lam in (0, 1):
             warnings.append(f"skipped degenerate lambda = {lam}")
             continue
-        census = real_root_census(mu, k, lam)
-        counts.append(census.roots_f_positive)
+        iso = RootIsolator(inflection_fiber(mu, k, lam))
+        counts.append(_roots_f_positive(iso, lam))
         used.append(lam)
     if not used:
         raise PreconditionError("lambda grid contains only degenerate values")

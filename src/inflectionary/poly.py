@@ -287,19 +287,27 @@ class SparsePoly:
         return total
 
     def specialize(self, name, value):
-        """Substitute an exact value for one variable and drop it."""
+        """Substitute an exact value for one variable and drop it.
+
+        With the terms cleared to integers c over one denominator den and
+        value = a/b, each remaining exponent sums c a^s b^(top-s) over the
+        powers s of ``name`` as integers, top the largest power, and takes
+        one Fraction of that sum over den b^top.
+        """
         idx = self._index(name)
         value = as_fraction(value)
         new_vars = self.vars[:idx] + self.vars[idx + 1:]
-        terms = {}
-        for e, c in self.terms.items():
+        (ints,), den = _cleared([self])
+        top = max((e[idx] for e in ints), default=0)
+        a_powers = _powers(value.numerator, top)
+        b_powers = _powers(value.denominator, top)
+        sums = {}
+        for e, c in ints.items():
+            s = e[idx]
             ne = e[:idx] + e[idx + 1:]
-            s = terms.get(ne, Fraction(0)) + c * value ** e[idx]
-            if s:
-                terms[ne] = s
-            else:
-                terms.pop(ne, None)
-        return SparsePoly._raw(new_vars, terms)
+            sums[ne] = sums.get(ne, 0) + c * a_powers[s] * b_powers[top - s]
+        scale = den * b_powers[top]
+        return SparsePoly._raw(new_vars, {ne: Fraction(v, scale) for ne, v in sums.items() if v})
 
     def homogenize(self, new_var, target_degree):
         """Pad every term with a power of ``new_var`` up to ``target_degree``."""
@@ -429,6 +437,14 @@ def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:
 def _degrees(terms):
     """Per-variable degrees of nonzero terms keyed by exponent tuples."""
     return [max(column) for column in zip(*terms)]
+
+
+def _powers(base, n):
+    """[1, base, ..., base^n]."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
 
 
 def _cleared(polys):

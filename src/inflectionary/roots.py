@@ -17,10 +17,14 @@ A :class:`RootIsolator` is built once per polynomial, e.g. one fiber of
 P(mu, k) at a fixed lambda, and owns that fiber's univariate work: p's
 chain ends at gcd(p, p'), its ``repeated_part``; the squarefree part's
 chain and root bound serve isolation, rational certification and
-``sign_at_root``, which signs q at all the fiber's roots in one call.  An
-isolating interval carries the chain's variation counts at its ends, so
-later bisection evaluates the chain only at new midpoints.  ``deflate``
-splits a rational root off with its multiplicity.
+``roots_between``, which counts the roots in an open interval from the
+chain's variations at its ends, with no isolation and no bisection.
+``sign_at_root`` signs another polynomial q at all the fiber's roots in one
+call; the checks count instead, and it stays as the slower, independent
+route that the tests set those counts against.  An isolating interval
+carries the chain's variation counts at its ends, so later bisection
+evaluates the chain only at new midpoints.  ``deflate`` splits a rational
+root off with its multiplicity.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import SparsePoly, as_fraction
+from .poly import SparsePoly, _powers, as_fraction
 
 # Largest denominator ``certified_rational_roots`` tries to recognize.
 MAX_DENOMINATOR = 2 ** 24
@@ -130,13 +134,6 @@ def _gcd_lists(a, b):
     if _degree(a) < _degree(b):
         a, b = b, a
     return _positive(_remainders(a, b)[-1])
-
-
-def _powers(base, n):
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * base)
-    return out
 
 
 def _scaled_value(c, a, b_powers):
@@ -298,6 +295,18 @@ class RootIsolator:
             stack.append((lo, vlo, mid, vmid))
         out.sort(key=lambda iv: iv.lo)
         return out
+
+    def roots_between(self, lo, hi) -> int:
+        """Distinct real roots in the open interval (lo, hi), lo < hi.
+
+        Chain variations count the roots in (lo, hi]; a root at hi is taken
+        off by one sign test, which a hi at or past ``bound`` skips, since
+        no root reaches the bound.
+        """
+        variations = self.chain.variations_at
+        if hi >= self.bound:
+            return variations(lo) - variations(self.bound)
+        return variations(lo) - variations(hi) - (not _sign_at(self.reduced, hi))
 
     def _halve(self, lo, vlo, hi, vhi):
         """The half of (lo, hi], which holds one root, that holds it, with

@@ -19,6 +19,7 @@ from inflectionary.conjectures import (
     check_shift_symmetry,
     check_support,
     conjecture4_scan,
+    real_root_census,
     singular_probe,
     separability_check,
 )
@@ -27,6 +28,8 @@ from inflectionary.inflection import (
     calibrate_recurrence_coefficient,
     derivative_oracle,
     general_inflection,
+    inflection_fiber,
+    legendre_f,
     predicted_delta,
     predicted_genus,
     q_template,
@@ -38,7 +41,7 @@ from inflectionary.render import (
     render_curve,
     sample_sign_grid,
 )
-from inflectionary.roots import RootIsolator
+from inflectionary.roots import RootIsolator, sign_at_root
 
 XL = (VAR_X, VAR_LAMBDA)
 
@@ -175,7 +178,7 @@ def test_criterion_09_root_count_dichotomy(capsys):
     failures = []
     if PARITY_COUNT_MULTIPLIER != {"even": 1, "odd": 2}:
         failures.append("pinned parity direction changed")
-    for mu, k in DICHOTOMY_PAIRS:
+    for i, (mu, k) in enumerate(DICHOTOMY_PAIRS):
         report = conjecture4_scan(mu, k)
         expected = mu * (1 if (k - mu) % 2 == 0 else 2)
         if report.verdict != "PASS":
@@ -186,6 +189,16 @@ def test_criterion_09_root_count_dichotomy(capsys):
             failures.append(f"counts {sorted(counts)} at (mu,k)=({mu},{k})")
         if expected not in (mu, 2 * mu):
             failures.append(f"expected count outside {{mu, 2mu}} at ({mu},{k})")
+        # the count between f's roots against the sign of f at each root,
+        # one grid lambda per pair, cycling through the three regimes
+        lambda0 = DEFAULT_LAMBDA_GRID[i % len(DEFAULT_LAMBDA_GRID)]
+        census = real_root_census(mu, k, lambda0)
+        f_here = legendre_f().specialize(VAR_LAMBDA, lambda0)
+        iso = RootIsolator(inflection_fiber(mu, k, lambda0))
+        signed = sum(s > 0 for s in sign_at_root(f_here, iso, census.intervals))
+        if census.roots_f_positive != signed:
+            failures.append(f"{census.roots_f_positive} roots counted, {signed} signed "
+                            f"at (mu,k)=({mu},{k}), lambda={lambda0}")
     _criterion(capsys, 9, "real-root-count dichotomy across the grid", failures)
 
 

@@ -266,9 +266,9 @@ class TestRootCensus:
         monkeypatch.setattr(SturmChain, "__init__", counting_init)
         census = real_root_census(1, 4, lambda0)
         assert census.total_real_roots > 1
-        assert built.count(f_here) == 1
-        # the isolator's chain and f's: gcd(p, f) is constant here
-        assert len(built) == 2
+        assert built.count(f_here) == 0
+        # only the isolator's chain: the count reads it between f's roots
+        assert len(built) == 1
 
     @pytest.mark.parametrize("roots_, factor", [
         ((0, 0, 1, 1, 1), -2),  # x^2 (x - 1)^3 (x^2 - 2)
@@ -295,6 +295,15 @@ class TestRootCensus:
 
 
 class TestScan:
+    def test_scan_isolates_nothing(self, monkeypatch):
+        isolated = []
+        isolate = RootIsolator.isolate
+        monkeypatch.setattr(RootIsolator, "isolate",
+                            lambda self: isolated.append(self) or isolate(self))
+        report = conjecture4_scan(1, 4)
+        assert report.verdict == PASS
+        assert isolated == []
+
     def test_odd_gap_gives_two_positive_roots(self):
         report = conjecture4_scan(1, 2)
         assert report.verdict == PASS

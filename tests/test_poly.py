@@ -348,6 +348,41 @@ def test_substitute_polys_matches_affine_oracle(p, x_map, lambda_map):
     assert substitute_polys(p, assignments) == substitute_affine(p, mapping)
 
 
+def oracle_specialize(p, name, value):
+    """``p`` with ``name`` set to ``value``, term by term over Fractions.
+
+    Slow and obviously right: the oracle for ``SparsePoly.specialize``.
+    """
+    idx = p.vars.index(name)
+    value = as_fraction(value)
+    terms = {}
+    for e, c in p.terms.items():
+        ne = e[:idx] + e[idx + 1:]
+        s = terms.get(ne, Fraction(0)) + c * value ** e[idx]
+        if s:
+            terms[ne] = s
+        else:
+            terms.pop(ne, None)
+    return SparsePoly(p.vars[:idx] + p.vars[idx + 1:], terms)
+
+
+specialize_values = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9),
+                              st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@settings(max_examples=80)
+@given(small_polys, st.sampled_from([VAR_X, VAR_LAMBDA]), specialize_values)
+@example(xl({}), VAR_X, Fraction(2, 3))
+@example(X ** 2 - 2 * X * L + L ** 2, VAR_X, 1)  # (x - lambda)^2 at x = 1
+@example(X * L - 2 * X, VAR_LAMBDA, 2)           # vanishes at lambda = 2
+def test_specialize_matches_fraction_oracle(p, name, value):
+    got = p.specialize(name, value)
+    expected = oracle_specialize(p, name, value)
+    assert got.vars == expected.vars
+    assert got.terms == expected.terms
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
 # -- packed-integer routes against the dict loops ------------------------------
 
 @contextlib.contextmanager

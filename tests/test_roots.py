@@ -182,6 +182,26 @@ class TestIsolation:
         assert len(RootIsolator(from_roots(5, 5, 5)).isolate()) == 1
 
 
+class TestRootsBetween:
+    def test_open_interval_leaves_out_both_ends(self):
+        iso = RootIsolator(from_roots(-1, 0, 2, 2, 3))
+        assert iso.roots_between(Fraction(-1), Fraction(3)) == 2
+        assert iso.roots_between(Fraction(-2), Fraction(2)) == 2
+        assert iso.roots_between(Fraction(2), Fraction(3)) == 0
+
+    def test_hi_past_the_bound_counts_every_root_above_lo(self):
+        iso = RootIsolator((T * T - 2) * (T - 5))
+        assert iso.roots_between(Fraction(0), iso.bound) == 2
+        assert iso.roots_between(Fraction(0), 10 * iso.bound) == 2
+        assert iso.roots_between(-iso.bound, iso.bound) == 3
+        assert iso.roots_between(iso.bound, 2 * iso.bound) == 0
+
+    def test_no_real_root(self):
+        for p in (T * T + 1, 3 * ONE):
+            iso = RootIsolator(p)
+            assert iso.roots_between(-iso.bound, iso.bound) == 0
+
+
 class TestSignAtRoot:
     def test_sign_of_offset_at_sqrt2(self):
         iso = RootIsolator(T * T - 2)

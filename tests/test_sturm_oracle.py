@@ -16,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_poly import oracle_divexact
 
-from inflectionary import roots
-from inflectionary.poly import SparsePoly
+from inflectionary import conjectures, roots
+from inflectionary.inflection import legendre_f
+from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
 from inflectionary.roots import (
     RootIsolator,
     SturmChain,
@@ -27,6 +28,7 @@ from inflectionary.roots import (
 )
 
 T = SparsePoly.variable(("t",), "t")
+X = SparsePoly.variable((VAR_X,), VAR_X)
 
 PROPERTY = settings(max_examples=40)
 
@@ -147,6 +149,30 @@ random_polys = st.lists(st.one_of(st.just(Fraction(0)), rationals),
 
 any_polys = st.one_of(rooted_polys().map(lambda pr: pr[0]), random_polys)
 
+# Curve parameters in each real regime: lambda < 0, 0 < lambda < 1, lambda > 1.
+regime_lambdas = st.one_of(
+    st.fractions(min_value=-12, max_value=Fraction(-1, 9), max_denominator=9),
+    st.fractions(min_value=Fraction(1, 9), max_value=Fraction(8, 9), max_denominator=9),
+    st.fractions(min_value=Fraction(10, 9), max_value=12, max_denominator=9),
+)
+
+
+@st.composite
+def planted_fibers(draw):
+    """``(p, lambda0)``: p in x with roots planted at 0, 1 and lambda0, each
+    of multiplicity 0 to 3, times other rational roots and perhaps a
+    quadratic without a rational root."""
+    lambda0 = draw(regime_lambdas)
+    p = SparsePoly.constant((VAR_X,), draw(nonzero))
+    for r in (0, 1, lambda0):
+        p = p * (X - r) ** draw(st.integers(0, 3))
+    for r in draw(st.lists(rationals, max_size=3)):
+        p = p * (X - r) ** draw(st.integers(1, 2))
+    extra = draw(st.sampled_from([None, 2, 3, -1]))
+    if extra is not None:
+        p = p * (X * X - extra)
+    return p, lambda0
+
 
 def to_ints(p: SparsePoly):
     """The primitive integer list of the nonzero one-variable ``p``."""
@@ -208,6 +234,25 @@ def test_sign_at_rational_root_is_exact(rooted, q):
         value = _eval(q.univariate_coeffs()[1], r)
         assert sign == (value > 0) - (value < 0)
         assert sign_at_root(q, iso, [iv]) == [sign]
+
+
+@PROPERTY
+@given(planted_fibers())
+@example((X * X + 1, Fraction(-2)))
+@example((3 * X ** 0, Fraction(1, 2)))
+@example((X ** 2 * (X - 1) ** 3 * (2 * X - 1) ** 2 * (X - 3), Fraction(1, 2)))
+@example((X * (X + 2) ** 2 * (X - Fraction(1, 2)) * (X * X - 2), Fraction(-2)))
+def test_count_between_f_roots_matches_signs_at_roots(fiber):
+    # The census and the scan count the roots with f > 0 from f's own roots;
+    # the oracle signs f at every isolated root.
+    p, lambda0 = fiber
+    iso = RootIsolator(p)
+    f_here = legendre_f().specialize(VAR_LAMBDA, lambda0)
+    signed = sum(s > 0 for s in sign_at_root(f_here, iso, iso.isolate()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjectures, "inflection_fiber", lambda mu, k, lam: p)
+        assert conjectures.real_root_census(1, 2, lambda0).roots_f_positive == signed
+        assert conjectures.conjecture4_scan(1, 2, (lambda0,)).data["counts"] == [signed]
 
 
 def test_inexact_pseudo_division_raises(monkeypatch):
