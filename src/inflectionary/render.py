@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .inflection import legendre_f
-from .poly import (VAR_LAMBDA, VAR_X, SparsePoly, _cleared, _pack, _repeat, _slot_width,
-                   as_fraction, poly_to_json)
+from .poly import (VAR_LAMBDA, VAR_X, SparsePoly, _cleared, _repeat, _slot_width, as_fraction,
+                   poly_to_json)
 
 # Exact-zero samples count as positive everywhere: in sign-change counts,
 # in cell shading and in the marching-squares case index.
@@ -124,8 +124,9 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     the coefficient of x^t lambda^s is cleared to an integer and scaled by
     a_den^(deg_x - t) c_den^(deg_lambda - s): then v_ij = sum table * a_i^t
     c_j^s is p(x_i, lambda_j) times a positive integer.  The powers a_i^t of
-    all nodes are packed once (``poly._pack``) and folded with the table into
-    one packed coefficient per power of lambda, so one Horner pass in lambda,
+    all nodes are packed once, each biased by half a slot into its bytes and
+    the bias taken off the whole row, and folded with the table into one
+    packed coefficient per power of lambda, so one Horner pass in lambda,
     a big integer times a small one per step, packs v_ij for all of row j.
     The slot width holds sum |table| * max|a|^t * max|c|^s + 1, which bounds
     |v| and |v - 1|, inside half a slot; biased by half a slot, the top bits
@@ -150,16 +151,20 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
                                 for t, s in p.terms))
     xs = [a0 + i * a_step for i in range(n)]
     powers = [1] * n
+    half = 1 << (8 * width - 1)
+    bias = _repeat(half, width, n)
     packed = [0] * (deg_l + 1)  # packed[deg_l - s]: the coefficient of lambda^s
     # t = 0, 1, ..., deg_x with powers[i] = a_i^t; each a_i^t of a nonzero row
-    # is within the width's bound, so it fits its slot
+    # is within the width's bound, so |a_i^t| < half and a_i^t + half fits
+    # its slot unsigned
     for row in reversed(table):
         if any(row):
-            slots = _pack({(i,): v for i, v in enumerate(powers)}, (n,), width)
+            slots = int.from_bytes(b"".join((v + half).to_bytes(width, "little")
+                                            for v in powers), "little") - bias
             packed = [acc + c * slots for acc, c in zip(packed, row)]
         powers = list(map(int.__mul__, powers, xs))
     # bias every slot by half a slot through the constant term of Horner
-    packed[-1] += _repeat(1 << (8 * width - 1), width, n)
+    packed[-1] += bias
     ones = _repeat(1, width, n)
     rows = []
     for j in range(w.nlambda + 1):

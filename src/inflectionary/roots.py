@@ -11,7 +11,10 @@ remainder sequence on it, ``_remainders``, which ends at the gcd and is the
 Sturm chain when its second list is the derivative of its first.  The same
 division gives p / gcd(p, p') and deflates a rational root a/b by b x - a.
 An integer list is evaluated at a rational a/b (b > 0) by homogeneous
-Horner, sum c_i a^i b^(d-i), which has the sign of its value at a/b.
+Horner, sum c_i a^i b^(d-i), which has the sign of its value at a/b.  A
+Sturm chain is evaluated only inside its root bound R, a power of two past
+every root of its first element: at |a| >= R b its count is V(+inf) or
+V(-inf), read off the elements' leading signs when the chain is built.
 
 A :class:`RootIsolator` is built once per polynomial, e.g. one fiber of
 P(mu, k) at a fixed lambda, and owns that fiber's univariate work: p's
@@ -151,6 +154,26 @@ def _sign_at(c, t: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
+def _root_bound(c):
+    """2^(k+1), a power of two past every root of the nonzero list ``c``.
+
+    k is the least k >= 0 with bitlen|c_i| - bitlen|c_n| + 1 <= k (n - i)
+    for every nonzero c_i, i < n.  Then |c_i / c_n| < 2^(k (n - i)), so
+    2^(k+1) strictly exceeds Fujiwara's bound 2 max |c_i / c_n|^(1 / (n - i))
+    on the moduli of the roots.
+    """
+    n = _degree(c)
+    top = abs(c[-1]).bit_length() - 1
+    k = max((-((top - abs(v).bit_length()) // (n - i)) for i, v in enumerate(c[:-1]) if v),
+            default=0)
+    return 1 << (max(k, 0) + 1)
+
+
+def _flips(ups):
+    """Sign changes along a list of booleans, True for a positive sign."""
+    return sum(a != b for a, b in zip(ups, ups[1:]))
+
+
 def squarefree_part(c):
     """The radical c / gcd(c, c') of the primitive list ``c`` != [], as a
     primitive list with a positive leading coefficient."""
@@ -204,11 +227,23 @@ class SturmChain:
     negated remainder of the two before it.  Positive factors keep every
     sign, so the sign variations are those of the standard chain.  The chain
     ends at the last nonzero element, a constant multiple of gcd(p, p').
+
+    ``root_bound`` R is a power of two past every root of p.  By Sturm's
+    theorem the count changes only at a root of p, and dividing the chain
+    by gcd(p, p') keeps it wherever the gcd is nonzero, so for |t| >= R it
+    is V(+inf), the variations of the leading coefficients, or V(-inf),
+    those of lc * (-1)^deg.  Both are fixed here; ``variations_at`` then
+    evaluates the chain only at |t| < R.
     """
 
     def __init__(self, var, c):
         self.var = var
         self._chain = _remainders(c, _primitive(_derive(c)))
+        self.root_bound = _root_bound(c)
+        ups = [e[-1] > 0 for e in self._chain]  # the signs at +infinity
+        # at -infinity an element of odd degree, of even length, flips sign
+        downs = [up != (len(e) % 2 == 0) for up, e in zip(ups, self._chain)]
+        self._past_bound = (_flips(ups), _flips(downs))
 
     @property
     def polys(self):
@@ -220,6 +255,8 @@ class SturmChain:
         """Sign changes along the chain at the rational ``t``, zeros skipped."""
         t = as_fraction(t)
         a = t.numerator
+        if abs(a) >= self.root_bound * t.denominator:
+            return self._past_bound[a < 0]
         b_powers = _powers(t.denominator, _degree(self._chain[0]))
         flips = 0
         last = 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflectionary import roots
+from inflectionary.inflection import inflection_fiber
 from inflectionary.poly import SparsePoly
 from inflectionary.roots import (
     MAX_DENOMINATOR,
@@ -167,6 +168,17 @@ class TestSturm:
         degrees = [p.degree("t") for p in chain.polys]
         assert degrees == [2, 1, 0]
 
+    def test_counts_past_the_root_bound_come_from_the_leading_signs(self, monkeypatch):
+        # t^2 - 2: R = 4 > Fujiwara's 2 sqrt(2); the chain t^2 - 2, 2t, 2
+        # has signs +, +, + at +infinity and +, -, + at -infinity
+        chain = SturmChain("t", [-2, 0, 1])
+        assert chain.root_bound == 4
+        assert SturmChain("t", [-12, 1]).root_bound == 32
+        assert SturmChain("t", [7]).root_bound == 2
+        monkeypatch.setattr(roots, "_powers", None)  # any evaluation fails
+        for t, expected in ((4, 0), (Fraction(10 ** 40, 7), 0), (-4, 2), (Fraction(-9, 2), 2)):
+            assert chain.variations_at(t) == expected
+
 
 class TestIsolation:
     def test_intervals_are_ordered_and_disjoint(self):
@@ -180,6 +192,33 @@ class TestIsolation:
 
     def test_multiple_roots_isolated_once(self):
         assert len(RootIsolator(from_roots(5, 5, 5)).isolate()) == 1
+
+    @pytest.mark.parametrize("mu,k,lam,evaluations", [
+        (1, 10, Fraction(-3, 2), 5),
+        (2, 5, Fraction(4, 3), 14),
+        (3, 4, Fraction(2, 3), 23),
+    ])
+    def test_chain_is_evaluated_only_inside_the_root_bound(self, monkeypatch, mu, k, lam,
+                                                           evaluations):
+        # bisection starts at the Cauchy bound, far past every root; out
+        # there the counts come from the chain's leading signs, so the
+        # Horner evaluations (one _powers call each) are of midpoints inside R
+        iso = RootIsolator(inflection_fiber(mu, k, lam))
+        assert iso.bound > 2 * iso.chain.root_bound
+        powers, scaled_value = roots._powers, roots._scaled_value
+        counted = []
+        points = set()
+
+        def spy_value(c, a, b_powers):
+            points.add(Fraction(a, b_powers[1]))
+            return scaled_value(c, a, b_powers)
+
+        monkeypatch.setattr(roots, "_powers", lambda b, n: counted.append(b) or powers(b, n))
+        monkeypatch.setattr(roots, "_scaled_value", spy_value)
+        iso.isolate()
+        assert len(counted) == evaluations
+        assert len(points) == evaluations
+        assert all(abs(t) < iso.chain.root_bound for t in points)
 
 
 class TestRootsBetween:

@@ -218,6 +218,41 @@ def test_isolate_matches_the_oracle(p):
 
 
 @PROPERTY
+@given(st.one_of(rooted_polys(), random_polys.map(lambda p: (p, []))), st.integers(1, 9))
+@example((REPEATED[0], [Fraction(-1)]), 1)
+@example((T ** 3 * (T - 1) ** 2, [Fraction(0), Fraction(1)]), 5)
+def test_counts_at_and_past_the_root_bound_match_the_oracle(rooted, b):
+    # past R the chain reads its counts off the leading signs; at one step
+    # inside R, and at the planted roots, it evaluates
+    p, planted = rooted
+    chain = SturmChain("t", to_ints(p))
+    oracle = FractionSturmChain(p)
+    bound = chain.root_bound
+    points = (bound, Fraction(bound * b - 1, b), Fraction(10 ** 40, 7),
+              oracle_cauchy_bound(p), *planted)
+    for t in points:
+        for s in (t, -t):
+            assert chain.variations_at(s) == oracle.variations_at(s), s
+
+
+@PROPERTY
+@given(rooted_polys(), st.sampled_from([None, 2, -5]))
+@example((T - 12, [Fraction(12)]), None)
+@example((7 * T - 48, [Fraction(48, 7)]), 2)
+def test_root_bound_is_strict(rooted, extra):
+    # every planted root lies strictly inside R, also times t^2 - 2 (roots
+    # +-sqrt(2)) and t^2 + 5 (no real root), for p's chain and the isolator's
+    p, planted = rooted
+    if extra is not None:
+        p = p * (T * T - extra)
+    for chain in (SturmChain("t", to_ints(p)), RootIsolator(p).chain):
+        bound = chain.root_bound
+        assert bound & (bound - 1) == 0
+        assert all(abs(r) < bound for r in planted)
+        assert extra != 2 or 2 < bound * bound
+
+
+@PROPERTY
 @given(rooted_polys(), random_polys)
 def test_sign_at_rational_root_is_exact(rooted, q):
     # One call signs q at every root of the fiber; check the rational ones.
