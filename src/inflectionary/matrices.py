@@ -2,10 +2,11 @@
 
 ``expand_by_minors`` is the division-free expansion by minors (Gentleman &
 Johnson, ACM TOMS 2(3), 1976) that the determinant template uses.
-``det_polymatrix`` clears each row of denominators, packs each entry into
-one integer, as ``poly``'s packed product does, runs one fraction-free
-Bareiss elimination (``_bareiss``) on the integers and unpacks the
-determinant once.
+``det_polymatrix`` brings each row's numerators over one common
+denominator, packs each entry into one integer, as ``poly``'s packed
+product does, runs one fraction-free Bareiss elimination (``_bareiss``) on
+the integers and unpacks the determinant once, over the product of the row
+denominators.
 
 This is exact because every Bareiss intermediate is a minor of the cleared
 matrix (of the row-permuted one after swaps).  A minor's degree in each
@@ -24,7 +25,6 @@ halves (Burnikel & Ziegler, "Fast Recursive Division", MPI-I-98-1-022,
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .poly import SparsePoly, _cleared, _pack, _slot_width, _unpack
 
@@ -54,8 +54,7 @@ def det_polymatrix(rows) -> SparsePoly:
     width = _slot_width(bound)
     det = _bareiss([[_pack(ints, radices, width) for ints in row] for row, _ in cleared])
     terms = _unpack(det, radices, width) if det else {}
-    den = math.prod(row_den for _, row_den in cleared)
-    return SparsePoly._raw(variables, {e: Fraction(c, den) for e, c in terms.items()})
+    return SparsePoly._make(variables, terms, math.prod(den for _, den in cleared))
 
 
 def expand_by_minors(m):
@@ -161,7 +160,7 @@ def _degree_box(rows):
     row's largest entry degree, per variable."""
     radices = [1] * len(rows[0][0].vars)
     for r in rows:
-        exponents = [e for entry in r for e in entry.terms]
+        exponents = [e for entry in r for e in entry.nums]
         if exponents:
             radices = [d + max(column) for d, column in zip(radices, zip(*exponents))]
     return radices

@@ -1,18 +1,23 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a map from exponent tuples to nonzero ``Fraction``
-coefficients, together with a fixed tuple of variable names that gives the
-exponent order.  Instances are treated as immutable values: every operation
-returns a fresh polynomial and nothing here mutates ``terms`` after
-construction.  All arithmetic is exact; floats are rejected everywhere.
+A polynomial is a fixed tuple of variable names, which gives the exponent
+order, and integer numerators ``nums`` over one denominator ``den``: a map
+from exponent tuples to nonzero ints, den > 0 and gcd(den, *nums) = 1, the
+layout of FLINT's ``fmpq_poly``.  The form is canonical, so equality and
+hashing compare it directly.  Instances are treated as immutable values:
+every operation builds a fresh polynomial through ``_make``, which drops zero
+numerators and cancels the content, and nothing mutates ``nums`` after
+construction.  Arithmetic runs on the integers; ``Fraction`` appears only at
+the boundary: parsing, the ``terms`` view, coefficient reads and the value
+of ``evaluate``.  All arithmetic is exact; floats are rejected everywhere.
 
 Products of dense operands take a packed-integer route (Kronecker
-substitution).  A polynomial with integer coefficients becomes one integer:
-each exponent tuple is a slot of a mixed-radix index whose radices are
-per-variable degree bounds, and each slot holds its coefficient at a fixed
-byte width, so that the integer is the polynomial evaluated at
-x_i = 2**(8*width*s_i) for the slot strides s_i.  Evaluation is a ring
-homomorphism, so one big-integer product is the packed product.  Unpacking
+substitution).  The numerators become one integer: each exponent tuple is a
+slot of a mixed-radix index whose radices are per-variable degree bounds,
+and each slot holds its numerator at a fixed byte width, so that the
+integer is the polynomial evaluated at x_i = 2**(8*width*s_i) for the slot
+strides s_i.  Evaluation is a ring homomorphism, so one big-integer product
+is the packed product, over the product of the denominators.  Unpacking
 adds a bias of half a slot to every slot, which makes each slot's digit
 nonnegative, and reads the digits back; it is exact when every coefficient
 of the result is below half a slot in absolute value and every exponent
@@ -38,8 +43,7 @@ VAR_LAMBDA = "lambda"
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 # A product with fewer term pairs than this stays on the dict loop whatever
-# its density: below it packing costs more than the Fraction loop it
-# replaces.
+# its density: below it packing costs more than the dict loop it replaces.
 PACK_MIN_PAIRS = 16
 
 
@@ -69,6 +73,11 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _exact(value):
+    """``value`` kept as an int or Fraction, or a parsed str; else TypeError."""
+    return value if isinstance(value, (int, Fraction)) else as_fraction(value)
+
+
 def _grade_key(exponents):
     # graded lexicographic: total degree first, then the exponent tuple
     return (sum(exponents), exponents)
@@ -77,7 +86,7 @@ def _grade_key(exponents):
 class SparsePoly:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, variables, terms=None):
         variables = tuple(str(v) for v in variables)
@@ -93,13 +102,25 @@ class SparsePoly:
                 )
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents!r}")
-            coeff = as_fraction(coeff)
-            if coeff:
-                clean[exponents] = clean.get(exponents, Fraction(0)) + coeff
-                if not clean[exponents]:
-                    del clean[exponents]
+            clean[exponents] = clean.get(exponents, 0) + as_fraction(coeff)
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = math.lcm(*(c.denominator for c in clean.values()))
         self.vars = variables
-        self.terms = clean
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
+        self.den = den
+
+    @classmethod
+    def _make(cls, variables, nums, den):
+        """The polynomial sum nums[e] x^e / den for a den > 0: zero
+        numerators are dropped and the content gcd(den, *nums) cancelled."""
+        p = cls.__new__(cls)
+        p.vars = variables
+        p.nums = {e: c for e, c in nums.items() if c}
+        g = math.gcd(den, *p.nums.values()) if den > 1 else 1
+        if g > 1:
+            p.nums = {e: c // g for e, c in p.nums.items()}
+        p.den = den // g
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -118,7 +139,7 @@ class SparsePoly:
         if name not in variables:
             raise ValueError(f"unknown variable {name!r} for {variables!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     @classmethod
     def from_univariate(cls, name, coeffs):
@@ -128,39 +149,41 @@ class SparsePoly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def terms(self):
+        """A fresh map from exponent tuples to nonzero Fraction coefficients."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     @property
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.nums.values()), 0), self.den)
 
     def degree(self, name) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         idx = self._index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
+        return max((e[idx] for e in self.nums), default=-1)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums), default=-1)
 
     def coefficient(self, exponents) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self.nums.get(tuple(exponents), 0), self.den)
 
     def support(self):
-        return set(self.terms)
+        return set(self.nums)
 
     def sorted_terms(self):
         """Terms in graded lexicographic descending order."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_grade_key, reverse=True)]
+        return [(e, Fraction(self.nums[e], self.den))
+                for e in sorted(self.nums, key=_grade_key, reverse=True)]
 
     def _index(self, name) -> int:
         try:
@@ -177,23 +200,24 @@ class SparsePoly:
                     f"variable tuple mismatch: {self.vars!r} vs {other.vars!r}"
                 )
             return other
-        return SparsePoly.constant(self.vars, other)
+        value = _exact(other)
+        return SparsePoly._make(self.vars, {(0,) * len(self.vars): value.numerator},
+                                value.denominator)
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return self._raw(self.vars, terms)
+        den = math.lcm(self.den, other.den)
+        scale = den // self.den
+        nums = {e: c * scale for e, c in self.nums.items()} if scale > 1 else dict(self.nums)
+        scale = den // other.den
+        for e, c in other.nums.items():
+            nums[e] = nums.get(e, 0) + c * scale
+        return SparsePoly._make(self.vars, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return _scaled(self, -1)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -202,22 +226,22 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, SparsePoly):
+            return _scaled(self, _exact(other))
         other = self._coerce(other)
-        pairs = len(self.terms) * len(other.terms)
+        a, b = self.nums, other.nums
+        den = self.den * other.den
+        pairs = len(a) * len(b)
         if pairs >= PACK_MIN_PAIRS:
-            radices = [a + b + 1 for a, b in zip(_degrees(self.terms), _degrees(other.terms))]
+            radices = [i + j + 1 for i, j in zip(_degrees(a), _degrees(b))]
             if math.prod(radices) <= pairs:
-                return self._raw(self.vars, _packed_product(self, other, radices))
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return self._raw(self.vars, terms)
+                return SparsePoly._make(self.vars, _packed_product(a, b, radices), den)
+        nums = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(i + j for i, j in zip(e1, e2))
+                nums[e] = nums.get(e, 0) + c1 * c2
+        return SparsePoly._make(self.vars, nums, den)
 
     __rmul__ = __mul__
 
@@ -234,26 +258,18 @@ class SparsePoly:
             n >>= 1
         return result
 
-    @classmethod
-    def _raw(cls, variables, terms):
-        # internal fast path: terms already normalized (no zeros, tuples ok)
-        p = cls.__new__(cls)
-        p.vars = variables
-        p.terms = terms
-        return p
-
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             if isinstance(other, (int, Fraction)):
                 return self.is_constant and self.constant_value() == other
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         # a constant equals its value, so it must hash like it
         if self.is_constant:
             return hash(self.constant_value())
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
         return f"SparsePoly({self.vars!r}, {self.to_text()!r})"
@@ -263,51 +279,38 @@ class SparsePoly:
     def derivative(self, name):
         """Exact partial derivative with respect to one variable."""
         idx = self._index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[idx]:
-                ne = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
-                terms[ne] = terms.get(ne, Fraction(0)) + c * e[idx]
-        return SparsePoly(self.vars, terms)
+        nums = {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+                for e, c in self.nums.items() if e[idx]}
+        return SparsePoly._make(self.vars, nums, self.den)
 
     def evaluate(self, values) -> Fraction:
         """Evaluate at a full rational point.  Every variable needs a value."""
-        point = []
+        p = self
         for v in self.vars:
             if v not in values:
                 raise ValueError(f"evaluate: no value given for {v!r}")
-            point.append(as_fraction(values[v]))
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for exp, val in zip(e, point):
-                if exp:
-                    term *= val ** exp
-            total += term
-        return total
+            p = p.specialize(v, values[v])
+        return p.constant_value()
 
     def specialize(self, name, value):
         """Substitute an exact value for one variable and drop it.
 
-        With the terms cleared to integers c over one denominator den and
-        value = a/b, each remaining exponent sums c a^s b^(top-s) over the
-        powers s of ``name`` as integers, top the largest power, and takes
-        one Fraction of that sum over den b^top.
+        With value = a/b, each remaining exponent sums c a^s b^(top-s) over
+        the numerators c of the powers s of ``name``, top the largest power,
+        over the denominator den b^top.
         """
         idx = self._index(name)
-        value = as_fraction(value)
-        new_vars = self.vars[:idx] + self.vars[idx + 1:]
-        (ints,), den = _cleared([self])
-        top = max((e[idx] for e in ints), default=0)
+        value = _exact(value)
+        top = max((e[idx] for e in self.nums), default=0)
         a_powers = _powers(value.numerator, top)
         b_powers = _powers(value.denominator, top)
         sums = {}
-        for e, c in ints.items():
+        for e, c in self.nums.items():
             s = e[idx]
             ne = e[:idx] + e[idx + 1:]
             sums[ne] = sums.get(ne, 0) + c * a_powers[s] * b_powers[top - s]
-        scale = den * b_powers[top]
-        return SparsePoly._raw(new_vars, {ne: Fraction(v, scale) for ne, v in sums.items() if v})
+        return SparsePoly._make(self.vars[:idx] + self.vars[idx + 1:], sums,
+                                self.den * b_powers[top])
 
     def homogenize(self, new_var, target_degree):
         """Pad every term with a power of ``new_var`` up to ``target_degree``."""
@@ -318,16 +321,15 @@ class SparsePoly:
             raise ValueError(
                 f"target degree {target_degree} below total degree {self.total_degree()}"
             )
-        new_vars = self.vars + (new_var,)
-        terms = {e + (target_degree - sum(e),): c for e, c in self.terms.items()}
-        return SparsePoly._raw(new_vars, terms)
+        nums = {e + (target_degree - sum(e),): c for e, c in self.nums.items()}
+        return SparsePoly._make(self.vars + (new_var,), nums, self.den)
 
     def rename_var(self, old, new):
         idx = self._index(old)
         if new in self.vars and new != old:
             raise ValueError(f"variable {new!r} already present")
         new_vars = self.vars[:idx] + (new,) + self.vars[idx + 1:]
-        return SparsePoly._raw(new_vars, dict(self.terms))
+        return SparsePoly._make(new_vars, self.nums, self.den)
 
     # -- univariate views ---------------------------------------------------
 
@@ -335,10 +337,9 @@ class SparsePoly:
         """Return ``(name, [c0, c1, ...])`` for a one-variable polynomial."""
         if len(self.vars) != 1:
             raise ValueError(f"not univariate: variables {self.vars!r}")
-        n = self.degree(self.vars[0])
-        coeffs = [Fraction(0)] * (n + 1) if n >= 0 else []
-        for e, c in self.terms.items():
-            coeffs[e[0]] = c
+        coeffs = [Fraction(0)] * (self.degree(self.vars[0]) + 1)
+        for (i,), c in self.nums.items():
+            coeffs[i] = Fraction(c, self.den)
         return self.vars[0], coeffs
 
     def coefficients_in(self, name):
@@ -349,15 +350,14 @@ class SparsePoly:
         idx = self._index(name)
         rest = self.vars[:idx] + self.vars[idx + 1:]
         grouped = {}
-        for e, c in self.terms.items():
-            ne = e[:idx] + e[idx + 1:]
-            grouped.setdefault(e[idx], {})[ne] = c
-        return {p: SparsePoly._raw(rest, t) for p, t in grouped.items()}
+        for e, c in self.nums.items():
+            grouped.setdefault(e[idx], {})[e[:idx] + e[idx + 1:]] = c
+        return {p: SparsePoly._make(rest, nums, self.den) for p, nums in grouped.items()}
 
     # -- display -------------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         chunks = []
         for e, c in self.sorted_terms():
@@ -380,13 +380,19 @@ class SparsePoly:
         return " ".join(chunks)
 
 
+def _scaled(p: SparsePoly, q) -> SparsePoly:
+    """``p`` times the rational (Fraction or int) ``q``, on the numerators."""
+    return SparsePoly._make(p.vars, {e: c * q.numerator for e, c in p.nums.items()},
+                            p.den * q.denominator)
+
+
 def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
     """Evaluate ``template`` with polynomials substituted for its variables.
 
     Every variable of the template must be assigned; all assigned polynomials
     must share one variable tuple, which becomes the result's.  Each power of
     an assigned polynomial is computed once per call, and every template term
-    adds its power product, scaled by its coefficient, into one sum.
+    adds its power product, scaled by its coefficient, to the sum.
     """
     missing = [v for v in template.vars if v not in assignments]
     if missing:
@@ -403,20 +409,17 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
     if target_vars is None:
         raise ValueError("template has no variables")
     powers = {}
-    total = {}
-    unit = {(0,) * len(target_vars): Fraction(1)}
-    for e, c in template.sorted_terms():
-        product = None
+    total = SparsePoly.zero(target_vars)
+    for e, c in template.terms.items():
+        product = c
         for name, exp in zip(template.vars, e):
             if exp:
                 power = powers.get((name, exp))
                 if power is None:
                     power = powers[name, exp] = assignments[name] ** exp
-                product = power if product is None else product * power
-        for pe, pc in (unit if product is None else product.terms).items():
-            old = total.get(pe)
-            total[pe] = c * pc if old is None else old + c * pc
-    return SparsePoly._raw(target_vars, {e: c for e, c in total.items() if c})
+                product = power * product
+        total = total + product
+    return total
 
 
 def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:
@@ -428,8 +431,7 @@ def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if not d.is_constant:
         raise ValueError("divexact divides by constants only")
-    inv = 1 / d.constant_value()
-    return SparsePoly._raw(p.vars, {e: c * inv for e, c in p.terms.items()})
+    return _scaled(p, 1 / d.constant_value())
 
 
 # -- packed integers ----------------------------------------------------------
@@ -448,10 +450,9 @@ def _powers(base, n):
 
 
 def _cleared(polys):
-    """Integer terms of each ``den * p`` and the polys' least common denominator ``den``."""
-    den = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-            for p in polys], den
+    """Numerators of each ``den * p`` and the polys' least common denominator ``den``."""
+    den = math.lcm(*(p.den for p in polys))
+    return [{e: c * (den // p.den) for e, c in p.nums.items()} for p in polys], den
 
 
 def _repeat(digit: int, width: int, n: int) -> int:
@@ -509,20 +510,17 @@ def _unpack(value: int, radices, width: int):
     return terms
 
 
-def _packed_product(a: SparsePoly, b: SparsePoly, radices):
-    """Terms of ``a * b`` from one big-integer product.
+def _packed_product(a, b, radices):
+    """Integer terms of the product of the integer terms ``a`` and ``b``
+    from one big-integer product.
 
-    Every product coefficient is at most max|A| * ||B||_1 for the cleared
-    integer operands A and B, and ``radices`` bound its exponents.
+    Every product coefficient is at most max|a| * ||b||_1, and ``radices``
+    bound its exponents.
     """
-    (a_ints,), a_den = _cleared([a])
-    (b_ints,), b_den = _cleared([b])
-    a_abs = [abs(c) for c in a_ints.values()]
-    b_abs = [abs(c) for c in b_ints.values()]
+    a_abs = [abs(c) for c in a.values()]
+    b_abs = [abs(c) for c in b.values()]
     width = _slot_width(min(max(a_abs) * sum(b_abs), max(b_abs) * sum(a_abs)))
-    value = _pack(a_ints, radices, width) * _pack(b_ints, radices, width)
-    den = a_den * b_den
-    return {e: Fraction(c, den) for e, c in _unpack(value, radices, width).items()}
+    return _unpack(_pack(a, radices, width) * _pack(b, radices, width), radices, width)
 
 
 # -- canonical JSON interchange ---------------------------------------------

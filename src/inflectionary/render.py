@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .inflection import legendre_f
-from .poly import (VAR_LAMBDA, VAR_X, SparsePoly, _cleared, _repeat, _slot_width, as_fraction,
+from .poly import (VAR_LAMBDA, VAR_X, SparsePoly, _repeat, _slot_width, as_fraction,
                    poly_to_json)
 
 # Exact-zero samples count as positive everywhere: in sign-change counts,
@@ -121,13 +121,14 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     """Exact sign of p at every grid node of the window, a packed row at a time.
 
     With x_i = (a0 + i a_step) / a_den and lambda_j = (c0 + j c_step) / c_den,
-    the coefficient of x^t lambda^s is cleared to an integer and scaled by
-    a_den^(deg_x - t) c_den^(deg_lambda - s): then v_ij = sum table * a_i^t
-    c_j^s is p(x_i, lambda_j) times a positive integer.  The powers a_i^t of
-    all nodes are packed once, each biased by half a slot into its bytes and
-    the bias taken off the whole row, and folded with the table into one
-    packed coefficient per power of lambda, so one Horner pass in lambda,
-    a big integer times a small one per step, packs v_ij for all of row j.
+    the numerator of x^t lambda^s (over p's denominator, which is positive)
+    is scaled by a_den^(deg_x - t) c_den^(deg_lambda - s): then v_ij = sum
+    table * a_i^t c_j^s is p(x_i, lambda_j) times a positive integer.  The
+    powers a_i^t of all nodes are packed once, each biased by half a slot
+    into its bytes and the bias taken off the whole row, and folded with the
+    table into one packed coefficient per power of lambda, so one Horner
+    pass in lambda, a big integer times a small one per step, packs v_ij for
+    all of row j.
     The slot width holds sum |table| * max|a|^t * max|c|^s + 1, which bounds
     |v| and |v - 1|, inside half a slot; biased by half a slot, the top bits
     of v then read v >= 0 and those of v - 1 read v > 0.
@@ -136,19 +137,18 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
         raise ValueError(f"expected variables {(VAR_X, VAR_LAMBDA)!r}, got {p.vars!r}")
     a0, a_step, a_den = _ladder(w.x_min, w.x_max, w.nx)
     c0, c_step, c_den = _ladder(w.lambda_min, w.lambda_max, w.nlambda)
-    deg_x = max((t for t, _ in p.terms), default=0)
-    deg_l = max((s for _, s in p.terms), default=0)
-    (ints,), _ = _cleared([p])
+    deg_x = max((t for t, _ in p.nums), default=0)
+    deg_l = max((s for _, s in p.nums), default=0)
     # table[deg_x - t][deg_l - s] is the scaled coefficient of x^t lambda^s:
     # both axes in descending powers, ready for Horner
     table = [[0] * (deg_l + 1) for _ in range(deg_x + 1)]
-    for (t, s), c in ints.items():
+    for (t, s), c in p.nums.items():
         table[deg_x - t][deg_l - s] = c * a_den ** (deg_x - t) * c_den ** (deg_l - s)
     n = w.nx + 1
     a_max = max(abs(a0), abs(a0 + w.nx * a_step))
     c_max = max(abs(c0), abs(c0 + w.nlambda * c_step))
     width = _slot_width(1 + sum(abs(table[deg_x - t][deg_l - s]) * a_max ** t * c_max ** s
-                                for t, s in p.terms))
+                                for t, s in p.nums))
     xs = [a0 + i * a_step for i in range(n)]
     powers = [1] * n
     half = 1 << (8 * width - 1)

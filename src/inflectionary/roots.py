@@ -1,20 +1,21 @@
 """Univariate machinery: gcd, Sturm chains, root isolation, exact signs.
 
-Inputs are one-variable :class:`~inflectionary.poly.SparsePoly` values with
-Fraction coefficients, and every result is exact.  Inside, a polynomial has
-one form: a primitive integer list, the ascending coprime coefficients of a
-positive multiple of it.  ``_primitive`` clears denominators and content by
-positive factors, so every sign is kept.  There is one division, the
-integer pseudo-division ``_pseudo_divmod``, whose quotient and remainder are
-scaled by a positive power of the divisor's leading coefficient, and one
-remainder sequence on it, ``_remainders``, which ends at the gcd and is the
-Sturm chain when its second list is the derivative of its first.  The same
-division gives p / gcd(p, p') and deflates a rational root a/b by b x - a.
-An integer list is evaluated at a rational a/b (b > 0) by homogeneous
-Horner, sum c_i a^i b^(d-i), which has the sign of its value at a/b.  A
-Sturm chain is evaluated only inside its root bound R, a power of two past
-every root of its first element: at |a| >= R b its count is V(+inf) or
-V(-inf), read off the elements' leading signs when the chain is built.
+Inputs are one-variable :class:`~inflectionary.poly.SparsePoly` values, and
+every result is exact.  Inside, a polynomial has one form: a primitive
+integer list, the ascending coprime coefficients of a positive multiple of
+it.  ``_ints`` reads it off the numerators, whose denominator is positive,
+and ``_primitive`` clears the content, a positive factor, so every sign is
+kept.  There is one division, the integer pseudo-division
+``_pseudo_divmod``, whose quotient and remainder are scaled by a positive
+power of the divisor's leading coefficient, and one remainder sequence on
+it, ``_remainders``, which ends at the gcd and is the Sturm chain when its
+second list is the derivative of its first.  The same division gives
+p / gcd(p, p') and deflates a rational root a/b by b x - a.  An integer
+list is evaluated at a rational a/b (b > 0) by homogeneous Horner, sum
+c_i a^i b^(d-i), which has the sign of its value at a/b.  A Sturm chain is
+evaluated only inside its root bound R, a power of two past every root of
+its first element: at |a| >= R b its count is V(+inf) or V(-inf), read
+off the elements' leading signs when the chain is built.
 
 A :class:`RootIsolator` is built once per polynomial, e.g. one fiber of
 P(mu, k) at a fixed lambda, and owns that fiber's univariate work: p's
@@ -53,15 +54,10 @@ def _derive(c):
 
 
 def _primitive(c):
-    """The coprime integer list that is a positive multiple of ``c``.
-
-    ``c`` holds Fractions or ints.  Denominators and content are cleared by
-    positive factors, so the sign of every coefficient is kept.
-    """
-    denom = math.lcm(*(v.denominator for v in c))
-    ints = [v.numerator * (denom // v.denominator) for v in c]
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    """The integer list ``c`` over its content, a positive factor, so the
+    sign of every coefficient is kept."""
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
 
 
 def _positive(c):
@@ -72,9 +68,13 @@ def _positive(c):
 
 def _ints(p: SparsePoly):
     """``(name, c)``: the variable of the nonzero one-variable ``p`` and
-    its primitive integer list."""
-    name, coeffs = p.univariate_coeffs()
-    return name, _primitive(coeffs)
+    its primitive integer list, read off its numerators."""
+    if len(p.vars) != 1:
+        raise ValueError(f"not univariate: variables {p.vars!r}")
+    c = [0] * (p.degree(p.vars[0]) + 1)
+    for (i,), v in p.nums.items():
+        c[i] = v
+    return p.vars[0], _primitive(c)
 
 
 def _poly(name, c, lead=1) -> SparsePoly:
@@ -203,8 +203,8 @@ def deflate(p: SparsePoly, r):
     if p.is_zero:
         raise ValueError("zero polynomial")
     r = as_fraction(r)
-    name, coeffs = p.univariate_coeffs()
-    c = _primitive(coeffs)
+    name, c = _ints(p)
+    lead = p.coefficient((_degree(c),))
     linear = [-r.numerator, r.denominator]
     count = 0
     while len(c) > 1:
@@ -213,7 +213,7 @@ def deflate(p: SparsePoly, r):
             break
         c = _primitive(q)
         count += 1
-    return count, _poly(name, c, coeffs[-1])
+    return count, _poly(name, c, lead)
 
 
 # -- Sturm chains -------------------------------------------------------------

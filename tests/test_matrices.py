@@ -150,6 +150,21 @@ class TestResultant:
     def test_zero_argument(self):
         assert resultant(SparsePoly.zero(("t",)), T - 1, "t").is_zero
 
+    def test_constant_second_argument(self):
+        # res(a, c) = c^deg(a) for a c free of the eliminated variable
+        lam = SparsePoly.variable(("lambda",), "lambda")
+        a = X ** 3 - Fraction(1, 2) * L * X + 2
+        assert resultant(a, L + 1, "x") == (lam + 1) ** 3
+        assert resultant(X - L, L + 1, "x") == lam + 1
+        assert resultant(T - 3, SparsePoly.constant(("t",), 5), "t") == SparsePoly.constant((), 5)
+
+    def test_linear_pair_in_both_orders(self):
+        # res(x - a, x - b) = a - b, so swapping the arguments flips the sign
+        lam = SparsePoly.variable(("lambda",), "lambda")
+        assert resultant(X - L, X - 2, "x") == lam - 2
+        assert resultant(X - 2, X - L, "x") == 2 - lam
+        assert resultant(X - Fraction(1, 3) * L, X + L, "x") == Fraction(4, 3) * lam
+
     def test_multiplicative_in_first_argument(self):
         rng = random.Random(23)
         for _ in range(6):

@@ -366,6 +366,53 @@ def oracle_specialize(p, name, value):
     return SparsePoly(p.vars[:idx] + p.vars[idx + 1:], terms)
 
 
+def oracle_add(a, b):
+    """Terms of ``a + b``, added term by term over Fractions."""
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return {e: c for e, c in terms.items() if c}
+
+
+def oracle_mul(a, b):
+    """Terms of ``a * b``: every pair of terms multiplied over Fractions."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def oracle_derivative(p, name):
+    idx = p.vars.index(name)
+    return {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+            for e, c in p.terms.items() if e[idx]}
+
+
+def oracle_homogenize(p, degree):
+    return {e + (degree - sum(e),): c for e, c in p.terms.items()}
+
+
+def oracle_coefficients_in(p, name):
+    """``power -> terms`` of ``p`` grouped by the power of ``name``."""
+    idx = p.vars.index(name)
+    grouped = {}
+    for e, c in p.terms.items():
+        grouped.setdefault(e[idx], {})[e[:idx] + e[idx + 1:]] = c
+    return grouped
+
+
+def oracle_json(variables, terms):
+    """``poly_to_json`` of a Fraction term dict, terms in graded lexicographic
+    descending order."""
+    order = sorted(terms, key=lambda e: (sum(e), e), reverse=True)
+    return json.dumps({"vars": list(variables),
+                       "terms": [{"e": list(e), "n": str(terms[e].numerator),
+                                  "d": str(terms[e].denominator)} for e in order]},
+                      separators=(",", ":"))
+
+
 specialize_values = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9),
                               st.fractions(min_value=-9, max_value=9, max_denominator=12))
 
@@ -439,14 +486,59 @@ poly_pairs = st.one_of(*(st.tuples(polys_in(n), polys_in(n)) for n in (1, 2, 3))
 PACKED = settings(max_examples=40)
 
 
+def operands(nvars):
+    """Mixed-rational polynomials, the zero polynomial and nonzero constants."""
+    variables = XLZ[:nvars]
+    return st.one_of(polys_in(nvars), st.just(SparsePoly.zero(variables)),
+                     mixed_rationals.map(lambda c: SparsePoly.constant(variables, c)))
+
+
+operand_pairs = st.one_of(*(st.tuples(operands(n), operands(n)) for n in (1, 2, 3)))
+
+
+def assert_matches_oracle(p, variables, terms):
+    """``p`` is the canonical form of the Fraction term dict ``terms``."""
+    assert p.vars == variables
+    assert p.terms == terms
+    assert p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert poly_to_json(p) == oracle_json(variables, terms)
+    same = SparsePoly(variables, terms)
+    assert same == p and hash(same) == hash(p)
+    if p.is_constant:
+        value = terms.get((0,) * len(variables), Fraction(0))
+        assert p == value and hash(p) == hash(value)
+
+
+@PACKED
+@given(operand_pairs, st.integers(0, 2))
+@example((xl({(1, 0): Fraction(1, 2)}), xl({(0, 1): 2})), 0)   # x/2 * 2 lambda: content cancels
+@example((xl({(0, 0): Fraction(3, 4)}), xl({(0, 0): Fraction(-3, 4)})), 1)  # sums to zero
+def test_integer_form_matches_the_fraction_oracle(pair, extra):
+    a, b = pair
+    name = a.vars[-1]
+    assert_matches_oracle(a + b, a.vars, oracle_add(a, b))
+    assert_matches_oracle(a * b, a.vars, oracle_mul(a, b))
+    assert_matches_oracle(a.derivative(name), a.vars, oracle_derivative(a, name))
+    degree = max(a.total_degree(), 0) + extra
+    assert_matches_oracle(a.homogenize("w", degree), a.vars + ("w",),
+                          oracle_homogenize(a, degree))
+    pieces = a.coefficients_in(name)
+    expected = oracle_coefficients_in(a, name)
+    assert set(pieces) == set(expected)
+    for power, terms in expected.items():
+        assert_matches_oracle(pieces[power], a.vars[:-1], terms)
+
+
 @PACKED
 @given(poly_pairs)
 @example((X + L, X - L))
 @example((xl({(3, 1): Fraction(-2, 3)}), xl({(0, 2): Fraction(9, 4)})))
 def test_packed_product_matches_dict_product(pair):
     a, b = pair
-    radices = [i + j + 1 for i, j in zip(_degrees(a.terms), _degrees(b.terms))]
-    packed = SparsePoly(a.vars, _packed_product(a, b, radices))
+    radices = [i + j + 1 for i, j in zip(_degrees(a.nums), _degrees(b.nums))]
+    packed = SparsePoly(a.vars, {e: Fraction(c, a.den * b.den)
+                                 for e, c in _packed_product(a.nums, b.nums, radices).items()})
     with dict_route():
         assert packed == a * b
 

@@ -36,7 +36,7 @@ def from_roots(*roots_):
 
 def to_ints(p):
     """The primitive integer list of the nonzero one-variable ``p``."""
-    return roots._primitive(p.univariate_coeffs()[1])
+    return roots._ints(p)[1]
 
 
 class TestGcd:

@@ -176,7 +176,7 @@ def planted_fibers(draw):
 
 def to_ints(p: SparsePoly):
     """The primitive integer list of the nonzero one-variable ``p``."""
-    return roots._primitive(p.univariate_coeffs()[1])
+    return roots._ints(p)[1]
 
 
 # -- properties ----------------------------------------------------------------
