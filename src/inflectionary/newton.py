@@ -93,5 +93,5 @@ def face_restriction(p: SparsePoly, face) -> SparsePoly:
     if len(p.vars) != 2:
         raise ValueError(f"face_restriction needs a bivariate polynomial, got {p.vars!r}")
     a, b = (tuple(face[0]), tuple(face[1]))
-    terms = {e: c for e, c in p.terms.items() if _on_segment(e, a, b)}
-    return SparsePoly(p.vars, terms)
+    nums = {e: c for e, c in p.nums.items() if _on_segment(e, a, b)}
+    return SparsePoly._make(p.vars, nums, p.den)

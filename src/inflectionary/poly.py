@@ -7,9 +7,12 @@ layout of FLINT's ``fmpq_poly``.  The form is canonical, so equality and
 hashing compare it directly.  Instances are treated as immutable values:
 every operation builds a fresh polynomial through ``_make``, which drops zero
 numerators and cancels the content, and nothing mutates ``nums`` after
-construction.  Arithmetic runs on the integers; ``Fraction`` appears only at
-the boundary: parsing, the ``terms`` view, coefficient reads and the value
-of ``evaluate``.  All arithmetic is exact; floats are rejected everywhere.
+construction.  Arithmetic, comparisons and rebuilds run on the integers.  A
+``Fraction`` is made only at the edges: in parsing (``parse_rational``,
+``as_fraction`` and the ``SparsePoly(...)`` constructor) and for the values
+a caller reads, from ``coefficient``, ``constant_value``, ``evaluate``,
+``sorted_terms`` and ``terms``.  All arithmetic is exact; floats are
+rejected everywhere.
 
 Products of dense operands take a packed-integer route (Kronecker
 substitution).  The numerators become one integer: each exponent tuple is a
@@ -331,16 +334,7 @@ class SparsePoly:
         new_vars = self.vars[:idx] + (new,) + self.vars[idx + 1:]
         return SparsePoly._make(new_vars, self.nums, self.den)
 
-    # -- univariate views ---------------------------------------------------
-
-    def univariate_coeffs(self):
-        """Return ``(name, [c0, c1, ...])`` for a one-variable polynomial."""
-        if len(self.vars) != 1:
-            raise ValueError(f"not univariate: variables {self.vars!r}")
-        coeffs = [Fraction(0)] * (self.degree(self.vars[0]) + 1)
-        for (i,), c in self.nums.items():
-            coeffs[i] = Fraction(c, self.den)
-        return self.vars[0], coeffs
+    # -- coefficient views --------------------------------------------------
 
     def coefficients_in(self, name):
         """Group terms by the power of ``name``.
@@ -391,8 +385,9 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
 
     Every variable of the template must be assigned; all assigned polynomials
     must share one variable tuple, which becomes the result's.  Each power of
-    an assigned polynomial is computed once per call, and every template term
-    adds its power product, scaled by its coefficient, to the sum.
+    an assigned polynomial is computed once per call, every template term
+    adds its power product, scaled by its numerator, to the sum, and the sum
+    is divided by the template's denominator once.
     """
     missing = [v for v in template.vars if v not in assignments]
     if missing:
@@ -410,7 +405,7 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
         raise ValueError("template has no variables")
     powers = {}
     total = SparsePoly.zero(target_vars)
-    for e, c in template.terms.items():
+    for e, c in template.nums.items():
         product = c
         for name, exp in zip(template.vars, e):
             if exp:
@@ -419,7 +414,7 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
                     power = powers[name, exp] = assignments[name] ** exp
                 product = power * product
         total = total + product
-    return total
+    return SparsePoly._make(target_vars, total.nums, total.den * template.den)
 
 
 def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:

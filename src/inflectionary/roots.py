@@ -78,9 +78,12 @@ def _ints(p: SparsePoly):
 
 
 def _poly(name, c, lead=1) -> SparsePoly:
-    """The multiple of the integer list ``c`` with leading coefficient ``lead``."""
-    scale = Fraction(lead) / c[-1]
-    return SparsePoly.from_univariate(name, [v * scale for v in c])
+    """The multiple of the integer list ``c`` with leading coefficient ``lead``,
+    an int or Fraction: c lead / c[-1], with c[-1]'s sign moved to the
+    numerators so that the denominator is positive."""
+    scale = lead.numerator if c[-1] > 0 else -lead.numerator
+    return SparsePoly._make((name,), {(i,): v * scale for i, v in enumerate(c)},
+                            abs(c[-1]) * lead.denominator)
 
 
 def _pseudo_divmod(a, b):

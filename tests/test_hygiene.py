@@ -1,11 +1,13 @@
-"""Source hygiene: no unused import, no uncalled private helper and no
-unread public name in ``src/``; and one ``hypothesis`` profile for every
-property.
+"""Source hygiene: no unused import, no uncalled private helper, no unread
+public name, method or property and no read of the ``Fraction`` view
+``terms`` in ``src/``; and one ``hypothesis`` profile for every property.
 
 A prune that removes the last use of an imported name, or the last caller
 of a helper, leaves dead code that no behavioural test notices.  A public
-name also counts as read when an acceptance criterion reads it.  These
-checks read the modules with ``ast``, so they need no linter.
+name also counts as read when an acceptance criterion reads it, and a
+public method or property when the benchmark's tracer, which binds and
+reads them from outside the package, does.  These checks read the modules
+with ``ast``, so they need no linter.
 """
 
 import ast
@@ -19,6 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "inflectionary"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _imported(tree):
@@ -32,16 +35,22 @@ def _imported(tree):
     return names
 
 
-def _referenced(node):
-    """Names a piece of code reads, as bare names, attributes or imports."""
+def _referenced(node, skip=None):
+    """Names a piece of code outside the subtree ``skip`` reads, as bare
+    names, attributes or imports."""
     names = set()
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             names.update(a.name for a in sub.names)
+        stack.extend(ast.iter_child_nodes(sub))
     return names
 
 
@@ -66,9 +75,18 @@ def _public_definitions(tree):
         yield from ((name, node) for name in names if not name.startswith("_"))
 
 
+def _public_members(tree):
+    """``(name, node)`` for each public method and property of a class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((member.name, member) for member in node.body
+                        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("_"))
+
+
 def _read_elsewhere(name, definition):
-    return any(name in _referenced(node) for tree in TREES.values()
-               for node in tree.body if node is not definition)
+    return any(name in _referenced(node, definition) for tree in TREES.values()
+               for node in tree.body)
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
@@ -88,11 +106,25 @@ def test_every_private_helper_is_referenced(module):
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_public_name_is_read(module):
-    # read in src/ outside its own definition, or by an acceptance criterion
+    # read in src/ outside its own definition, or by an acceptance criterion;
+    # a method or property may also be read by the tracer
     criteria = _referenced(ast.parse(ACCEPTANCE.read_text()))
+    traced = _referenced(ast.parse(TRACER.read_text()))
     unread = [name for name, definition in _public_definitions(TREES[module])
               if not _read_elsewhere(name, definition) and name not in criteria]
+    unread += [name for name, definition in _public_members(TREES[module])
+               if not _read_elsewhere(name, definition) and name not in criteria | traced]
     assert unread == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_reads_the_fraction_view(module):
+    # computed polynomials are compared, filtered and rebuilt on ``nums`` and
+    # ``den``; ``terms`` builds a Fraction per term and is left to readers
+    # outside the package
+    reads = [node.lineno for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert reads == []
 
 
 def test_the_checks_see_the_package():

@@ -1,5 +1,7 @@
 """Convex hulls, lattice enumeration and Newton polygon faces."""
 
+from fractions import Fraction
+
 import pytest
 
 from inflectionary.inflection import basic_inflection
@@ -92,3 +94,12 @@ class TestFaceRestriction:
     def test_empty_restriction(self):
         p = SparsePoly(XL, {(4, 4): 1})
         assert face_restriction(p, ((0, 1), (1, 0))).is_zero
+
+    def test_kept_terms_come_back_in_lowest_terms(self):
+        # x/2 + lambda/3 is (3x + 2 lambda)/6; its x term alone is x/2
+        p = SparsePoly(XL, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+        face = ((1, 0), (2, 0))
+        restricted = face_restriction(p, face)
+        oracle = SparsePoly(XL, {e: c for e, c in p.terms.items() if e in face})
+        assert restricted == oracle
+        assert (restricted.nums, restricted.den) == ({(1, 0): 1}, 2)

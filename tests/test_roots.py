@@ -39,6 +39,13 @@ def to_ints(p):
     return roots._ints(p)[1]
 
 
+def univariate_coeffs(p):
+    """``(name, [c0, c1, ...])``: the Fraction coefficients of the
+    one-variable ``p``."""
+    (name,) = p.vars
+    return name, [p.coefficient((i,)) for i in range(p.degree(name) + 1)]
+
+
 class TestGcd:
     def test_shared_linear_factor(self):
         a = from_roots(1, 1, -2)
@@ -373,7 +380,7 @@ class TestIsolatorObject:
 
 def oracle_multiplicity(p: SparsePoly, r: Fraction) -> int:
     """Multiplicity of ``r`` as a root of ``p``, one synthetic division at a time."""
-    _, c = p.univariate_coeffs()
+    _, c = univariate_coeffs(p)
     count = 0
     while len(c) > 1:
         acc = Fraction(0)
@@ -390,7 +397,7 @@ def oracle_multiplicity(p: SparsePoly, r: Fraction) -> int:
 
 def oracle_linear_quotient(p: SparsePoly, r: Fraction) -> SparsePoly:
     """``p / (t - r)``, which must be exact."""
-    name, coeffs = p.univariate_coeffs()
+    name, coeffs = univariate_coeffs(p)
     out = []
     acc = Fraction(0)
     for c in reversed(coeffs):

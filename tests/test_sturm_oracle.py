@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_poly import oracle_divexact
+from test_roots import to_ints, univariate_coeffs
 
 from inflectionary import conjectures, roots
 from inflectionary.inflection import legendre_f
@@ -62,7 +63,7 @@ class FractionSturmChain:
     """Standard Sturm chain over Fractions: p, p', then negated remainders."""
 
     def __init__(self, p: SparsePoly):
-        _, c0 = p.univariate_coeffs()
+        _, c0 = univariate_coeffs(p)
         chain = [c0]
         c1 = [c0[i] * i for i in range(1, len(c0))]
         if c1:
@@ -80,7 +81,7 @@ class FractionSturmChain:
 
 
 def _monic(p: SparsePoly) -> SparsePoly:
-    _, c = p.univariate_coeffs()
+    _, c = univariate_coeffs(p)
     return p * (1 / c[-1])
 
 
@@ -91,7 +92,7 @@ def oracle_squarefree_part(p: SparsePoly) -> SparsePoly:
 
 def oracle_cauchy_bound(p: SparsePoly) -> Fraction:
     """1 + max |c_i| / |c_n| over the coefficient list of p."""
-    _, c = p.univariate_coeffs()
+    _, c = univariate_coeffs(p)
     top = max((abs(v) for v in c[:-1]), default=Fraction(0))
     return 1 + top / abs(c[-1])
 
@@ -174,11 +175,6 @@ def planted_fibers(draw):
     return p, lambda0
 
 
-def to_ints(p: SparsePoly):
-    """The primitive integer list of the nonzero one-variable ``p``."""
-    return roots._ints(p)[1]
-
-
 # -- properties ----------------------------------------------------------------
 
 @PROPERTY
@@ -194,7 +190,7 @@ def test_variation_counts_match_the_oracle(p, points):
 @PROPERTY
 @given(any_polys)
 def test_elements_are_positive_multiples_of_the_standard_chain(p):
-    elements = [poly.univariate_coeffs()[1] for poly in SturmChain("t", to_ints(p)).polys]
+    elements = [univariate_coeffs(poly)[1] for poly in SturmChain("t", to_ints(p)).polys]
     oracle = FractionSturmChain(p).chain
     assert len(elements) == len(oracle)
     for ints, exact in zip(elements, oracle):
@@ -266,7 +262,7 @@ def test_sign_at_rational_root_is_exact(rooted, q):
         if not inside:
             continue  # a root of the quadratic factor
         (r,) = inside
-        value = _eval(q.univariate_coeffs()[1], r)
+        value = _eval(univariate_coeffs(q)[1], r)
         assert sign == (value > 0) - (value < 0)
         assert sign_at_root(q, iso, [iv]) == [sign]
 
@@ -317,10 +313,21 @@ def test_pseudo_division_identity(a, b):
 
 
 @PROPERTY
+@given(int_lists, st.one_of(st.integers(-40, 40), rationals))
+@example([2, 0, -4], Fraction(-3, 10))
+@example([3, -6], 5)
+def test_integer_builder_matches_the_fraction_route(c, lead):
+    # the oracle scales every coefficient as a Fraction and parses the list;
+    # equality compares the canonical (nums, den): den > 0 in lowest terms
+    oracle = SparsePoly.from_univariate("t", [v * Fraction(lead) / c[-1] for v in c])
+    assert roots._poly("t", c, lead) == oracle
+
+
+@PROPERTY
 @given(any_polys)
 def test_squarefree_list_is_a_positive_multiple_of_the_oracle(p):
     reduced = squarefree_part(to_ints(p))
-    _, oracle = oracle_squarefree_part(p).univariate_coeffs()
+    _, oracle = univariate_coeffs(oracle_squarefree_part(p))
     assert reduced[-1] > 0
     assert reduced == [v * reduced[-1] for v in oracle]
 
