@@ -6,9 +6,11 @@ with regions where the Legendre cubic is positive shaded underneath.
 Everything runs on integers: grid nodes over one denominator per axis, an
 integer coefficient table scaled by positive factors, contours in doubled
 grid units, so every sign and coordinate is exact and the bytes reproducible.
-A grid row is one packed integer with a slot per node and its signs are two
-bitmasks (bit i is node i): contours and shading are mask operations per
-row, so the cost goes per row and per crossed cell, not per node.
+A grid row is one packed integer with a slot per node, built from forward
+differences of the rows before it and read as two bitmasks (bit i is node i)
+off one conversion to bytes.  The f > 0 shading comes from f's roots, and
+each crossed cell's contour is one table lookup: the cost goes per row and
+per crossed cell, not per node.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .inflection import legendre_f
 from .poly import (VAR_LAMBDA, VAR_X, SparsePoly, _repeat, _slot_width, as_fraction,
                    poly_to_json)
 
@@ -111,10 +112,21 @@ def _ladder(lo: Fraction, hi: Fraction, n: int):
 _TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
 
 
-def _top_bits(value: int, width: int, n: int) -> int:
-    """Bitmask of the top bits of the n slots of a nonnegative packed value."""
+def _row_masks(value: int, width: int, n: int):
+    """``(nonneg, positive)`` of the n slots of a row packed with each slot
+    biased by half a slot: a slot is >= 0 when its top bit is set and 0 when
+    its bytes are the bias, a match at a multiple of ``width``."""
     digits = value.to_bytes(n * width, "little")
-    return int(digits[width - 1::width].translate(_TOP_BIT)[::-1], 2)
+    nonneg = int(digits[width - 1::width].translate(_TOP_BIT)[::-1], 2)
+    zero_slot = (1 << (8 * width - 1)).to_bytes(width, "little")
+    zeros = 0
+    at = digits.find(zero_slot)
+    while at >= 0:
+        slot, offset = divmod(at, width)
+        if not offset:
+            zeros |= 1 << slot
+        at = digits.find(zero_slot, (slot + 1) * width)
+    return nonneg, nonneg & ~zeros
 
 
 def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
@@ -126,12 +138,13 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     table * a_i^t c_j^s is p(x_i, lambda_j) times a positive integer.  The
     powers a_i^t of all nodes are packed once, each biased by half a slot
     into its bytes and the bias taken off the whole row, and folded with the
-    table into one packed coefficient per power of lambda, so one Horner
-    pass in lambda, a big integer times a small one per step, packs v_ij for
-    all of row j.
-    The slot width holds sum |table| * max|a|^t * max|c|^s + 1, which bounds
-    |v| and |v - 1|, inside half a slot; biased by half a slot, the top bits
-    of v then read v >= 0 and those of v - 1 read v > 0.
+    table into one packed coefficient per power of lambda.  Packing is a
+    ring homomorphism, so the packed row V_j is an integer polynomial of
+    degree deg_lambda in j: Horner packs rows 0..deg_lambda and each later
+    row is deg_lambda additions of forward differences, which are never
+    unpacked.  The slot width holds sum |table| * max|a|^t * max|c|^s, a
+    bound on |v|, inside half a slot; biased by half a slot, a slot's top
+    bit reads v >= 0 and the bias itself reads v = 0.
     """
     if p.vars != (VAR_X, VAR_LAMBDA):
         raise ValueError(f"expected variables {(VAR_X, VAR_LAMBDA)!r}, got {p.vars!r}")
@@ -147,8 +160,8 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
     n = w.nx + 1
     a_max = max(abs(a0), abs(a0 + w.nx * a_step))
     c_max = max(abs(c0), abs(c0 + w.nlambda * c_step))
-    width = _slot_width(1 + sum(abs(table[deg_x - t][deg_l - s]) * a_max ** t * c_max ** s
-                                for t, s in p.nums))
+    width = _slot_width(sum(abs(table[deg_x - t][deg_l - s]) * a_max ** t * c_max ** s
+                            for t, s in p.nums))
     xs = [a0 + i * a_step for i in range(n)]
     powers = [1] * n
     half = 1 << (8 * width - 1)
@@ -165,14 +178,50 @@ def sample_sign_grid(p: SparsePoly, w: Window) -> SignGrid:
         powers = list(map(int.__mul__, powers, xs))
     # bias every slot by half a slot through the constant term of Horner
     packed[-1] += bias
-    ones = _repeat(1, width, n)
-    rows = []
-    for j in range(w.nlambda + 1):
+    # diffs[k] is the k-th forward difference of V at row j; the first
+    # min(deg_l, nlambda) + 1 rows fix V_j exactly up to row nlambda
+    diffs = []
+    for j in range(min(deg_l, w.nlambda) + 1):
         c = c0 + j * c_step
         value = 0
         for coeff in packed:
             value = value * c + coeff
-        rows.append((_top_bits(value, width, n), _top_bits(value - ones, width, n)))
+        diffs.append(value)
+    for k in range(1, len(diffs)):
+        diffs[k:] = [b - a for a, b in zip(diffs[k - 1:], diffs[k:])]
+    rows = []
+    for _ in range(w.nlambda + 1):
+        rows.append(_row_masks(diffs[0], width, n))
+        for k in range(len(diffs) - 1):
+            diffs[k] += diffs[k + 1]
+    return SignGrid(w, tuple(rows))
+
+
+def _nodes_below(num: int, den: int, n: int):
+    """Masks of the nodes i < n with i den < num and with i den = num (den > 0)."""
+    q, r = divmod(num, den)
+    return (1 << min(max(q + (r != 0), 0), n)) - 1, (1 << q if not r and 0 <= q < n else 0)
+
+
+def legendre_sign_grid(w: Window) -> SignGrid:
+    """Exact sign of f = x (x - 1) (x - lambda) at every grid node, from its
+    roots: x_i grows with i, so the nodes with x_i < 0, x_i < 1 and x_i <
+    lambda_j are prefix masks of one floor division each, whose exact
+    quotient marks the zero.  f > 0 where no factor is 0 and evenly many < 0.
+    """
+    a0, a_step, a_den = _ladder(w.x_min, w.x_max, w.nx)
+    c0, c_step, c_den = _ladder(w.lambda_min, w.lambda_max, w.nlambda)
+    n = w.nx + 1
+    full = (1 << n) - 1
+    neg0, zero0 = _nodes_below(-a0, a_step, n)
+    neg1, zero1 = _nodes_below(a_den - a0, a_step, n)
+    rows = []
+    for j in range(w.nlambda + 1):
+        # x_i < lambda_j  iff  i a_step c_den < (c0 + j c_step) a_den - a0 c_den
+        neg, zero = _nodes_below((c0 + j * c_step) * a_den - a0 * c_den, a_step * c_den, n)
+        zeros = zero0 | zero1 | zero
+        positive = full & ~(zeros | neg0 ^ neg1 ^ neg)
+        rows.append((positive | zeros, positive))
     return SignGrid(w, tuple(rows))
 
 
@@ -196,7 +245,7 @@ _CASES = {
 }
 
 
-def _crossing(i, j, edge, zero):
+def _crossing(edge, zero):
     # the case table only asks about edges whose effective signs differ, so
     # at most one endpoint is zero (a set bit of ``zero``); the crossing snaps
     # to that node and sits at the edge midpoint otherwise.  In doubled grid
@@ -204,16 +253,30 @@ def _crossing(i, j, edge, zero):
     a, b = edge
     (ai, aj), (bi, bj) = _CORNERS[a], _CORNERS[b]
     if zero >> a & 1:
-        return (2 * (i + ai), 2 * (j + aj))
+        return (2 * ai, 2 * aj)
     if zero >> b & 1:
-        return (2 * (i + bi), 2 * (j + bj))
-    return (2 * i + ai + bi, 2 * j + aj + bj)
+        return (2 * bi, 2 * bj)
+    return (ai + bi, aj + bj)
 
 
-def _corners(below: int, above: int, i: int) -> int:
-    """Cell i's corner bits in ``_CORNERS`` order, from the two rows' masks."""
-    quad = below >> i & 3 | (above >> i & 3) << 2
-    return quad & 3 | (quad & 4) << 1 | (quad & 8) >> 1
+def _cell_segments(key: int):
+    """Segments of the cell at the origin, in doubled grid units, for the
+    bottom and top rows' nonneg bits (key bits 0-1, 2-3) and zero bits (4-7)."""
+    # the top row's two bits swap into the counterclockwise order of _CORNERS
+    case = key & 3 | (key & 4) << 1 | (key & 8) >> 1
+    zero = key >> 4 & 3 | (key & 64) >> 3 | (key & 128) >> 5
+    segments = []
+    for edge_a, edge_b in _CASES[case]:
+        a, b = _crossing(edge_a, zero), _crossing(edge_b, zero)
+        if a != b:
+            segments.append((a, b) if a <= b else (b, a))
+    return tuple(segments)
+
+
+# Crossings and their order are translation-invariant, so a cell at (i, j)
+# adds (2i, 2j) to the segments of its key.  Only keys whose zero bits are
+# also nonneg bits occur; the rest are left empty.
+_SEGMENTS = tuple(() if key >> 4 & ~key else _cell_segments(key) for key in range(256))
 
 
 def contour_segments(grid: SignGrid):
@@ -225,23 +288,25 @@ def contour_segments(grid: SignGrid):
     cells are always split around the positive corners, and cells are
     scanned bottom row first, so the output order and the segments
     themselves are deterministic.  Only the crossed cells of a row pair are
-    visited, read off a mask of sign changes.
+    visited, read off a mask of sign changes, and each is one lookup in
+    ``_SEGMENTS`` by its corners' nonneg and zero bits.
     """
     cells = (1 << grid.window.nx) - 1
     rows = [(nonneg, nonneg & ~positive) for nonneg, positive in grid.rows]
     segments = []
     for j, ((below, zero_below), (above, zero_above)) in enumerate(zip(rows, rows[1:])):
+        y = 2 * j
         # bottom, top and left edges; the right one never changes alone in a cell
         crossed = (below ^ below >> 1 | above ^ above >> 1 | below ^ above) & cells
         while crossed:
-            i = (crossed & -crossed).bit_length() - 1
-            crossed &= crossed - 1
-            zero = _corners(zero_below, zero_above, i)
-            for edge_a, edge_b in _CASES[_corners(below, above, i)]:
-                a = _crossing(i, j, edge_a, zero)
-                b = _crossing(i, j, edge_b, zero)
-                if a != b:
-                    segments.append((a, b) if a <= b else (b, a))
+            low = crossed & -crossed
+            i = low.bit_length() - 1
+            crossed ^= low
+            x = 2 * i
+            key = (below >> i & 3 | (above >> i & 3) << 2
+                   | (zero_below >> i & 3) << 4 | (zero_above >> i & 3) << 6)
+            for (ax, ay), (bx, by) in _SEGMENTS[key]:
+                segments.append(((x + ax, y + ay), (x + bx, y + by)))
     return segments
 
 
@@ -359,6 +424,6 @@ def render_curve(p: SparsePoly, w: Window, out) -> bytes:
     """Sample, contour and write one curve in a single call, shaded by the
     sign of the Legendre cubic f."""
     grid = sample_sign_grid(p, w)
-    shade = sample_sign_grid(legendre_f(), w)
+    shade = legendre_sign_grid(w)
     segments = contour_segments(grid)
     return write_svg(segments, shade, out, poly_hash=poly_signature(p))

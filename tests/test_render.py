@@ -2,6 +2,7 @@
 
 import functools
 import io
+import itertools
 import math
 import operator
 import xml.etree.ElementTree as ET
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inflectionary.inflection import basic_inflection
+from inflectionary.inflection import basic_inflection, legendre_f
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
 from inflectionary.render import (
     _CASES,
@@ -23,8 +24,10 @@ from inflectionary.render import (
     Window,
     _fmt,
     _half,
+    _row_masks,
     _shade_rects,
     contour_segments,
+    legendre_sign_grid,
     poly_signature,
     render_curve,
     sample_sign_grid,
@@ -159,6 +162,26 @@ class TestSignGrid:
         w = Window(1, 2, 1, 2, 3, 2)
         for m in range(24):
             assert sample_sign_grid(2 ** m * base, w).values == ((1,) * 3,) * 4
+
+
+def packed_row(slots, width):
+    """A row as ``sample_sign_grid`` packs it: each slot biased by half a slot."""
+    half = 1 << (8 * width - 1)
+    return sum(v + half << 8 * width * k for k, v in enumerate(slots))
+
+
+class TestRowMasks:
+    def test_zero_pattern_across_slots_is_no_zero(self):
+        # slots -0x7F80 and 0x80 are the bytes 80 00 80 80: the bias 00 80
+        # of a width-2 slot sits at offset 1, across the two slots
+        value = packed_row([-0x7F80, 0x80], 2)
+        assert value.to_bytes(4, "little") == bytes([0x80, 0x00, 0x80, 0x80])
+        assert _row_masks(value, 2, 2) == (0b10, 0b10)
+
+    def test_zeros_in_first_and_last_slots(self):
+        assert _row_masks(packed_row([0, -5, 7, 0], 2), 2, 4) == (0b1101, 0b0100)
+        assert _row_masks(packed_row([0, 0, 0], 1), 1, 3) == (0b111, 0)
+        assert _row_masks(packed_row([0, -1, 0x7FFFFF], 3), 3, 3) == (0b101, 0b100)
 
 
 class TestRowSignChanges:
@@ -358,6 +381,17 @@ def oracle_segments(values, nx, nlambda):
     return segments
 
 
+def every_cell_pattern():
+    """Each of the 3^4 sign patterns of one cell, placed in each cell of a
+    2 by 2 grid whose other nodes are +1, as ``values[i][j]``."""
+    for ci, cj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        for pattern in itertools.product((-1, 0, 1), repeat=4):
+            values = [[1] * 3 for _ in range(3)]
+            for (di, dj), sign in zip(_CORNERS, pattern):
+                values[ci + di][cj + dj] = sign
+            yield tuple(map(tuple, values))
+
+
 PROPERTY = settings(max_examples=80)
 RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 RESOLUTIONS = st.integers(2, 9)
@@ -413,6 +447,16 @@ WIDE_COEFFICIENTS = SparsePoly(XL, {
     (0, 0): -Fraction(1, 2 ** 89 + 1),
 })
 WIDE_WINDOW = Window(Fraction(-5, 3), Fraction(7, 2), Fraction(-2, 7), Fraction(9, 4), 65, 3)
+# degree 9 in lambda, vanishing at x = -1 and x = 1, the first and last
+# nodes of both windows below: zero slots sit at both ends of every row.  On
+# 40 rows, lambda = -3/5, 1/4 and 7/10 are the rows 8, 25 and 34, and the
+# rows past 9 come from forward differences; on 3 rows every row is direct.
+DEEP_LAMBDA = ((P_X + P_ONE) * (P_X - P_ONE) * (P_LAMBDA - Fraction(1, 4) * P_ONE) ** 3
+               * (P_LAMBDA + Fraction(3, 5) * P_ONE) ** 2 * (P_LAMBDA - P_X) ** 2
+               * (P_X * P_LAMBDA - Fraction(1, 3) * P_ONE)
+               * (P_LAMBDA - Fraction(7, 10) * P_ONE))
+DEEP_WINDOW = Window(-1, 1, -1, 1, 6, 40)
+SHALLOW_WINDOW = Window(-1, 1, Fraction(-1, 2), Fraction(5, 3), 8, 3)
 
 
 class TestIntegerPathsAgainstFractionOracle:
@@ -423,6 +467,8 @@ class TestIntegerPathsAgainstFractionOracle:
     @example(P_X * P_X - P_LAMBDA, Window(Fraction(-3, 2), Fraction(3, 2), -1, 2, 6, 3))
     @example(ROOTS_ON_NODES, ROOTS_WINDOW)
     @example(WIDE_COEFFICIENTS, WIDE_WINDOW)
+    @example(DEEP_LAMBDA, DEEP_WINDOW)
+    @example(DEEP_LAMBDA, SHALLOW_WINDOW)
     def test_sign_grid_matches(self, p, w):
         assert sample_sign_grid(p, w).values == oracle_sign_values(p, w)
 
@@ -437,6 +483,14 @@ class TestIntegerPathsAgainstFractionOracle:
                     for seg in oracle_segments(values, w.nx, w.nlambda)]
         assert segments == expected
         assert all(type(c) is int for seg in segments for point in seg for c in point)
+
+    def test_every_cell_pattern(self):
+        # every reachable (nonneg, zero) key of the cell table, in each cell
+        w = Window(0, 1, 0, 1, 2, 2)
+        for values in every_cell_pattern():
+            expected = [tuple((2 * u, 2 * v) for u, v in seg)
+                        for seg in oracle_segments(values, 2, 2)]
+            assert contour_segments(grid_of(w, values)) == expected, values
 
 
 # -- the cell-by-cell shading the row bitmasks replaced -------------------------
@@ -472,3 +526,29 @@ class TestBitmaskShadingAgainstCellOracle:
         grid = grid_of(w, values)
         assert grid.values == values
         assert _shade_rects(grid) == oracle_shade_rects(values, w.nx, w.nlambda)
+
+
+# -- the shading from f's roots against f's sampled grid ------------------------
+
+class TestLegendreShadingAgainstSampledF:
+    @PROPERTY
+    @given(windows())
+    # x = 0, 1, the rows lambda = 0, 1 and the diagonal x = lambda hit nodes
+    @example(Window(-1, 3, -1, 3, 8, 8))
+    # wholly left of 0 and wholly right of 1, lambda clear of x: every
+    # threshold lies off the grid
+    @example(Window(-3, Fraction(-1, 2), 0, 2, 5, 4))
+    @example(Window(Fraction(3, 2), 4, -2, 1, 5, 4))
+    # x = 0 at node 60, x = lambda at nodes 50, 60, 70 and 80: past 64 bits
+    @example(Window(-3, 1, Fraction(-1, 2), 1, 80, 3))
+    def test_matches_sampled_f(self, w):
+        assert legendre_sign_grid(w) == sample_sign_grid(legendre_f(), w)
+
+    @PROPERTY
+    @given(bivariate_polys(), windows())
+    @example(basic_inflection(1).poly, Window(-1, 3, -1, 3, 8, 8))
+    def test_render_curve_matches_sampled_shading(self, p, w):
+        expected = write_svg(contour_segments(sample_sign_grid(p, w)),
+                             sample_sign_grid(legendre_f(), w), io.BytesIO(),
+                             poly_hash=poly_signature(p))
+        assert render_curve(p, w, io.BytesIO()) == expected
