@@ -2,29 +2,36 @@
 
 ``expand_by_minors`` is the division-free expansion by minors (Gentleman &
 Johnson, ACM TOMS 2(3), 1976) that the determinant template uses.
-``det_polymatrix`` brings each row's numerators over one common
-denominator, packs each entry into one integer, as ``poly``'s packed
-product does, runs one fraction-free Bareiss elimination (``_bareiss``) on
-the integers and unpacks the determinant once, over the product of the row
-denominators.
+``det_polymatrix``, which the Wronskian uses, brings each row's numerators
+over one common denominator, packs each entry into one integer, as
+``poly``'s packed product does, runs one fraction-free Bareiss elimination
+(``_bareiss``) on the integers and unpacks the determinant once, over the
+product of the row denominators.  ``resultant`` packs its inputs'
+coefficients the same way, in the box ``_box`` gives their Sylvester
+matrix, and runs Collins' subresultant remainder sequence on them
+(Collins, JACM 14, 1967; Brown & Traub, JACM 18, 1971; Cohen, Alg. 3.3.7)
+with no content removal: each pseudo-remainder only multiplies, and each
+step divides it exactly by g h^delta.
 
-This is exact because every Bareiss intermediate is a minor of the cleared
-matrix (of the row-permuted one after swaps).  A minor's degree in each
-variable is at most the sum over rows of the row's largest entry degree,
-which fixes the slot box, and its coefficients are at most
+Both are exact for one reason, and ``_box`` fixes the packing for both.
+Every value that is tested for zero or unpacked is a minor of the cleared
+matrix: a Bareiss intermediate (of the row-permuted matrix after swaps), or
+a subresultant coefficient, read only after its division.  A minor's
+degree in each variable is at most the sum over rows of the row's largest
+entry degree, which fixes the slot box, and its coefficients are at most
 prod_rows sum_entries ||a_ij||_1 in absolute value, which fixes the slot
 width with a sign bit to spare.  Evaluation at the packing point is a ring
-homomorphism, so each integer division is exact; and since the encoding is
-injective on polynomials within those bounds, a packed zero pivot is a
-zero minor, the determinant unpacks exactly, and row swaps stay exact.
-Past ``DIVISION_CUTOFF`` divisor bits, each exact division recurses on
-halves (Burnikel & Ziegler, "Fast Recursive Division", MPI-I-98-1-022,
-1998), as CPython 3.12+ ``divmod`` does itself and 3.11's does not.
+homomorphism, so a division that is exact on polynomials is exact on the
+packed integers, however large the dividend; and since the encoding is
+injective on polynomials within those bounds, a packed zero is a zero
+minor: pivots, row swaps and remainder degrees are read correctly, and the
+result unpacks exactly.  Past ``DIVISION_CUTOFF`` divisor bits, each exact
+division recurses on halves (Burnikel & Ziegler, "Fast Recursive
+Division", MPI-I-98-1-022, 1998), as CPython 3.12+ ``divmod`` does itself
+and 3.11's does not.
 """
 
 from __future__ import annotations
-
-import math
 
 from .poly import SparsePoly, _cleared, _pack, _slot_width, _unpack
 
@@ -46,15 +53,29 @@ def det_polymatrix(rows) -> SparsePoly:
     as the module docstring shows.  Zero pivots are handled by row swaps with
     sign tracking; a fully zero pivot column short-circuits to zero."""
     _, variables = _check_square(rows)
-    radices = _degree_box(rows)
-    cleared = [_cleared(r) for r in rows]
-    bound = math.prod(sum(abs(c) for ints in row for c in ints.values()) for row, _ in cleared)
-    if not bound:
+    cleared, radices, width, den = _box(rows)
+    if not all(map(any, cleared)):
         return SparsePoly.zero(variables)  # a zero row
-    width = _slot_width(bound)
-    det = _bareiss([[_pack(ints, radices, width) for ints in row] for row, _ in cleared])
-    terms = _unpack(det, radices, width) if det else {}
-    return SparsePoly._make(variables, terms, math.prod(den for _, den in cleared))
+    det = _bareiss([[_pack(ints, radices, width) for ints in row] for row in cleared])
+    return SparsePoly._make(variables, _unpack(det, radices, width) if det else {}, den)
+
+
+def _box(rows):
+    """Each row's integer numerators over its least common denominator, the
+    radices and slot width that hold every minor of the cleared matrix (the
+    degree box and coefficient bound of the module docstring), and the
+    product of the row denominators."""
+    radices = [1] * len(rows[0][0].vars)
+    cleared, bound, den = [], 1, 1
+    for row in rows:
+        ints, row_den = _cleared(row)
+        exponents = [e for terms in ints for e in terms]
+        if exponents:
+            radices = [d + max(column) for d, column in zip(radices, zip(*exponents))]
+        bound *= sum(abs(c) for terms in ints for c in terms.values())
+        den *= row_den
+        cleared.append(ints)
+    return cleared, radices, _slot_width(bound), den
 
 
 def expand_by_minors(m):
@@ -107,11 +128,11 @@ def _bareiss(m) -> int:
 DIVISION_CUTOFF = 4000
 
 
-def _divide_packed(entry: int, prev: int) -> int:
+def _divide_packed(dividend: int, divisor: int) -> int:
     """The exact quotient; ``_divmod`` gives the true remainder on both paths."""
-    quotient, remainder = _divmod(entry, prev)
+    quotient, remainder = _divmod(dividend, divisor)
     if remainder:
-        raise RuntimeError("internal fault: inexact Bareiss division of packed minors")
+        raise RuntimeError("internal fault: inexact division of packed minors")
     return quotient
 
 
@@ -153,17 +174,6 @@ def _div2n1n(a: int, b: int, n: int):
             r += b
         q = q << half | digit
     return q, r >> pad
-
-
-def _degree_box(rows):
-    """Radices bounding every minor's degrees: 1 + the sum over rows of the
-    row's largest entry degree, per variable."""
-    radices = [1] * len(rows[0][0].vars)
-    for r in rows:
-        exponents = [e for entry in r for e in entry.nums]
-        if exponents:
-            radices = [d + max(column) for d, column in zip(radices, zip(*exponents))]
-    return radices
 
 
 def sylvester_matrix(a: SparsePoly, b: SparsePoly, name: str):
@@ -220,4 +230,49 @@ def resultant(a: SparsePoly, b: SparsePoly, name: str) -> SparsePoly:
         return a.coefficients_in(name)[0] ** db
     if db < 1:
         return b.coefficients_in(name)[0] ** da
-    return det_polymatrix(sylvester_matrix(a, b, name))
+    cleared, radices, width, den = _box(sylvester_matrix(a, b, name))
+    # row 0 leads with a's coefficients and row deg(b) with b's, descending
+    res = _subresultant([_pack(t, radices, width) for t in cleared[0][da::-1]],
+                        [_pack(t, radices, width) for t in cleared[db][db::-1]])
+    return SparsePoly._make(rest, _unpack(res, radices, width) if res else {}, den)
+
+
+def _subresultant(a, b) -> int:
+    """Resultant of two packed ascending coefficient lists of degree >= 1 by
+    the subresultant remainder sequence (Cohen, Alg. 3.3.7, with no content
+    removal).  Every value tested for zero or returned is a Sylvester minor
+    and is read only after its exact division."""
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -s
+        divisor = g * h ** delta
+        r = [_divide_packed(c, divisor) for c in _prem(a, b)]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+        g = a[-1]
+        if delta:
+            h = _divide_packed(g ** delta, h ** (delta - 1))
+    if not b:
+        return 0
+    return s * _divide_packed(b[0] ** (len(a) - 1), h ** (len(a) - 2))
+
+
+def _prem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b for ascending integer lists, by
+    all deg a - deg b + 1 reduction steps: it only multiplies and subtracts."""
+    lead, n = b[-1], len(b) - 1
+    r = list(a)
+    for top in range(len(a) - 1, n - 1, -1):
+        c = r.pop()
+        low = top - n
+        r[:low] = [lead * v for v in r[:low]]
+        r[low:] = [lead * v - c * w for v, w in zip(r[low:], b)]
+    return r

@@ -39,7 +39,10 @@ from fractions import Fraction
 
 from .poly import SparsePoly, _powers, as_fraction
 
-# Largest denominator ``certified_rational_roots`` tries to recognize.
+# Largest denominator ``certified_rational_roots`` is sure to recognize: by
+# the time bisection reaches width 1/MAX_DENOMINATOR^2, such a root is its
+# interval's simplest rational (a step often finds it sooner).  Larger ones
+# are recognized only if that holds within four rounds 2^8 times finer.
 MAX_DENOMINATOR = 2 ** 24
 
 
@@ -406,7 +409,15 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
 # -- rational root certification ----------------------------------------------
 
 def simplest_rational_between(lo, hi) -> Fraction:
-    """The smallest-denominator rational in the closed interval [lo, hi]."""
+    """The smallest-denominator rational in the closed interval [lo, hi].
+
+    Past the sign cases, lo = a/b and hi = c/d are positive: the answer is
+    ceil(lo) when that is at most hi, else floor(lo) + 1/y for y the simplest
+    rational in [1/(hi - floor(lo)), 1/(lo - floor(lo))].  The loop runs that
+    recursion on the four integers and keeps the continued fraction's last
+    two convergents, p/q and p_prev/q_prev, so it makes no ``Fraction`` but
+    the answer.
+    """
     lo = as_fraction(lo)
     hi = as_fraction(hi)
     if lo > hi:
@@ -415,12 +426,15 @@ def simplest_rational_between(lo, hi) -> Fraction:
         return Fraction(0)
     if hi < 0:
         return -simplest_rational_between(-hi, -lo)
-    floor = lo.numerator // lo.denominator
-    ceil = -((-lo.numerator) // lo.denominator)
-    if ceil <= hi:
-        return Fraction(ceil)
-    inner = simplest_rational_between(1 / (hi - floor), 1 / (lo - floor))
-    return floor + 1 / inner
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    while True:
+        whole, rest = divmod(a, b)
+        ceil = whole + (rest > 0)
+        if ceil * d <= c:
+            return Fraction(p * ceil + p_prev, q * ceil + q_prev)
+        a, b, c, d = d, c - whole * d, b, rest
+        p, p_prev, q, q_prev = p * whole + p_prev, p, q * whole + q_prev, q
 
 
 def certified_rational_roots(p: SparsePoly):
@@ -437,14 +451,22 @@ def certified_rational_roots(p: SparsePoly):
     for iv in iso.isolate():
         lo, vlo, hi, vhi = iv.lo, iv.vlo, iv.hi, iv.vhi
         width = Fraction(1, MAX_DENOMINATOR ** 2)
-        for _ in range(4):
-            while hi - lo > width:
-                lo, vlo, hi, vhi = iso._halve(lo, vlo, hi, vhi)
+        # a step's simplest rational that is a root is the interval's one root
+        while hi - lo > width:
             cand = simplest_rational_between(lo, hi)
-            if lo < cand <= hi and not _sign_at(iso.reduced, cand):
+            if lo < cand and not _sign_at(iso.reduced, cand):
                 rationals.append(cand)
                 break
-            width /= 2 ** 8
+            lo, vlo, hi, vhi = iso._halve(lo, vlo, hi, vhi)
         else:
-            unresolved.append(IsolatingInterval(lo, hi, vlo, vhi))
+            for _ in range(4):
+                while hi - lo > width:
+                    lo, vlo, hi, vhi = iso._halve(lo, vlo, hi, vhi)
+                cand = simplest_rational_between(lo, hi)
+                if lo < cand <= hi and not _sign_at(iso.reduced, cand):
+                    rationals.append(cand)
+                    break
+                width /= 2 ** 8
+            else:
+                unresolved.append(IsolatingInterval(lo, hi, vlo, vhi))
     return rationals, unresolved

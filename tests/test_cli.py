@@ -395,11 +395,11 @@ class TestTopLevel:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_internal_value_error_is_exit_5(self, capsys, monkeypatch):
-        # the determinant under every resultant of the singular probe
-        def inexact(rows):
+        # the remainder sequence under every resultant of the singular probe
+        def inexact(a, b):
             raise ValueError("not an exact polynomial division")
 
-        monkeypatch.setattr("inflectionary.matrices.det_polymatrix", inexact)
+        monkeypatch.setattr("inflectionary.matrices._subresultant", inexact)
         code, out, err = run(capsys, "verify", "singular", "--k", "2")
         assert code == 5
         assert out == ""

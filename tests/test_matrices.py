@@ -5,15 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_poly import oracle_divexact
 
-from inflectionary import matrices
+from inflectionary import conjectures, matrices
 from inflectionary.inflection import basic_inflection, derivative_oracle, q_template
 from inflectionary.matrices import (
     DIVISION_CUTOFF,
-    _bareiss,
     _divmod,
     det_polymatrix,
     expand_by_minors,
@@ -242,6 +241,78 @@ def test_packed_det_matches_dict_bareiss_and_cofactor(rows, shape):
     assert expand_by_minors(rows) == det
 
 
+# -- the subresultant resultant against the Sylvester determinant -----------------
+
+XLY = ("x", "lambda", "y")
+
+
+def oracle_resultant(a, b, name):
+    """The Bareiss determinant of the Sylvester matrix, the resultant's
+    former route."""
+    return det_polymatrix(sylvester_matrix(a, b, name))
+
+
+def _poly_in(variables, name, coefficients, lead_root):
+    """sum_i c_i name^i over ``variables`` from the terms c_i in the other
+    variables, plus (lambda - lead_root) name^len(coefficients) when
+    ``lead_root`` is not None, a leading coefficient that vanishes there."""
+    idx = variables.index(name)
+    terms = {}
+    for power, coefficient in enumerate(coefficients):
+        for rest, c in coefficient.items():
+            terms[rest[:idx] + (power,) + rest[idx:]] = c
+    p = SparsePoly(variables, terms)
+    if lead_root is not None:
+        p += (SparsePoly.variable(variables, "lambda") - lead_root) * (
+            SparsePoly.variable(variables, name) ** len(coefficients))
+    return p
+
+
+@st.composite
+def resultant_inputs(draw):
+    variables = draw(st.sampled_from([XL, XLY]))
+    name = draw(st.sampled_from([v for v in variables if v != "lambda"]))
+    coefficient = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * (len(variables) - 1)),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)), max_size=3)
+    a, b = (_poly_in(variables, name, draw(st.lists(coefficient, max_size=7)),
+                     draw(st.none() | st.integers(-2, 2))) for _ in "ab")
+    assume(not a.is_zero and not b.is_zero and max(a.degree(name), b.degree(name)) >= 1)
+    return a, b, name
+
+
+@settings(max_examples=80)
+@given(resultant_inputs())
+# the remainders drop two degrees in the middle, 3 x^4 + 3 x^2 to
+# 27 (x^2 + lambda x + 1), where g h^2 = 3 * 9^2 divides
+@example((X ** 6 + L * X + 1, 3 * X ** 4 + 3 * X ** 2, "x"))
+# a remainder of degree 0 after a gap of 3, where h = 4 divides the last lead
+@example((X ** 5 + L + 1, 2 * X ** 3, "x"))
+@example((const(3) + L, X ** 3 - L * X, "x"))
+@example((X ** 2 - Fraction(1, 3) * L, L * L - 2, "x"))
+@example(((L - 1) * X ** 3 + X - L, (L - 1) * X ** 2 + 2, "x"))
+@example(((X - L) ** 2 * (X + 1), (X - L) * (X - 2), "x"))
+def test_resultant_matches_sylvester_determinant(inputs):
+    a, b, name = inputs
+    assert resultant(a, b, name) == oracle_resultant(a, b, name)
+    assert resultant(b, a, name) == oracle_resultant(b, a, name)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_singular_probe_resultants_match_sylvester_determinant(k, monkeypatch):
+    seen = []
+
+    def spy(a, b, name):
+        seen.append((a, b, name, resultant(a, b, name)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(conjectures, "resultant", spy)
+    conjectures.singular_probe(k)
+    assert len(seen) == 9
+    for a, b, name, r in seen:
+        assert r == oracle_resultant(a, b, name)
+
+
 def test_inexact_packed_division_is_an_internal_fault():
     with pytest.raises(RuntimeError, match="internal fault"):
         matrices._divide_packed(7, 2)
@@ -334,14 +405,20 @@ class TestRouteSelection:
         assert max(calls) > 10 * DIVISION_CUTOFF
 
     def test_sylvester_matrix_is_packed(self, monkeypatch):
-        calls = []
+        # the resultant runs its remainder sequence on packed integers in the
+        # Sylvester matrix's box, and no Bareiss elimination
+        eliminations, remainders = [], []
+        prem = matrices._prem
 
-        def spy(m):
-            calls.append((len(m), all(type(v) is int for r in m for v in r)))
-            return _bareiss(m)
+        def spy(a, b):
+            remainders.append(all(type(v) is int for v in a + b))
+            return prem(a, b)
 
-        monkeypatch.setattr(matrices, "_bareiss", spy)
+        monkeypatch.setattr(matrices, "_bareiss", lambda m: eliminations.append(m))
+        monkeypatch.setattr(matrices, "_prem", spy)
         p = basic_inflection(2).poly
         r = resultant(p, p.derivative("x"), "x")
-        assert calls == [(2 * p.degree("x") - 1, True)]
+        assert eliminations == []
+        assert remainders == [True] * (p.degree("x") - 1)
+        monkeypatch.undo()
         assert r == oracle_bareiss(sylvester_matrix(p, p.derivative("x"), "x"))

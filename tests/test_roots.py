@@ -296,6 +296,20 @@ class TestSignAtRoot:
         assert not ends & set(seen)
 
 
+def oracle_simplest_rational_between(lo, hi):
+    """The smallest-denominator rational in [lo, hi] by the continued
+    fraction recursion on ``Fraction``s."""
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -oracle_simplest_rational_between(-hi, -lo)
+    floor = lo.numerator // lo.denominator
+    ceil = -((-lo.numerator) // lo.denominator)
+    if ceil <= hi:
+        return Fraction(ceil)
+    return floor + 1 / oracle_simplest_rational_between(1 / (hi - floor), 1 / (lo - floor))
+
+
 class TestSimplestRational:
     @pytest.mark.parametrize("lo,hi,expected", [
         (Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)),
@@ -325,6 +339,13 @@ class TestSimplestRational:
                     lo <= Fraction(p, q) <= hi
                     for p in range(p_lo, int(hi * q) + 1)
                 ), (lo, hi, best, q)
+
+    @settings(max_examples=200)
+    @given(st.fractions(), st.integers(0, 90), st.integers(0, 5))
+    def test_matches_the_fraction_recursion(self, lo, log_width, steps):
+        # bisection intervals are dyadic and down to 2^-72 wide
+        for hi in (lo + Fraction(steps, 2 ** log_width), lo + Fraction(steps, 3 ** log_width)):
+            assert simplest_rational_between(lo, hi) == oracle_simplest_rational_between(lo, hi)
 
 
 class TestCertifiedRationalRoots:
@@ -370,6 +391,78 @@ class TestCertifiedRationalRoots:
             assert unresolved == []
 
 
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def oracle_certified_rational_roots(p):
+    """Rational certification with no early acceptance: each root's interval
+    is bisected to width 1/MAX_DENOMINATOR^2, then up to four rounds 2^8
+    times finer, and the simplest rational is tested at each round's end."""
+    iso = RootIsolator(p)
+    rationals = []
+    unresolved = []
+    for iv in iso.isolate():
+        lo, vlo, hi, vhi = iv.lo, iv.vlo, iv.hi, iv.vhi
+        width = Fraction(1, MAX_DENOMINATOR ** 2)
+        for _ in range(4):
+            while hi - lo > width:
+                lo, vlo, hi, vhi = iso._halve(lo, vlo, hi, vhi)
+            cand = oracle_simplest_rational_between(lo, hi)
+            if lo < cand <= hi and not roots._sign_at(iso.reduced, cand):
+                rationals.append(cand)
+                break
+            width /= 2 ** 8
+        else:
+            unresolved.append(IsolatingInterval(lo, hi, vlo, vhi))
+    return rationals, unresolved
+
+
+M = MAX_DENOMINATOR
+# roots past the cap: the widening rounds certify the first five, whose
+# denominators are just past it, and leave the last two, past 2^36
+PAST_THE_CAP = [Fraction(1, M + 1), Fraction(M - 1, M + 1), Fraction(M, M + 3),
+                Fraction(7, 2 * M + 1), Fraction(-M - 2, M + 1),
+                Fraction(2 ** 37 - 1, 2 ** 37 + 1), Fraction(M * M - 1, M * M + 1)]
+
+
+@pytest.mark.parametrize("p", [
+    from_roots(0, 1, -1, Fraction(1, 2)),
+    from_roots(Fraction(1, M), Fraction(M - 1, M), Fraction(-5, M)),
+    *(from_roots(r, 1) for r in PAST_THE_CAP),
+    T * T - 2,
+    (T - 1) ** 2 * (2 * T + 1) ** 3 * (T * T - 2) * (T - PAST_THE_CAP[0]) * (3 * T - 1),
+    (T * T - 2) ** 2 * (T * T - 3) * T ** 3 * from_roots(Fraction(1, M), PAST_THE_CAP[1]),
+])
+def test_early_certification_matches_full_bisection(p):
+    assert certified_rational_roots(p) == oracle_certified_rational_roots(p)
+
+
+def test_small_denominator_roots_are_taken_before_full_bisection(monkeypatch):
+    halvings = []
+    halve = RootIsolator._halve
+    monkeypatch.setattr(RootIsolator, "_halve",
+                        lambda self, *iv: halvings.append(iv) or halve(self, *iv))
+    rationals, _ = certified_rational_roots(from_roots(0, 1, -1, Fraction(1, 2)))
+    assert rationals == [-1, 0, Fraction(1, 2), 1]
+    assert len(halvings) <= 4  # the full bisection takes 190
+
+
+def test_roots_past_the_cap_are_both_certified_and_left():
+    certified = [bool(certified_rational_roots(from_roots(r))[0]) for r in PAST_THE_CAP]
+    assert certified == [True] * 5 + [False] * 2
+
+
+@settings(max_examples=40)
+@given(st.lists(small_rationals | st.sampled_from(PAST_THE_CAP)
+               | st.builds(Fraction, st.integers(-2 * M, 2 * M), st.integers(M - 2, M + 9)),
+               max_size=4),
+       st.integers(min_value=-3, max_value=5), st.integers(1, 3))
+def test_early_certification_matches_the_oracle(roots_, n, power):
+    # t^2 - n adds irrational roots for n = 2, 3, 5 and none for n < 0
+    p = from_roots(*roots_) ** power * (T * T - n)
+    assert certified_rational_roots(p) == oracle_certified_rational_roots(p)
+
+
 class TestIsolatorObject:
     def test_interval_json(self):
         iv = IsolatingInterval(Fraction(1, 3), Fraction(1, 2), 2, 1)
@@ -406,9 +499,6 @@ def oracle_linear_quotient(p: SparsePoly, r: Fraction) -> SparsePoly:
     if out[-1]:
         raise ValueError(f"{r} is not a root")
     return SparsePoly.from_univariate(name, list(reversed(out[:-1])))
-
-
-small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
 @settings(max_examples=60)
