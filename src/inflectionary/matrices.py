@@ -13,25 +13,37 @@ matrix, and runs Collins' subresultant remainder sequence on them
 with no content removal: each pseudo-remainder only multiplies, and each
 step divides it exactly by g h^delta.
 
-Both are exact for one reason, and ``_box`` fixes the packing for both.
-Every value that is tested for zero or unpacked is a minor of the cleared
-matrix: a Bareiss intermediate (of the row-permuted matrix after swaps), or
-a subresultant coefficient, read only after its division.  A minor's
-degree in each variable is at most the sum over rows of the row's largest
-entry degree, which fixes the slot box, and its coefficients are at most
-prod_rows sum_entries ||a_ij||_1 in absolute value, which fixes the slot
-width with a sign bit to spare.  Evaluation at the packing point is a ring
-homomorphism, so a division that is exact on polynomials is exact on the
-packed integers, however large the dividend; and since the encoding is
-injective on polynomials within those bounds, a packed zero is a zero
-minor: pivots, row swaps and remainder degrees are read correctly, and the
-result unpacks exactly.  Past ``DIVISION_CUTOFF`` divisor bits, each exact
-division recurses on halves (Burnikel & Ziegler, "Fast Recursive
-Division", MPI-I-98-1-022, 1998), as CPython 3.12+ ``divmod`` does itself
-and 3.11's does not.
+Both are exact for one reason.  Every value that is tested for zero or
+unpacked is a minor of the cleared matrix: a Bareiss intermediate (of the
+row-permuted matrix after swaps), or a subresultant coefficient, read only
+after its division.  So the packing box need only hold every minor.
+``_box``, which ``resultant`` uses, bounds a minor's degree in each variable
+by the sum of the rows' largest entry degrees, which fixes the radices, and
+its coefficients by prod_rows sum_entries ||a_ij||_1, which fixes the slot
+width with a sign bit to spare.  ``det_polymatrix`` shrinks that box by
+row and column potentials (``_minor_box``).  With v_j the least degree in
+column j and u_i = max_j (deg a_ij - v_j), a minor on rows R and columns C
+has degree at most sum_R u + sum_C v <= sum u + sum v, all being >= 0.
+With c_j the least norm ||a_ij||_1 in column j and r_i = max_j
+ceil(||a_ij||_1 / c_j), its coefficients are at most the permanent of its
+norms, <= |R|! prod_R r prod_C c <= n! prod r prod c, all being >= 1.
+Least and largest run over nonzero entries, a zero row or column having
+given zero, and the box is the least of these bounds, the same on the
+transpose, ``_box``'s and (for the width) the product of column sums.
+
+Evaluation at the packing point is a ring homomorphism, so a division that
+is exact on polynomials is exact on the packed integers, however large the
+dividend; and since the encoding is injective on polynomials within those
+bounds, a packed zero is a zero minor: pivots, row swaps and remainder
+degrees are read correctly, and the result unpacks exactly.  Past
+``DIVISION_CUTOFF`` divisor bits, each exact division recurses on halves
+(Burnikel & Ziegler, "Fast Recursive Division", MPI-I-98-1-022, 1998), as
+CPython 3.12+ ``divmod`` does itself and 3.11's does not.
 """
 
 from __future__ import annotations
+
+import math
 
 from .poly import SparsePoly, _cleared, _pack, _slot_width, _unpack
 
@@ -54,8 +66,9 @@ def det_polymatrix(rows) -> SparsePoly:
     sign tracking; a fully zero pivot column short-circuits to zero."""
     _, variables = _check_square(rows)
     cleared, radices, width, den = _box(rows)
-    if not all(map(any, cleared)):
-        return SparsePoly.zero(variables)  # a zero row
+    if not all(map(any, cleared)) or not all(map(any, zip(*cleared))):
+        return SparsePoly.zero(variables)  # a zero row or column
+    radices, width = _minor_box(cleared, radices, width)
     det = _bareiss([[_pack(ints, radices, width) for ints in row] for row in cleared])
     return SparsePoly._make(variables, _unpack(det, radices, width) if det else {}, den)
 
@@ -76,6 +89,26 @@ def _box(rows):
         den *= row_den
         cleared.append(ints)
     return cleared, radices, _slot_width(bound), den
+
+
+def _minor_box(cleared, radices, width):
+    """``_box``'s radices and slot width, shrunk to the potential bounds of
+    the module docstring; ``cleared`` has no zero row or column."""
+    def fit(grid, excess, total):
+        bounds = []
+        for g in (grid, list(zip(*grid))):  # zero entries are None
+            cols = [min(a for a in col if a is not None) for col in zip(*g)]
+            rows = [max(excess(a, c) for a, c in zip(row, cols) if a is not None) for row in g]
+            bounds.append(total(rows + cols))
+        return min(bounds)
+
+    norms = [[sum(map(abs, t.values())) or None for t in row] for row in cleared]
+    n_fact = math.factorial(len(cleared))
+    bound = min(fit(norms, lambda a, c: -(-a // c), lambda p: n_fact * math.prod(p)),
+                math.prod(sum(filter(None, col)) for col in zip(*norms)))
+    return [1 + min(r - 1, fit([[max(e[v] for e in t) if t else None for t in row]
+                                for row in cleared], int.__sub__, sum))
+            for v, r in enumerate(radices)], min(width, _slot_width(bound))
 
 
 def expand_by_minors(m):

@@ -1,5 +1,6 @@
 """Fraction-free determinants and resultants on polynomial matrices."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -241,6 +242,95 @@ def test_packed_det_matches_dict_bareiss_and_cofactor(rows, shape):
     assert expand_by_minors(rows) == det
 
 
+# -- the minor box: every square submatrix fits, and it never exceeds _box's -----
+
+VARIABLE_TUPLES = [("x",), XL, ("x", "lambda", "y")]
+
+
+@st.composite
+def graded_matrices(draw):
+    """Up to 4 by 4 matrices whose entry (i, j) has degree a_i + b_j or one
+    less in each variable, from one to three terms whose coefficients may
+    all be zero."""
+    variables = draw(st.sampled_from(VARIABLE_TUPLES))
+    n = draw(st.integers(1, 4))
+    offsets = st.lists(st.tuples(*[st.integers(0, 3)] * len(variables)),
+                       min_size=n, max_size=n)
+    a, b = draw(offsets), draw(offsets)
+    term = st.tuples(st.tuples(*[st.integers(0, 1)] * len(variables)),
+                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+    return [[SparsePoly(variables, {
+        tuple(max(0, x + y - d) for x, y, d in zip(a[i], b[j], drop)): c
+        for drop, c in draw(st.lists(term, min_size=1, max_size=3))}) for j in range(n)]
+        for i in range(n)]
+
+
+# _box gives radices [16, 7] and 2-byte slots here; the minor box is [10, 4]
+# with 1-byte slots
+GRADED = [[X ** (i + 2 * j) + L ** j for j in range(3)] for i in range(3)]
+
+
+def _square_submatrices(m):
+    n = len(m)
+    for size in range(1, n + 1):
+        for rs in itertools.combinations(range(n), size):
+            for cs in itertools.combinations(range(n), size):
+                yield [[m[i][j] for j in cs] for i in rs]
+
+
+@settings(max_examples=40)
+@given(graded_matrices(), st.sampled_from(["as drawn", "zero pivot", "zero column"]))
+@example(GRADED, "as drawn")
+@example(GRADED, "zero pivot")
+@example([[X * X, X], [L, const(0)]], "as drawn")
+# determinants equal to the permanent of their norms, just past a slot's
+# half: r_i rounded down, or a product of column maxima, would not hold them
+@example([[const(100), const(199)], [const(-199), const(100)]], "as drawn")
+@example([[const(128), const(128)], [const(-128), const(128)]], "as drawn")
+def test_minor_box_holds_every_minor(rows, shape):
+    rows = [list(r) for r in rows]
+    variables = rows[0][0].vars
+    zero = SparsePoly.zero(variables)
+    if shape != "as drawn":
+        rows[0][0] = zero
+    if shape == "zero column":
+        for r in rows:
+            r[-1] = zero
+    det = det_polymatrix(rows)
+    assert det == oracle_bareiss(rows) == det_cofactor(rows)
+    cleared, radices, width, _ = matrices._box(rows)
+    if not all(map(any, cleared)) or not all(map(any, zip(*cleared))):
+        assert det.is_zero
+        return
+    fitted, fitted_width = matrices._minor_box(cleared, radices, width)
+    assert all(map(int.__le__, fitted, radices)) and fitted_width <= width
+    half = 1 << (8 * fitted_width - 1)
+    for minor in _square_submatrices([[SparsePoly(variables, t) for t in row]
+                                      for row in cleared]):
+        value = det_cofactor(minor)
+        assert value.den == 1
+        for e, c in value.nums.items():
+            assert all(map(int.__lt__, e, fitted)) and abs(c) < half
+
+
+def test_minor_box_is_strictly_smaller_on_graded_entries():
+    cleared, radices, width, _ = matrices._box(GRADED)
+    assert (radices, width) == ([16, 7], 2)
+    assert matrices._minor_box(cleared, radices, width) == ([10, 4], 1)
+
+
+def test_minor_box_is_sharp_on_the_wronskian():
+    # P(4, 5): deg_x of entry (i, j) is 2 (6 + j - i), so the minors reach
+    # x degree 48 and lambda degree 24 exactly; _box gives [61, 31] and 17
+    rows = [[math.perm(6 + j, i) * derivative_oracle(6 + j - i) for j in range(4)]
+            for i in range(4)]
+    cleared, radices, width, _ = matrices._box(rows)
+    assert (radices, width) == ([61, 31], 17)
+    assert matrices._minor_box(cleared, radices, width) == ([49, 25], 14)
+    det = det_polymatrix(rows)
+    assert (det.degree("x"), det.degree("lambda")) == (48, 24)
+
+
 # -- the subresultant resultant against the Sylvester determinant -----------------
 
 XLY = ("x", "lambda", "y")
@@ -390,7 +480,7 @@ def test_q_template_matches_oracle_determinant():
 
 class TestRouteSelection:
     def test_wronskian_divisions_cross_the_cutoff(self, monkeypatch):
-        # P(4, 5)'s Wronskian divides 300k-bit by 100k-bit packed minors
+        # P(4, 5)'s Wronskian divides about 199k-bit by 67k-bit packed minors
         calls = []
         div2n1n = matrices._div2n1n
 
