@@ -141,20 +141,18 @@ def _quotient_rule_step(m: int) -> SparsePoly:
     return num.derivative(VAR_X) * f + (Fraction(1, 2) - (m - 1)) * num * df
 
 
-def calibrate_recurrence_coefficient(max_k: int = 4) -> dict:
+def calibrate_recurrence_coefficient() -> dict:
     """Compare every recurrence coefficient variant against the oracle.
 
     Returns ``{"selected": name, "results": {name: bool}}`` where a variant
-    passes when its sequence reproduces derivative_oracle(m) for all
-    m <= max_k + 1.
+    passes when its sequence reproduces derivative_oracle(m) for all m <= 5.
     """
     results = {}
     for name, coeff in RECURRENCE_COEFFICIENT_VARIANTS.items():
         seq = [_seed_poly()]
-        for j in range(max_k):
+        for j in range(4):
             seq.append(_recurrence_apply(seq[-1], coeff(j)))
-        results[name] = all(derivative_oracle(m) == seq[m - 1]
-                            for m in range(1, max_k + 2))
+        results[name] = all(derivative_oracle(m) == p for m, p in enumerate(seq, 1))
     return {"selected": SELECTED_RECURRENCE_COEFFICIENT, "results": results}
 
 

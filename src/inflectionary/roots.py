@@ -25,10 +25,11 @@ chain and root bound serve isolation, rational certification and
 chain's variations at its ends, with no isolation and no bisection.
 ``sign_at_root`` signs another polynomial q at all the fiber's roots in one
 call; the checks count instead, and it stays as the slower, independent
-route that the tests set those counts against.  An isolating interval
-carries the chain's variation counts at its ends, so later bisection
-evaluates the chain only at new midpoints.  ``deflate`` splits a rational
-root off with its multiplicity.
+route that the tests set those counts against.  An interval carries the
+chain's variation counts at its ends and isolates one root when they differ
+by one.  Isolation, signing and certification bisect through one step,
+``RootIsolator._split``, which evaluates the chain only at the midpoint.
+``deflate`` splits a rational root off with its multiplicity.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from .poly import SparsePoly, _powers, as_fraction
 
 # Largest denominator ``certified_rational_roots`` is sure to recognize: by
 # the time bisection reaches width 1/MAX_DENOMINATOR^2, such a root is its
-# interval's simplest rational (a step often finds it sooner).  Larger ones
-# are recognized only if that holds within four rounds 2^8 times finer.
+# interval's simplest rational (a step often finds it sooner).  Bisection
+# stops at the first width at or below _FINAL_WIDTH, 2^-72, so larger
+# denominators are recognized only if that holds by then.
 MAX_DENOMINATOR = 2 ** 24
+_FINAL_WIDTH = Fraction(1, MAX_DENOMINATOR ** 2 * 2 ** 24)
 
 
 # -- integer lists --------------------------------------------------------------
@@ -278,8 +281,9 @@ class SturmChain:
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Half-open rational interval (lo, hi] isolating one real root; ``vlo``
-    = ``vhi`` + 1 count the isolator chain's variations at lo and hi."""
+    """Half-open rational interval (lo, hi] with the isolator chain's
+    variation counts ``vlo`` and ``vhi`` at its ends.  It holds vlo - vhi
+    distinct roots, so it isolates one when vlo = vhi + 1."""
 
     lo: Fraction
     hi: Fraction
@@ -296,8 +300,8 @@ class RootIsolator:
     p's chain ends at ``shared`` = gcd(p, p'); only a non-constant
     ``shared`` makes the squarefree part p / shared a chain of its own.
     That chain and the part's Cauchy bound 1 + max |c_i| / c_n serve every
-    query, so multiple roots count once and endpoints never degenerate.  A
-    bisection step, ``_halve``, evaluates the chain only at the midpoint.
+    query, so multiple roots count once and endpoints never degenerate.  The
+    one bisection step, ``_split``, evaluates the chain only at the midpoint.
     """
 
     def __init__(self, p: SparsePoly):
@@ -323,42 +327,42 @@ class RootIsolator:
             return []
         variations = self.chain.variations_at
         out = []
-        stack = [(-self.bound, variations(-self.bound), self.bound, variations(self.bound))]
+        stack = [IsolatingInterval(-self.bound, self.bound,
+                                   variations(-self.bound), variations(self.bound))]
         while stack:
-            lo, vlo, hi, vhi = stack.pop()
-            n = vlo - vhi
-            if n == 0:
-                continue
-            if n == 1:
-                out.append(IsolatingInterval(lo, hi, vlo, vhi))
-                continue
-            mid = (lo + hi) / 2
-            vmid = variations(mid)
-            stack.append((mid, vmid, hi, vhi))
-            stack.append((lo, vlo, mid, vmid))
-        out.sort(key=lambda iv: iv.lo)
+            iv = stack.pop()
+            if iv.vlo - iv.vhi == 1:
+                out.append(iv)
+            elif iv.vlo - iv.vhi > 1:
+                # the left half is popped first, so ``out`` comes out ascending
+                stack.extend(reversed(self._split(iv)))
         return out
 
     def roots_between(self, lo, hi) -> int:
-        """Distinct real roots in the open interval (lo, hi), lo < hi.
+        """Distinct real roots in the open interval (lo, hi).
 
-        Chain variations count the roots in (lo, hi]; a root at hi is taken
-        off by one sign test, which a hi at or past ``bound`` skips, since
-        no root reaches the bound.
+        Chain variations count the roots in (lo, hi], lo < hi; a root at hi
+        is taken off by one sign test.  A hi at or past ``bound`` skips it,
+        since no root reaches the bound, and then any lo is allowed: the
+        count is that of the roots above lo, none when lo is past the bound.
         """
         variations = self.chain.variations_at
         if hi >= self.bound:
             return variations(lo) - variations(self.bound)
         return variations(lo) - variations(hi) - (not _sign_at(self.reduced, hi))
 
-    def _halve(self, lo, vlo, hi, vhi):
-        """The half of (lo, hi], which holds one root, that holds it, with
-        the variation counts at its endpoints."""
-        mid = (lo + hi) / 2
+    def _split(self, iv):
+        """The halves (lo, mid] and (mid, hi] of ``iv``, each with the
+        chain's counts at its ends; the chain is evaluated at mid only."""
+        mid = (iv.lo + iv.hi) / 2
         vmid = self.chain.variations_at(mid)
-        if vlo - vmid == 1:
-            return lo, vlo, mid, vmid
-        return mid, vmid, hi, vhi
+        return (IsolatingInterval(iv.lo, mid, iv.vlo, vmid),
+                IsolatingInterval(mid, iv.hi, vmid, iv.vhi))
+
+    def _halve(self, iv):
+        """The half of ``iv``, which isolates one root, that holds it."""
+        left, right = self._split(iv)
+        return left if left.vlo - left.vhi == 1 else right
 
 
 def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
@@ -388,21 +392,20 @@ def sign_at_root(q: SparsePoly, iso: RootIsolator, intervals):
     qchain = SturmChain(name, squarefree_part(qc))
     signs = []
     for iv in intervals:
-        lo, vlo, hi, vhi = iv.lo, iv.vlo, iv.hi, iv.vhi
         if (common_chain is not None
-                and common_chain.variations_at(lo) - common_chain.variations_at(hi) == 1):
+                and common_chain.variations_at(iv.lo) - common_chain.variations_at(iv.hi) == 1):
             signs.append(0)
             continue
-        qlo, qhi = qchain.variations_at(lo), qchain.variations_at(hi)
+        qlo, qhi = qchain.variations_at(iv.lo), qchain.variations_at(iv.hi)
         while qlo != qhi:
-            half = iso._halve(lo, vlo, hi, vhi)
-            if half[0] == lo:
-                qhi = qchain.variations_at(half[2])
+            half = iso._halve(iv)
+            if half.lo == iv.lo:
+                qhi = qchain.variations_at(half.hi)
             else:
-                qlo = qchain.variations_at(half[0])
-            lo, vlo, hi, vhi = half
+                qlo = qchain.variations_at(half.lo)
+            iv = half
         # q has no root in (lo, hi], so q(hi) is nonzero
-        signs.append(_sign_at(qc, hi))
+        signs.append(_sign_at(qc, iv.hi))
     return signs
 
 
@@ -444,29 +447,22 @@ def certified_rational_roots(p: SparsePoly):
     exact roots and ``unresolved`` are isolating intervals whose root could
     not be recognized as a rational of denominator <= MAX_DENOMINATOR.  No
     root is ever dropped.  A zero ``p`` raises ValueError.
+
+    A root's interval is halved until its simplest rational is the root,
+    which it then stays in every half holding the root, or until its width
+    is at most ``_FINAL_WIDTH``.
     """
     iso = RootIsolator(p)
     rationals = []
     unresolved = []
     for iv in iso.isolate():
-        lo, vlo, hi, vhi = iv.lo, iv.vlo, iv.hi, iv.vhi
-        width = Fraction(1, MAX_DENOMINATOR ** 2)
-        # a step's simplest rational that is a root is the interval's one root
-        while hi - lo > width:
-            cand = simplest_rational_between(lo, hi)
-            if lo < cand and not _sign_at(iso.reduced, cand):
+        while True:
+            cand = simplest_rational_between(iv.lo, iv.hi)
+            if iv.lo < cand and not _sign_at(iso.reduced, cand):
                 rationals.append(cand)
                 break
-            lo, vlo, hi, vhi = iso._halve(lo, vlo, hi, vhi)
-        else:
-            for _ in range(4):
-                while hi - lo > width:
-                    lo, vlo, hi, vhi = iso._halve(lo, vlo, hi, vhi)
-                cand = simplest_rational_between(lo, hi)
-                if lo < cand <= hi and not _sign_at(iso.reduced, cand):
-                    rationals.append(cand)
-                    break
-                width /= 2 ** 8
-            else:
-                unresolved.append(IsolatingInterval(lo, hi, vlo, vhi))
+            if iv.hi - iv.lo <= _FINAL_WIDTH:
+                unresolved.append(iv)
+                break
+            iv = iso._halve(iv)
     return rationals, unresolved

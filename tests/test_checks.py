@@ -1,5 +1,6 @@
 """Verification checks: verdicts, witnesses and report serialization."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -435,6 +436,10 @@ class TestSingularCandidates:
         neg, pos = [e["interval"] for e in unresolved]
         assert neg.hi ** 2 < 2 < neg.lo ** 2 and neg.hi < 0
         assert pos.lo ** 2 < 2 < pos.hi ** 2 and pos.lo > 0
+        # the intervals where bisection stopped, denominators 2^73 and 2^74
+        text = json.dumps(jsonable(unresolved), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "45be28ecb3533288182173a15100442647adfef8f3394d7a437aa00ace392f83")
 
 
 class TestSingularProbe:

@@ -241,6 +241,8 @@ class TestRootsBetween:
         assert iso.roots_between(Fraction(0), 10 * iso.bound) == 2
         assert iso.roots_between(-iso.bound, iso.bound) == 3
         assert iso.roots_between(iso.bound, 2 * iso.bound) == 0
+        # lo past hi: both ends are past the bound, as when lambda0 >= bound
+        assert iso.roots_between(3 * iso.bound, iso.bound) == 0
 
     def test_no_real_root(self):
         for p in (T * T + 1, 3 * ONE):
@@ -402,18 +404,17 @@ def oracle_certified_rational_roots(p):
     rationals = []
     unresolved = []
     for iv in iso.isolate():
-        lo, vlo, hi, vhi = iv.lo, iv.vlo, iv.hi, iv.vhi
         width = Fraction(1, MAX_DENOMINATOR ** 2)
         for _ in range(4):
-            while hi - lo > width:
-                lo, vlo, hi, vhi = iso._halve(lo, vlo, hi, vhi)
-            cand = oracle_simplest_rational_between(lo, hi)
-            if lo < cand <= hi and not roots._sign_at(iso.reduced, cand):
+            while iv.hi - iv.lo > width:
+                iv = iso._halve(iv)
+            cand = oracle_simplest_rational_between(iv.lo, iv.hi)
+            if iv.lo < cand <= iv.hi and not roots._sign_at(iso.reduced, cand):
                 rationals.append(cand)
                 break
             width /= 2 ** 8
         else:
-            unresolved.append(IsolatingInterval(lo, hi, vlo, vhi))
+            unresolved.append(iv)
     return rationals, unresolved
 
 
@@ -441,7 +442,7 @@ def test_small_denominator_roots_are_taken_before_full_bisection(monkeypatch):
     halvings = []
     halve = RootIsolator._halve
     monkeypatch.setattr(RootIsolator, "_halve",
-                        lambda self, *iv: halvings.append(iv) or halve(self, *iv))
+                        lambda self, iv: halvings.append(iv) or halve(self, iv))
     rationals, _ = certified_rational_roots(from_roots(0, 1, -1, Fraction(1, 2)))
     assert rationals == [-1, 0, Fraction(1, 2), 1]
     assert len(halvings) <= 4  # the full bisection takes 190

@@ -273,6 +273,8 @@ def test_sign_at_rational_root_is_exact(rooted, q):
 @example((3 * X ** 0, Fraction(1, 2)))
 @example((X ** 2 * (X - 1) ** 3 * (2 * X - 1) ** 2 * (X - 3), Fraction(1, 2)))
 @example((X * (X + 2) ** 2 * (X - Fraction(1, 2)) * (X * X - 2), Fraction(-2)))
+# lambda0 = 5 lies past the isolator's bound 3/2: f's last root is past it
+@example(((2 * X - 1) * (X + 1), Fraction(5)))
 def test_count_between_f_roots_matches_signs_at_roots(fiber):
     # The census and the scan count the roots with f > 0 from f's own roots;
     # the oracle signs f at every isolated root.
