@@ -219,8 +219,7 @@ def cmd_plot(args) -> int:
     try:
         window = Window(*corners, nx=args.nx, nlambda=args.nlambda)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from exc
     poly = general_inflection(args.mu, args.k).poly
     out = args.out
     outdir = os.environ.get(OUTDIR_ENV)

@@ -69,30 +69,32 @@ def _symmetry_report(params: dict, lhs: SparsePoly, rhs: SparsePoly) -> CheckRep
     )
 
 
-def check_homogenization_symmetry(k: int, poly: SparsePoly | None = None) -> CheckReport:
-    """Homogenizing to degree 2(k+1) and returning along lambda = 1 must
-    reproduce the polynomial with lambda renamed to the new variable."""
+def _basic_poly(k: int):
+    """``(k, P(1, k))`` for the checks on P(1, k), which start at k = 1."""
     k = int(k)
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
-    p = basic_inflection(k).poly if poly is None else poly
+    return k, basic_inflection(k).poly
+
+
+def check_homogenization_symmetry(k: int) -> CheckReport:
+    """Homogenizing to degree 2(k+1) and returning along lambda = 1 must
+    reproduce the polynomial with lambda renamed to the new variable."""
+    k, p = _basic_poly(k)
     hom = p.homogenize(VAR_Z, 2 * (k + 1))
     lhs = hom.specialize(VAR_LAMBDA, 1)
     rhs = p.rename_var(VAR_LAMBDA, VAR_Z)
     return _symmetry_report({"k": k, "identity": "homogenization-swap"}, lhs, rhs)
 
 
-def check_shift_symmetry(k: int, poly: SparsePoly | None = None) -> CheckReport:
-    """P(x+1, lambda+1) must equal P(-x, -lambda)."""
-    k = int(k)
-    if k < 1:
-        raise PreconditionError(f"k must be positive, got {k}")
-    p = basic_inflection(k).poly if poly is None else poly
+def check_shift_symmetry(k: int) -> CheckReport:
+    """P(1 - x, 1 - lambda) must equal P(x, lambda): the involution
+    (x, lambda) -> (1 - x, 1 - lambda) of the Legendre family sends f to -f."""
+    k, p = _basic_poly(k)
     x = SparsePoly.variable(p.vars, VAR_X)
     lam = SparsePoly.variable(p.vars, VAR_LAMBDA)
-    shifted = substitute_polys(p, {VAR_X: x + 1, VAR_LAMBDA: lam + 1})
-    negated = substitute_polys(p, {VAR_X: -x, VAR_LAMBDA: -lam})
-    return _symmetry_report({"k": k, "identity": "unit-shift"}, shifted, negated)
+    flipped = substitute_polys(p, {VAR_X: 1 - x, VAR_LAMBDA: 1 - lam})
+    return _symmetry_report({"k": k, "identity": "unit-shift"}, flipped, p)
 
 
 # -- support and coefficient symmetry ----------------------------------------
@@ -113,9 +115,8 @@ def sigma_reflection(k: int, exponent):
     return (i, 2 * k + 2 - i - j)
 
 
-def check_support(k: int, poly: SparsePoly | None = None) -> CheckReport:
-    k = int(k)
-    p = basic_inflection(k).poly if poly is None else poly
+def check_support(k: int) -> CheckReport:
+    k, p = _basic_poly(k)
     params = {"k": k, "claim": "support"}
     actual = p.support()
     expected = predicted_support(k)
@@ -132,10 +133,9 @@ def check_support(k: int, poly: SparsePoly | None = None) -> CheckReport:
     )
 
 
-def check_coeff_symmetry(k: int, poly: SparsePoly | None = None) -> CheckReport:
+def check_coeff_symmetry(k: int) -> CheckReport:
     """Coefficients must be invariant under the sigma involution."""
-    k = int(k)
-    p = basic_inflection(k).poly if poly is None else poly
+    k, p = _basic_poly(k)
     params = {"k": k, "claim": "coefficient-symmetry"}
     for exponent in sorted(p.support()):
         mirror = sigma_reflection(k, exponent)
@@ -522,10 +522,7 @@ def singular_probe(k: int) -> CheckReport:
     the allowed set, UNRESOLVED if any candidate resists exact
     classification, PASS otherwise.
     """
-    k = int(k)
-    if k < 1:
-        raise PreconditionError(f"k must be positive, got {k}")
-    p = basic_inflection(k).poly
+    k, p = _basic_poly(k)
     hom = p.homogenize(VAR_Z, 2 * (k + 1))
     params = {"mu": 1, "k": k}
     charts = (

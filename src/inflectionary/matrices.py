@@ -162,24 +162,20 @@ DIVISION_CUTOFF = 4000
 
 
 def _divide_packed(dividend: int, divisor: int) -> int:
-    """The exact quotient; ``_divmod`` gives the true remainder on both paths."""
-    quotient, remainder = _divmod(dividend, divisor)
+    """The exact quotient, by ``_divmod`` on the magnitudes, signed by the
+    signs of the operands."""
+    quotient, remainder = _divmod(abs(dividend), abs(divisor))
     if remainder:
         raise RuntimeError("internal fault: inexact division of packed minors")
-    return quotient
+    return -quotient if (dividend < 0) != (divisor < 0) else quotient
 
 
 def _divmod(a: int, b: int):
-    """``divmod(a, b)``; past DIVISION_CUTOFF, by ``_div2n1n`` per b-sized digit."""
+    """``divmod(a, b)`` for a >= 0 and b > 0; past DIVISION_CUTOFF, by
+    ``_div2n1n`` per b-sized digit."""
     n = b.bit_length()
     if n <= DIVISION_CUTOFF:
         return divmod(a, b)
-    if b < 0:
-        q, r = _divmod(-a, -b)
-        return q, -r
-    if a < 0:
-        q, r = _divmod(~a, b)  # ~a = b*q + r gives a = b*~q + (b + ~r)
-        return ~q, b + ~r
     q, r, mask = 0, 0, (1 << n) - 1
     for shift in range((a.bit_length() - 1) // n * n, -1, -n):
         digit, r = _div2n1n(r << n | a >> shift & mask, b, n)

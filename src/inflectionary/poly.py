@@ -35,6 +35,7 @@ dict loop, where packing would spend its time on empty slots.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -492,16 +493,14 @@ def _unpack(value: int, radices, width: int):
     slots = math.prod(radices)
     half = 1 << (8 * width - 1)
     digits = (value + _repeat(half, width, slots)).to_bytes(slots * width, "little")
+    # the first exponent varies fastest across the slots, and the last
+    # iterable of a product does: decode reversed tuples, in slot order
+    reversed_exponents = itertools.product(*map(range, reversed(radices)))
     terms = {}
-    for slot in range(slots):
-        c = int.from_bytes(digits[slot * width:(slot + 1) * width], "little") - half
+    for start, exponents in zip(range(0, slots * width, width), reversed_exponents):
+        c = int.from_bytes(digits[start:start + width], "little") - half
         if c:
-            exponents = []
-            rest = slot
-            for r in radices:
-                rest, e = divmod(rest, r)
-                exponents.append(e)
-            terms[tuple(exponents)] = c
+            terms[exponents[::-1]] = c
     return terms
 
 

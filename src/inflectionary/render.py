@@ -349,12 +349,13 @@ def _shade_rects(shade: SignGrid):
     return runs
 
 
-def write_svg(curve_segments, shade_grid: SignGrid, out, poly_hash: str = "") -> bytes:
+def write_svg(curve_segments, shade_grid: SignGrid, out, poly_hash: str) -> bytes:
     """Assemble the SVG of ``shade_grid``'s window and write it to ``out``.
 
     ``curve_segments`` are in doubled grid units, as ``contour_segments``
-    returns them.  ``out`` may be a filesystem path or a binary file object;
-    the bytes are also returned.  Fixed inputs give byte-identical output.
+    returns them, and ``poly_hash`` names the curve in the metadata comment.
+    ``out`` may be a filesystem path or a binary file object; the bytes are
+    also returned.  Fixed inputs give byte-identical output.
     """
     w = shade_grid.window
     width = w.nx + 2 * _MARGIN
@@ -364,7 +365,7 @@ def write_svg(curve_segments, shade_grid: SignGrid, out, poly_hash: str = "") ->
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<!-- poly_sha256={poly_hash or "none"} window={w.describe()} '
+        f'<!-- poly_sha256={poly_hash} window={w.describe()} '
         f'resolution={w.nx}x{w.nlambda} tie_rule={TIE_RULE} -->',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]

@@ -22,9 +22,10 @@ class PreconditionError(ValueError):
 def jsonable(value):
     """Recursively convert report payloads to plain JSON values.
 
-    Fractions become exact ``p/q`` strings, tuples become lists, and objects
-    exposing ``to_json_dict`` serialize themselves.  Floats are rejected so
-    no inexact value can sneak into a report.
+    Fractions become exact ``p/q`` strings, objects exposing
+    ``to_json_dict`` (named tuples included) serialize themselves, and other
+    tuples become lists.  Floats are rejected so no inexact value can sneak
+    into a report.
     """
     if isinstance(value, Fraction):
         return str(value)
@@ -38,12 +39,12 @@ def jsonable(value):
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
+    if hasattr(value, "to_json_dict"):  # before tuples: named tuples have one
+        return jsonable(value.to_json_dict())
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return [jsonable(v) for v in sorted(value)]
-    if hasattr(value, "to_json_dict"):
-        return jsonable(value.to_json_dict())
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 

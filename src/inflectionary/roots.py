@@ -35,8 +35,8 @@ by one.  Isolation, signing and certification bisect through one step,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import SparsePoly, _powers, as_fraction
 
@@ -279,11 +279,12 @@ class SturmChain:
         return flips
 
 
-@dataclass(frozen=True)
-class IsolatingInterval:
+class IsolatingInterval(NamedTuple):
     """Half-open rational interval (lo, hi] with the isolator chain's
     variation counts ``vlo`` and ``vhi`` at its ends.  It holds vlo - vhi
-    distinct roots, so it isolates one when vlo = vhi + 1."""
+    distinct roots, so it isolates one when vlo = vhi + 1.  A named tuple,
+    since bisection builds two per step; reports serialize it by
+    ``to_json_dict``."""
 
     lo: Fraction
     hi: Fraction

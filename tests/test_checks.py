@@ -26,6 +26,7 @@ from inflectionary.conjectures import (
     singular_probe,
 )
 from inflectionary.inflection import (
+    InflectionPoly,
     basic_inflection,
     derivative_oracle,
     general_inflection,
@@ -35,8 +36,21 @@ from inflectionary.inflection import (
 )
 from inflectionary.matrices import det_polymatrix
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, poly_to_json, substitute_polys
-from inflectionary.reports import FAIL, OUT_OF_RANGE, PASS, CheckReport, jsonable
-from inflectionary.roots import MAX_DENOMINATOR, RootIsolator, SturmChain, deflate
+from inflectionary.reports import (
+    FAIL,
+    OUT_OF_RANGE,
+    PASS,
+    CheckReport,
+    PreconditionError,
+    jsonable,
+)
+from inflectionary.roots import (
+    MAX_DENOMINATOR,
+    IsolatingInterval,
+    RootIsolator,
+    SturmChain,
+    deflate,
+)
 
 XL = (VAR_X, VAR_LAMBDA)
 X = SparsePoly.variable(XL, VAR_X)
@@ -71,6 +85,12 @@ def perturbed(k, exponent, delta):
     return p + SparsePoly(p.vars, {exponent: Fraction(delta)})
 
 
+def feed(monkeypatch, poly):
+    """Make the checks on P(1, k) read ``poly`` as P(1, k)."""
+    monkeypatch.setattr(conjectures, "basic_inflection",
+                        lambda k: InflectionPoly(1, k, poly))
+
+
 class TestReports:
     def test_json_field_order(self):
         report = CheckReport("demo", {"k": 2}, PASS, data={"n": 1})
@@ -88,6 +108,11 @@ class TestReports:
     def test_jsonable_fractions_and_sets(self):
         out = jsonable({"r": Fraction(-1, 3), "s": {2, 1}, "t": (0, 1)})
         assert out == {"r": "-1/3", "s": [1, 2], "t": [0, 1]}
+
+    def test_jsonable_serializes_an_interval_as_its_ends(self):
+        # a named tuple, so its to_json_dict must win over the tuple branch
+        iv = IsolatingInterval(Fraction(1, 3), Fraction(1, 2), 2, 1)
+        assert jsonable({"interval": iv}) == {"interval": {"lo": "1/3", "hi": "1/2"}}
 
     def test_jsonable_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -107,22 +132,26 @@ class TestSymmetry:
     def test_unit_shift_passes(self, k):
         assert check_shift_symmetry(k).verdict == PASS
 
-    def test_homogenization_swap_catches_perturbation(self):
-        report = check_homogenization_symmetry(2, poly=perturbed(2, (1, 1), 1))
+    def test_homogenization_swap_catches_perturbation(self, monkeypatch):
+        feed(monkeypatch, perturbed(2, (1, 1), 1))
+        report = check_homogenization_symmetry(2)
         assert report.verdict == FAIL
         assert "exponent" in report.witness
 
-    def test_unit_shift_catches_perturbation(self):
-        report = check_shift_symmetry(2, poly=perturbed(2, (1, 0), 1))
+    def test_unit_shift_catches_perturbation(self, monkeypatch):
+        feed(monkeypatch, perturbed(2, (1, 0), 1))
+        report = check_shift_symmetry(2)
         assert report.verdict == FAIL
         assert report.witness["difference_coefficient"] != 0
 
-    def test_witness_is_the_first_differing_exponent(self):
-        # the differences are x*z^4 - x*z and 2x + 1: two terms each, so the
+    def test_witness_is_the_first_differing_exponent(self, monkeypatch):
+        # the differences are x*z^4 - x*z and 1 - 2x: two terms each, so the
         # witness pins which of them the report names
-        swap = check_homogenization_symmetry(2, poly=perturbed(2, (1, 1), 1))
+        feed(monkeypatch, perturbed(2, (1, 1), 1))
+        swap = check_homogenization_symmetry(2)
         assert swap.witness == {"exponent": [1, 1], "difference_coefficient": -1}
-        shift = check_shift_symmetry(2, poly=perturbed(2, (1, 0), 1))
+        feed(monkeypatch, perturbed(2, (1, 0), 1))
+        shift = check_shift_symmetry(2)
         assert shift.witness == {"exponent": [0, 0], "difference_coefficient": 1}
 
     def test_bad_k(self):
@@ -130,6 +159,13 @@ class TestSymmetry:
             check_homogenization_symmetry(0)
         with pytest.raises(ValueError):
             check_shift_symmetry(-1)
+
+    # every (mu, k) that the benchmark's census, lemma1 and plot jobs build
+    @pytest.mark.parametrize("mu, k", [(1, k) for k in range(2, 11)]
+                             + [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+    def test_unit_shift_holds_for_every_mu(self, mu, k):
+        p = general_inflection(mu, k).poly
+        assert substitute_polys(p, {VAR_X: 1 - X, VAR_LAMBDA: 1 - L}) == p
 
 
 class TestSupport:
@@ -142,11 +178,12 @@ class TestSupport:
         assert report.verdict == PASS
         assert report.data["size"] == len(predicted_support(k))
 
-    def test_support_reports_missing_and_extra(self):
+    def test_support_reports_missing_and_extra(self, monkeypatch):
         p = basic_inflection(2).poly
         q = p - SparsePoly(p.vars, {(0, 3): p.coefficient((0, 3))})
         q = q + SparsePoly(p.vars, {(1, 1): Fraction(7)})
-        report = check_support(2, poly=q)
+        feed(monkeypatch, q)
+        report = check_support(2)
         assert report.verdict == FAIL
         assert report.witness["missing"] == [[0, 3]]
         assert report.witness["unexpected"] == [[1, 1]]
@@ -165,8 +202,14 @@ class TestSupport:
     def test_coeff_symmetry_passes(self, k):
         assert check_coeff_symmetry(k).verdict == PASS
 
-    def test_coeff_symmetry_catches_perturbation(self):
-        report = check_coeff_symmetry(2, poly=perturbed(2, (1, 2), 1))
+    @pytest.mark.parametrize("check, k", [(check_coeff_symmetry, 0), (check_support, -1)])
+    def test_k_below_one_is_a_precondition_error(self, check, k):
+        with pytest.raises(PreconditionError, match="k must be positive"):
+            check(k)
+
+    def test_coeff_symmetry_catches_perturbation(self, monkeypatch):
+        feed(monkeypatch, perturbed(2, (1, 2), 1))
+        report = check_coeff_symmetry(2)
         assert report.verdict == FAIL
         assert report.witness["coefficient"] != report.witness["mirror_coefficient"]
 

@@ -14,6 +14,7 @@ from inflectionary import conjectures, matrices
 from inflectionary.inflection import basic_inflection, derivative_oracle, q_template
 from inflectionary.matrices import (
     DIVISION_CUTOFF,
+    _divide_packed,
     _divmod,
     det_polymatrix,
     expand_by_minors,
@@ -405,49 +406,43 @@ def test_singular_probe_resultants_match_sylvester_determinant(k, monkeypatch):
 
 def test_inexact_packed_division_is_an_internal_fault():
     with pytest.raises(RuntimeError, match="internal fault"):
-        matrices._divide_packed(7, 2)
+        _divide_packed(7, 2)
 
 
 def test_inexact_packed_division_above_the_cutoff_is_an_internal_fault():
     b = random.Random(5).getrandbits(50_000) | 1 << 49_999
     q = random.Random(6).getrandbits(100_000)
-    assert matrices._divide_packed(b * q, b) == q
+    assert _divide_packed(b * q, b) == q
     with pytest.raises(RuntimeError, match="internal fault"):
-        matrices._divide_packed(b * q + 1, b)
+        _divide_packed(b * q + 1, b)
 
 
 # -- recursive division against the builtin divmod ------------------------------
 
-def _signed(bits, seed, negative):
-    value = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
-    return -value if negative else value
+def _magnitude(bits, seed):
+    return random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
 
 
-def _operand_pair(b_kbits, a_kbits, jitter, seed, a_neg, b_neg):
+def _operand_pair(b_kbits, a_kbits, jitter, seed):
     # b_kbits = 4 straddles the cutoff; a has up to 60k bits more than b
     b_bits = max(1, 1000 * b_kbits + jitter)
     a_bits = max(1, b_bits + 1000 * a_kbits + jitter)
-    return _signed(a_bits, seed, a_neg), _signed(b_bits, seed + 1, b_neg)
+    return _magnitude(a_bits, seed), _magnitude(b_bits, seed + 1)
 
 
-signed_operands = st.builds(_operand_pair, st.integers(0, 60), st.integers(-1, 60),
-                            st.integers(-8, 8), st.integers(0, 2**32), st.booleans(),
-                            st.booleans())
-_B = _signed(3 * DIVISION_CUTOFF, 7, False)
-_A = _signed(9 * DIVISION_CUTOFF, 8, False)
+operands = st.builds(_operand_pair, st.integers(0, 60), st.integers(-1, 60),
+                     st.integers(-8, 8), st.integers(0, 2**32))
+_B = _magnitude(3 * DIVISION_CUTOFF, 7)
+_A = _magnitude(9 * DIVISION_CUTOFF, 8)
 
 
 @settings(max_examples=60)
-@given(signed_operands)
-@example((_A, _signed(DIVISION_CUTOFF, 9, True)))  # the builtin's largest divisor
-@example((_A, _signed(DIVISION_CUTOFF + 1, 9, True)))  # the recursion's smallest
+@given(operands)
+@example((_A, _magnitude(DIVISION_CUTOFF, 9)))  # the builtin's largest divisor
+@example((_A, _magnitude(DIVISION_CUTOFF + 1, 9)))  # the recursion's smallest
 @example((0, _B))
 @example((_A, 1))
-@example((_A, -1))
-@example((-_A, -_B))
-@example((-_A, _B))
 @example((_A * _B, _B))
-@example((-_A * _B, _B))
 @example((_A >> 1, _B))  # one bit short of three digits of b
 @example(((_B << _B.bit_length()) - 1, _B))  # the top quotient estimate saturates
 def test_recursive_division_matches_builtin_divmod(operands):
@@ -455,13 +450,29 @@ def test_recursive_division_matches_builtin_divmod(operands):
     assert _divmod(a, b) == divmod(a, b)
 
 
+@settings(max_examples=30)
+@given(operands)
+@example((_A, _magnitude(DIVISION_CUTOFF, 9)))
+@example((_A, _magnitude(DIVISION_CUTOFF + 1, 9)))
+@example((0, _B))
+@example((_A, 1))
+def test_packed_division_signs_the_quotient(operands):
+    # every sign pair of an exact product, on both sides of the cutoff
+    q, b = operands
+    for q_sign, b_sign in itertools.product((1, -1), repeat=2):
+        assert _divide_packed(q_sign * q * b_sign * b, b_sign * b) == q_sign * q
+
+
 def test_recursion_at_a_tiny_cutoff_matches_builtin_divmod(monkeypatch):
     # every 6-bit divisor recurses down to 3-bit halves; some quotient
     # estimates need both corrections
     monkeypatch.setattr(matrices, "DIVISION_CUTOFF", 2)
     for b in range(32, 64):
-        for a in range(-(1 << 10), 1 << 10):
+        for a in range(1 << 11):
             assert _divmod(a, b) == divmod(a, b), (a, b)
+        for q in range(-(1 << 5), 1 << 5):
+            for divisor in (b, -b):
+                assert _divide_packed(q * divisor, divisor) == q, (q, divisor)
 
 
 def test_q_template_matches_oracle_determinant():

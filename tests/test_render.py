@@ -279,7 +279,7 @@ class TestSvg:
     def test_valid_xml_even_when_empty(self):
         w = small_window()
         shade = sample_sign_grid(P_ONE, w)
-        payload = write_svg([], shade, io.BytesIO())
+        payload = write_svg([], shade, io.BytesIO(), poly_hash="abc")
         root = ET.fromstring(payload)
         assert root.tag.endswith("svg")
 
@@ -296,7 +296,7 @@ class TestSvg:
         w = small_window()
         grid = sample_sign_grid(P_X, w)
         shade = sample_sign_grid(P_ONE, w)
-        text = write_svg(contour_segments(grid), shade, io.BytesIO()).decode()
+        text = write_svg(contour_segments(grid), shade, io.BytesIO(), poly_hash="abc").decode()
         # the zero set x = 0 is one grid unit right of the margin
         assert "M41 42L41 41" in text
         assert "M41 41L41 40" in text
