@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 
 from .conjectures import (
@@ -296,7 +295,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except Exception:
-        # an internal fault must not exit 1, which means "a check failed"
+        # an internal fault must not exit 1, which means "a check failed";
+        # traceback is loaded only here, off every launch's path
+        import traceback
         traceback.print_exc()
         return 5
 

@@ -9,8 +9,8 @@ The checks at one curve parameter read P(mu, k) there through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .inflection import (
     basic_inflection,
@@ -61,7 +61,7 @@ def _symmetry_report(params: dict, lhs: SparsePoly, rhs: SparsePoly) -> CheckRep
     if lhs == rhs:
         return CheckReport("symmetry", params, PASS)
     diff = lhs - rhs
-    exponent = sorted(diff.support())[0]
+    exponent = min(diff.support())
     return CheckReport(
         "symmetry", params, FAIL,
         witness={"exponent": list(exponent),
@@ -267,9 +267,10 @@ def separability_check(mu: int, k: int, lambda0) -> CheckReport:
                        witness={"interval": witness}, data=details)
 
 
-@dataclass
-class RootCensus:
-    """Exact census of the real roots of P(mu, k) at one curve parameter."""
+class RootCensus(NamedTuple):
+    """Exact census of the real roots of P(mu, k) at one curve parameter.
+    ``reports.jsonable`` writes the Fraction, the ``roots_at_01`` keys and
+    the intervals as exact strings."""
 
     mu: int
     k: int
@@ -278,19 +279,10 @@ class RootCensus:
     roots_f_positive: int
     roots_at_01: dict
     separable_away_from_01: bool
-    intervals: list = field(default_factory=list)
+    intervals: list
 
     def to_json_dict(self):
-        return {
-            "mu": self.mu,
-            "k": self.k,
-            "lambda0": str(self.lambda0),
-            "total_real_roots": self.total_real_roots,
-            "roots_f_positive": self.roots_f_positive,
-            "roots_at_01": {str(r): m for r, m in sorted(self.roots_at_01.items())},
-            "separable_away_from_01": self.separable_away_from_01,
-            "intervals": [iv.to_json_dict() for iv in self.intervals],
-        }
+        return self._asdict()
 
 
 def _roots_f_positive(iso: RootIsolator, lambda0: Fraction) -> int:
@@ -394,7 +386,7 @@ def check_determinant_identity(mu: int, k: int) -> CheckReport:
         return CheckReport("determinant_identity", params, PASS,
                            data={"terms": len(via_template.nums)})
     diff = via_template - via_wronskian
-    exponent = sorted(diff.support())[0]
+    exponent = min(diff.support())
     return CheckReport(
         "determinant_identity", params, FAIL,
         witness={"exponent": list(exponent),

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import det_polymatrix, expand_by_minors
@@ -59,27 +58,27 @@ RECURRENCE_COEFFICIENT_VARIANTS = {
 SELECTED_RECURRENCE_COEFFICIENT = "-(k+1/2)"
 
 
-@dataclass(frozen=True)
 class InflectionPoly:
     """An inflection polynomial with its parameters and degree contract."""
 
-    mu: int
-    k: int
-    poly: SparsePoly
+    __slots__ = ("mu", "k", "poly")
 
-    def __post_init__(self):
-        if self.mu < 1 or self.k < 0:
-            raise ValueError(f"bad parameters mu={self.mu}, k={self.k}")
-        expected_x = 2 * self.mu * (self.k + 1)
-        expected_l = self.mu * (self.k + 1)
-        if self.poly.vars != _XL:
-            raise ValueError(f"expected variables {_XL!r}, got {self.poly.vars!r}")
-        if self.poly.degree(VAR_X) != expected_x or self.poly.degree(VAR_LAMBDA) != expected_l:
+    def __init__(self, mu: int, k: int, poly: SparsePoly):
+        if mu < 1 or k < 0:
+            raise ValueError(f"bad parameters mu={mu}, k={k}")
+        expected_x = 2 * mu * (k + 1)
+        expected_l = mu * (k + 1)
+        if poly.vars != _XL:
+            raise ValueError(f"expected variables {_XL!r}, got {poly.vars!r}")
+        if poly.degree(VAR_X) != expected_x or poly.degree(VAR_LAMBDA) != expected_l:
             raise ValueError(
-                f"degree contract violated for (mu={self.mu}, k={self.k}): "
-                f"deg_x={self.poly.degree(VAR_X)} (want {expected_x}), "
-                f"deg_lambda={self.poly.degree(VAR_LAMBDA)} (want {expected_l})"
+                f"degree contract violated for (mu={mu}, k={k}): "
+                f"deg_x={poly.degree(VAR_X)} (want {expected_x}), "
+                f"deg_lambda={poly.degree(VAR_LAMBDA)} (want {expected_l})"
             )
+        self.mu = mu
+        self.k = k
+        self.poly = poly
 
 
 def _seed_poly() -> SparsePoly:
@@ -316,16 +315,17 @@ def torsion_check(k: int, lambda0) -> CheckReport:
                            witness={"reason": "degree mismatch", **data}, data=data)
     lc_i = inflect.coefficient((deg_i,))
     lc_d = divisor.coefficient((deg_d,))
-    ratio = lc_i / lc_d
-    if inflect * (1 / lc_i) == divisor * (1 / lc_d):
-        data["ratio"] = ratio
+    # cross-scaled, the two sides differ exactly where the monic forms do
+    scaled_i = inflect * lc_d
+    scaled_d = divisor * lc_i
+    if scaled_i == scaled_d:
+        data["ratio"] = lc_i / lc_d
         return CheckReport("torsion_identity", params, PASS, data=data)
-    difference = inflect * (1 / lc_i) - divisor * (1 / lc_d)
-    exps = sorted(difference.support())
+    exps = (scaled_i - scaled_d).support()
     return CheckReport(
         "torsion_identity", params, FAIL,
         witness={"reason": "monic forms differ",
-                 "first_mismatch_exponent": list(exps[0]),
+                 "first_mismatch_exponent": list(min(exps)),
                  "mismatch_count": len(exps)},
         data=data,
     )

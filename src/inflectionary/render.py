@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (VAR_LAMBDA, VAR_X, SparsePoly, _repeat, _slot_width, as_fraction,
@@ -33,31 +32,27 @@ _MARGIN = 40
 MAX_RESOLUTION = 4096
 
 
-@dataclass(frozen=True)
 class Window:
     """Rectangular (x, lambda) viewport with its sampling resolution."""
 
-    x_min: Fraction
-    x_max: Fraction
-    lambda_min: Fraction
-    lambda_max: Fraction
-    nx: int = 512
-    nlambda: int = 512
+    __slots__ = ("x_min", "x_max", "lambda_min", "lambda_max", "nx", "nlambda")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_min", as_fraction(self.x_min))
-        object.__setattr__(self, "x_max", as_fraction(self.x_max))
-        object.__setattr__(self, "lambda_min", as_fraction(self.lambda_min))
-        object.__setattr__(self, "lambda_max", as_fraction(self.lambda_max))
+    def __init__(self, x_min, x_max, lambda_min, lambda_max, nx: int = 512, nlambda: int = 512):
+        self.x_min = as_fraction(x_min)
+        self.x_max = as_fraction(x_max)
+        self.lambda_min = as_fraction(lambda_min)
+        self.lambda_max = as_fraction(lambda_max)
+        self.nx = nx
+        self.nlambda = nlambda
         if self.x_min >= self.x_max:
             raise ValueError(f"empty x range: {self.x_min} >= {self.x_max}")
         if self.lambda_min >= self.lambda_max:
             raise ValueError(
                 f"empty lambda range: {self.lambda_min} >= {self.lambda_max}")
-        if self.nx < 2 or self.nlambda < 2:
-            raise ValueError(f"resolution too small: {self.nx} x {self.nlambda}")
-        if self.nx > MAX_RESOLUTION or self.nlambda > MAX_RESOLUTION:
-            raise ValueError(f"resolution too large: {self.nx} x {self.nlambda} "
+        if nx < 2 or nlambda < 2:
+            raise ValueError(f"resolution too small: {nx} x {nlambda}")
+        if nx > MAX_RESOLUTION or nlambda > MAX_RESOLUTION:
+            raise ValueError(f"resolution too large: {nx} x {nlambda} "
                              f"(at most {MAX_RESOLUTION} per axis)")
 
     def describe(self) -> str:
@@ -68,7 +63,6 @@ class Window:
 DEFAULT_WINDOW = Window(Fraction(-1), Fraction(3), Fraction(-1), Fraction(3))
 
 
-@dataclass(frozen=True)
 class SignGrid:
     """Exact signs at the nodes of a window grid, one bitmask pair per row.
 
@@ -76,19 +70,19 @@ class SignGrid:
     is set where the sampled polynomial is >= 0, resp. > 0, at (x_i, lambda_j).
     """
 
-    window: Window
-    rows: tuple
+    __slots__ = ("window", "rows")
 
-    def __post_init__(self):
-        w = self.window
-        if len(self.rows) != w.nlambda + 1:
+    def __init__(self, window: Window, rows: tuple):
+        if len(rows) != window.nlambda + 1:
             raise ValueError("grid height does not match the window")
-        for row in self.rows:
+        for row in rows:
             if len(row) != 2:
                 raise ValueError(f"grid row is not a (nonneg, positive) pair: {row!r}")
             nonneg, positive = row
-            if not 0 <= nonneg < 1 << (w.nx + 1) or positive < 0 or positive & ~nonneg:
-                raise ValueError(f"grid row does not fit {w.nx + 1} nodes: {row!r}")
+            if not 0 <= nonneg < 1 << (window.nx + 1) or positive < 0 or positive & ~nonneg:
+                raise ValueError(f"grid row does not fit {window.nx + 1} nodes: {row!r}")
+        self.window = window
+        self.rows = rows
 
     @property
     def values(self):

@@ -1,9 +1,12 @@
-"""Machine-readable check reports with a stable JSON layout."""
+"""Machine-readable check reports with a stable JSON layout.
+
+A record with invariants, as ``CheckReport``, is a ``__slots__`` class that
+checks them in ``__init__``; one without is a named tuple.  Both are treated
+as immutable values."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 PASS = "PASS"
@@ -48,7 +51,6 @@ def jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-@dataclass
 class CheckReport:
     """Outcome of one verification (sub)check.
 
@@ -56,17 +58,18 @@ class CheckReport:
     always reproducible from the report alone.
     """
 
-    check: str
-    params: dict
-    verdict: str
-    witness: object = None
-    data: dict = field(default_factory=dict)
+    __slots__ = ("check", "params", "verdict", "witness", "data")
 
-    def __post_init__(self):
-        if self.verdict not in _VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == FAIL and self.witness is None:
+    def __init__(self, check: str, params: dict, verdict: str, witness=None, data=None):
+        if verdict not in _VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if verdict == FAIL and witness is None:
             raise ValueError("FAIL verdict requires a witness")
+        self.check = check
+        self.params = params
+        self.verdict = verdict
+        self.witness = witness
+        self.data = {} if data is None else data
 
     def to_json_dict(self) -> dict:
         out = {

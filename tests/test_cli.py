@@ -462,3 +462,17 @@ class TestTopLevel:
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stdout.strip() == "delta=7 genus=0"
+
+    def test_a_launch_loads_no_dataclasses_inspect_or_traceback(self):
+        # every command is a fresh interpreter; only the modules the import
+        # adds count, not those site loaded before it
+        probe = ("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "import inflectionary.cli\n"
+                 "print(*sorted(set(sys.modules) - before))\n")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        assert "inflectionary.cli" in loaded
+        assert loaded & {"dataclasses", "inspect", "traceback"} == set()

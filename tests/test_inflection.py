@@ -35,6 +35,8 @@ from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
 from inflectionary.reports import PreconditionError
 
 XL = (VAR_X, VAR_LAMBDA)
+X = SparsePoly.variable(XL, VAR_X)
+LAMBDA = SparsePoly.variable(XL, VAR_LAMBDA)
 
 
 def xl(d):
@@ -337,6 +339,45 @@ class TestTorsionIdentity:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             torsion_check(1, -1)
+
+
+class TestTorsionFailures:
+    """The two FAIL branches, reached by perturbing the division polynomial
+    the check reads; the report bytes are pinned."""
+
+    def _report(self, monkeypatch, perturb, k, lambda0):
+        exact = inflection.division_polynomial
+        monkeypatch.setattr(inflection, "division_polynomial", lambda m: perturb(exact(m)))
+        return torsion_check(k, lambda0).to_json()
+
+    def test_degree_mismatch(self, monkeypatch):
+        sizes = '"degree_inflection":6,"degree_division":7,"expected_degree":6'
+        assert self._report(monkeypatch, lambda g: g * X, 2, -1) == (
+            '{"check":"torsion_identity","params":{"k":2,"lambda0":"-1"},"verdict":"FAIL",'
+            '"witness":{"reason":"degree mismatch",' + sizes + '},"data":{' + sizes + '}}')
+
+    @pytest.mark.parametrize("perturb, k, lambda0, first, count", [
+        # a scaled divisor with two extra low terms
+        (lambda g: 3 * g + X * X + 1, 2, -1, 0, 2),
+        # x^3 / 3 - x at lambda = 1/3
+        (lambda g: g + LAMBDA * X ** 3 - X, 3, Fraction(1, 3), 1, 2),
+        # a changed leading coefficient moves every term of the monic form
+        (lambda g: g + X ** 6, 2, -1, 0, 3),
+    ])
+    def test_monic_forms_differ(self, monkeypatch, perturb, k, lambda0, first, count):
+        degree = 2 * k * k - 2
+        assert self._report(monkeypatch, perturb, k, lambda0) == (
+            f'{{"check":"torsion_identity","params":{{"k":{k},"lambda0":"{lambda0}"}},'
+            f'"verdict":"FAIL","witness":{{"reason":"monic forms differ",'
+            f'"first_mismatch_exponent":[{first}],"mismatch_count":{count}}},'
+            f'"data":{{"degree_inflection":{degree},"degree_division":{degree},'
+            f'"expected_degree":{degree}}}}}')
+
+    def test_scaled_divisor_passes_with_its_ratio(self, monkeypatch):
+        assert self._report(monkeypatch, lambda g: g * Fraction(-5, 7), 2, -1) == (
+            '{"check":"torsion_identity","params":{"k":2,"lambda0":"-1"},"verdict":"PASS",'
+            '"data":{"degree_inflection":6,"degree_division":6,"expected_degree":6,'
+            '"ratio":"21/160"}}')
 
 
 class TestPredictions:

@@ -542,7 +542,8 @@ class TestLegendreShadingAgainstSampledF:
     # x = 0 at node 60, x = lambda at nodes 50, 60, 70 and 80: past 64 bits
     @example(Window(-3, 1, Fraction(-1, 2), 1, 80, 3))
     def test_matches_sampled_f(self, w):
-        assert legendre_sign_grid(w) == sample_sign_grid(legendre_f(), w)
+        # both grids carry w, so their rows decide
+        assert legendre_sign_grid(w).rows == sample_sign_grid(legendre_f(), w).rows
 
     @PROPERTY
     @given(bivariate_polys(), windows())
