@@ -39,7 +39,6 @@ from .inflection import (
     torsion_check,
 )
 from .poly import parse_rational, poly_to_json
-from .render import DEFAULT_WINDOW, Window, render_curve
 from .reports import FAIL, PASS, PreconditionError, jsonable
 
 LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 5))
@@ -147,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--out", required=True)
     plot.add_argument("--window", type=_window_corners, default=None,
                       help="x_min,x_max,lambda_min,lambda_max (rationals)")
-    plot.add_argument("--nx", type=int, default=DEFAULT_WINDOW.nx)
-    plot.add_argument("--nlambda", type=int, default=DEFAULT_WINDOW.nlambda)
+    # render.DEFAULT_WINDOW's resolution, as literals: render loads only for plot
+    plot.add_argument("--nx", type=int, default=512)
+    plot.add_argument("--nlambda", type=int, default=512)
 
     genus = sub.add_parser("genus", help="print the predicted plane-model invariants")
     genus.add_argument("--k", type=int, required=True)
@@ -212,6 +212,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .render import DEFAULT_WINDOW, Window, render_curve
     corners = args.window if args.window is not None else (
         DEFAULT_WINDOW.x_min, DEFAULT_WINDOW.x_max,
         DEFAULT_WINDOW.lambda_min, DEFAULT_WINDOW.lambda_max)

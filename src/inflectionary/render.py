@@ -15,6 +15,7 @@ per crossed cell, not per node.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -75,11 +76,12 @@ class SignGrid:
     def __init__(self, window: Window, rows: tuple):
         if len(rows) != window.nlambda + 1:
             raise ValueError("grid height does not match the window")
+        bound = 1 << (window.nx + 1)
         for row in rows:
             if len(row) != 2:
                 raise ValueError(f"grid row is not a (nonneg, positive) pair: {row!r}")
             nonneg, positive = row
-            if not 0 <= nonneg < 1 << (window.nx + 1) or positive < 0 or positive & ~nonneg:
+            if not 0 <= nonneg < bound or positive < 0 or positive & ~nonneg:
                 raise ValueError(f"grid row does not fit {window.nx + 1} nodes: {row!r}")
         self.window = window
         self.rows = rows
@@ -254,8 +256,9 @@ def _crossing(edge, zero):
 
 
 def _cell_segments(key: int):
-    """Segments of the cell at the origin, in doubled grid units, for the
-    bottom and top rows' nonneg bits (key bits 0-1, 2-3) and zero bits (4-7)."""
+    """Segments ``(ax, ay, bx, by)`` of the cell at the origin, in doubled
+    grid units, for the bottom and top rows' nonneg bits (key bits 0-1, 2-3)
+    and zero bits (4-7)."""
     # the top row's two bits swap into the counterclockwise order of _CORNERS
     case = key & 3 | (key & 4) << 1 | (key & 8) >> 1
     zero = key >> 4 & 3 | (key & 64) >> 3 | (key & 128) >> 5
@@ -263,7 +266,7 @@ def _cell_segments(key: int):
     for edge_a, edge_b in _CASES[case]:
         a, b = _crossing(edge_a, zero), _crossing(edge_b, zero)
         if a != b:
-            segments.append((a, b) if a <= b else (b, a))
+            segments.append((*a, *b) if a <= b else (*b, *a))
     return tuple(segments)
 
 
@@ -276,8 +279,10 @@ _SEGMENTS = tuple(() if key >> 4 & ~key else _cell_segments(key) for key in rang
 def contour_segments(grid: SignGrid):
     """Zero-contour segments in doubled grid units, cell by cell.
 
-    A point (u, v) sits at grid coordinates (u/2, v/2), so every crossing is
-    a pair of integers.  Corners sampling exactly zero sit on the positive
+    Each segment is a flat tuple ``(ax, ay, bx, by)`` of integers, from
+    (ax, ay) to (bx, by) with the smaller endpoint first: a point (u, v)
+    sits at grid coordinates (u/2, v/2), so every crossing is a pair of
+    integers.  Corners sampling exactly zero sit on the positive
     side (the documented tie rule) with crossings snapped onto them, saddle
     cells are always split around the positive corners, and cells are
     scanned bottom row first, so the output order and the segments
@@ -299,13 +304,15 @@ def contour_segments(grid: SignGrid):
             x = 2 * i
             key = (below >> i & 3 | (above >> i & 3) << 2
                    | (zero_below >> i & 3) << 4 | (zero_above >> i & 3) << 6)
-            for (ax, ay), (bx, by) in _SEGMENTS[key]:
-                segments.append(((x + ax, y + ay), (x + bx, y + by)))
+            for ax, ay, bx, by in _SEGMENTS[key]:
+                segments.append((x + ax, y + ay, x + bx, y + by))
     return segments
 
 
+@functools.cache
 def poly_signature(p: SparsePoly) -> str:
-    """Stable content hash of a polynomial's canonical JSON."""
+    """Stable content hash of a polynomial's canonical JSON, computed once
+    per polynomial: every plot of one P(mu, k) carries the same hash."""
     return hashlib.sha256(poly_to_json(p).encode("utf-8")).hexdigest()
 
 
@@ -388,9 +395,11 @@ def write_svg(curve_segments, shade_grid: SignGrid, out, poly_hash: str) -> byte
     lines.append('</g>')
 
     if curve_segments:
+        # the text of every doubled coordinate a segment can reach, once
         left, top = 2 * _MARGIN, 2 * bottom
-        path = [f'M{_half(left + ax)} {_half(top - ay)}L{_half(left + bx)} {_half(top - by)}'
-                for (ax, ay), (bx, by) in curve_segments]
+        xs = [_half(left + u) for u in range(2 * w.nx + 1)]
+        ys = [_half(top - v) for v in range(2 * w.nlambda + 1)]
+        path = [f'M{xs[ax]} {ys[ay]}L{xs[bx]} {ys[by]}' for ax, ay, bx, by in curve_segments]
         lines.append(
             f'<path d="{"".join(path)}" stroke="#b03030" stroke-width="1.5" '
             f'fill="none" stroke-linecap="round"/>')

@@ -19,6 +19,7 @@ from inflectionary import cli
 from inflectionary.cli import OUTDIR_ENV, main
 from inflectionary.inflection import basic_inflection
 from inflectionary.poly import poly_to_json
+from inflectionary.render import DEFAULT_WINDOW
 from inflectionary.reports import FAIL, UNRESOLVED, CheckReport
 
 
@@ -223,6 +224,11 @@ class TestPlot:
                          "--window", "-2,2,-1/2,1/2", "--nx", "4", "--nlambda", "4")
         assert code == 0
         assert b"window=x=[-2,2] lambda=[-1/2,1/2]" in target.read_bytes()
+
+    def test_resolution_defaults_match_the_default_window(self):
+        # the parser holds them as literals, so that a launch need not load render
+        args = cli.build_parser().parse_args(["plot", "--mu", "1", "--k", "1", "--out", "x.svg"])
+        assert (args.nx, args.nlambda) == (DEFAULT_WINDOW.nx, DEFAULT_WINDOW.nlambda)
 
     def test_empty_window_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "plot", "--mu", "1", "--k", "1",
@@ -476,3 +482,5 @@ class TestTopLevel:
         loaded = set(result.stdout.split())
         assert "inflectionary.cli" in loaded
         assert loaded & {"dataclasses", "inspect", "traceback"} == set()
+        # render and its hashlib load inside the plot command only
+        assert loaded & {"inflectionary.render", "hashlib"} == set()

@@ -17,6 +17,7 @@ from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly
 from inflectionary.render import (
     _CASES,
     _CORNERS,
+    _MARGIN,
     DEFAULT_WINDOW,
     MAX_RESOLUTION,
     SignGrid,
@@ -205,7 +206,7 @@ class TestContour:
     def test_vertical_line_snaps_to_zero_nodes(self):
         grid = sample_sign_grid(P_X, small_window())
         # doubled grid units: the zero nodes (1, 0), (1, 1), (1, 2)
-        assert contour_segments(grid) == [((2, 0), (2, 2)), ((2, 2), (2, 4))]
+        assert contour_segments(grid) == [(2, 0, 2, 2), (2, 2, 2, 4)]
 
     def test_no_contour_when_sign_constant(self):
         grid = sample_sign_grid(P_ONE, small_window())
@@ -219,14 +220,14 @@ class TestContour:
         segments = contour_segments(grid)
         # doubled grid units: every crossing is an edge midpoint
         assert segments == [
-            ((0, 1), (1, 0)),
-            ((1, 2), (2, 1)),
-            ((3, 0), (4, 1)),
-            ((2, 1), (3, 2)),
-            ((1, 2), (2, 3)),
-            ((0, 3), (1, 4)),
-            ((2, 3), (3, 2)),
-            ((3, 4), (4, 3)),
+            (0, 1, 1, 0),
+            (1, 2, 2, 1),
+            (3, 0, 4, 1),
+            (2, 1, 3, 2),
+            (1, 2, 2, 3),
+            (0, 3, 1, 4),
+            (2, 3, 3, 2),
+            (3, 4, 4, 3),
         ]
 
     def test_deterministic(self):
@@ -366,7 +367,8 @@ def oracle_crossing(i, j, edge, corners):
 
 
 def oracle_segments(values, nx, nlambda):
-    """Contour segments in grid units, with Fraction crossings."""
+    """Contour segments ``(ax, ay, bx, by)`` in grid units, with Fraction
+    crossings."""
     segments = []
     for j in range(nlambda):
         for i in range(nx):
@@ -377,7 +379,7 @@ def oracle_segments(values, nx, nlambda):
                 a = oracle_crossing(i, j, edge_a, corners)
                 b = oracle_crossing(i, j, edge_b, corners)
                 if a != b:
-                    segments.append((a, b) if a <= b else (b, a))
+                    segments.append((*a, *b) if a <= b else (*b, *a))
     return segments
 
 
@@ -479,18 +481,65 @@ class TestIntegerPathsAgainstFractionOracle:
     def test_contour_is_doubled_fraction_contour(self, case):
         w, values = case
         segments = contour_segments(grid_of(w, values))
-        expected = [tuple((2 * u, 2 * v) for u, v in seg)
-                    for seg in oracle_segments(values, w.nx, w.nlambda)]
+        expected = [tuple(2 * c for c in seg) for seg in oracle_segments(values, w.nx, w.nlambda)]
         assert segments == expected
-        assert all(type(c) is int for seg in segments for point in seg for c in point)
+        assert all(type(c) is int for seg in segments for c in seg)
 
     def test_every_cell_pattern(self):
         # every reachable (nonneg, zero) key of the cell table, in each cell
         w = Window(0, 1, 0, 1, 2, 2)
         for values in every_cell_pattern():
-            expected = [tuple((2 * u, 2 * v) for u, v in seg)
-                        for seg in oracle_segments(values, 2, 2)]
+            expected = [tuple(2 * c for c in seg) for seg in oracle_segments(values, 2, 2)]
             assert contour_segments(grid_of(w, values)) == expected, values
+
+
+# -- the per-coordinate path text the coordinate tables replaced ---------------
+
+def oracle_path(curve_segments, w):
+    """The path data of ``curve_segments``, one ``_half`` call per coordinate."""
+    left, top = 2 * _MARGIN, 2 * (_MARGIN + w.nlambda)
+    return "".join(f'M{_half(left + ax)} {_half(top - ay)}L{_half(left + bx)} {_half(top - by)}'
+                   for ax, ay, bx, by in curve_segments)
+
+
+def oracle_svg(curve_segments, shade_grid, poly_hash):
+    """The SVG of ``write_svg`` with the oracle's path: the curveless plot
+    with the path element right after the axes' group."""
+    lines = write_svg([], shade_grid, io.BytesIO(), poly_hash).decode().split("\n")
+    if curve_segments:
+        lines.insert(len(lines) - lines[::-1].index("</g>"),
+                     f'<path d="{oracle_path(curve_segments, shade_grid.window)}" '
+                     f'stroke="#b03030" stroke-width="1.5" fill="none" stroke-linecap="round"/>')
+    return "\n".join(lines).encode()
+
+
+def border_segments(nx, nlambda):
+    """Segments along all four borders of the doubled grid, the diagonals,
+    and one between odd coordinates next to the far corner."""
+    u, v = 2 * nx, 2 * nlambda
+    return [(0, 0, 0, v), (u, 0, u, v), (0, 0, u, 0), (0, v, u, v),
+            (0, 0, u, v), (0, v, u, 0), (u - 1, v - 1, u - 1, v), (1, 1, u, v - 1)]
+
+
+class TestPathTextAgainstPerCoordinateOracle:
+    @pytest.mark.parametrize("nx", (2, MAX_RESOLUTION))
+    @pytest.mark.parametrize("nlambda", (2, MAX_RESOLUTION))
+    def test_border_segments(self, nx, nlambda):
+        # a grid of negative signs shades nothing
+        shade = SignGrid(Window(0, 1, 0, 1, nx, nlambda), ((0, 0),) * (nlambda + 1))
+        segments = border_segments(nx, nlambda)
+        assert (write_svg(segments, shade, io.BytesIO(), poly_hash="abc")
+                == oracle_svg(segments, shade, "abc"))
+
+    @PROPERTY
+    @given(sign_grids())
+    @example((Window(0, 1, 0, 1, 2, 2), ((1, 1, 1), (1, 1, 1), (1, 1, -1))))
+    def test_svg_matches(self, case):
+        w, values = case
+        grid = grid_of(w, values)
+        segments = contour_segments(grid)
+        assert (write_svg(segments, grid, io.BytesIO(), poly_hash="abc")
+                == oracle_svg(segments, grid, "abc"))
 
 
 # -- the cell-by-cell shading the row bitmasks replaced -------------------------
