@@ -32,7 +32,6 @@ from .conjectures import (
     singular_probe,
 )
 from .inflection import (
-    calibrate_recurrence_coefficient,
     general_inflection,
     predicted_delta,
     predicted_genus,
@@ -112,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact inflection polynomials of Legendre curves: "
                     "construction, verification, root censuses and plots.",
     )
-    parser.add_argument("--coefficient-check", action="store_true",
-                        help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command")
 
     compute = sub.add_parser("compute", help="construct one inflection polynomial")
@@ -157,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_compute(args) -> int:
-    poly = general_inflection(args.mu, args.k).poly
+    poly = general_inflection(args.mu, args.k)
     if args.format == "json":
         print(poly_to_json(poly))
     else:
@@ -220,7 +217,7 @@ def cmd_plot(args) -> int:
         window = Window(*corners, nx=args.nx, nlambda=args.nlambda)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    poly = general_inflection(args.mu, args.k).poly
+    poly = general_inflection(args.mu, args.k)
     out = args.out
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(out):
@@ -278,10 +275,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.coefficient_check:
-            calibration = calibrate_recurrence_coefficient()
-            print(json.dumps(calibration, separators=(",", ":")))
-            return 0
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2

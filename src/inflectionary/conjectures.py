@@ -74,7 +74,7 @@ def _basic_poly(k: int):
     k = int(k)
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
-    return k, basic_inflection(k).poly
+    return k, basic_inflection(k)
 
 
 def check_homogenization_symmetry(k: int) -> CheckReport:
@@ -171,7 +171,7 @@ def check_face_structure(k: int) -> CheckReport:
     """
     k = int(k)
     gamma1, gamma2 = gamma_faces(k)
-    p = basic_inflection(k).poly
+    p = basic_inflection(k)
     params = {"k": k}
     lower_faces = newton_data(p)
     data = {"lower_faces": [[list(a), list(b)] for a, b in lower_faces],
@@ -231,8 +231,8 @@ def check_face_structure(k: int) -> CheckReport:
 # -- separability and root censuses -------------------------------------------
 
 def _separability(shared: SparsePoly):
-    """Shared detail of separability checks: is ``shared`` = gcd(p, p')
-    supported on {0, 1}?
+    """The census's separability test: is ``shared``, the repeated part
+    gcd(p, p') of p, supported on {0, 1}?
 
     Returns ``(ok, details)`` where details records the gcd degree, the
     multiplicities split off at x = 0 and x = 1, and a witness interval for
@@ -253,18 +253,6 @@ def _separability(shared: SparsePoly):
         return True, details
     details["witness_interval"] = intervals[0]
     return False, details
-
-
-def separability_check(mu: int, k: int, lambda0) -> CheckReport:
-    """PASS when every repeated or clustered root at this lambda sits in {0, 1}."""
-    p = inflection_fiber(mu, k, lambda0)
-    params = {"mu": int(mu), "k": int(k), "lambda0": as_fraction(lambda0)}
-    ok, details = _separability(gcd_univariate(p, p.derivative(VAR_X)))
-    if ok:
-        return CheckReport("separability", params, PASS, data=details)
-    witness = details.pop("witness_interval")
-    return CheckReport("separability", params, FAIL,
-                       witness={"interval": witness}, data=details)
 
 
 class RootCensus(NamedTuple):
@@ -380,8 +368,8 @@ def check_determinant_identity(mu: int, k: int) -> CheckReport:
     mu = int(mu)
     k = int(k)
     params = {"mu": mu, "k": k}
-    via_template = general_inflection(mu, k).poly
-    via_wronskian = wronskian_direct(mu, k).poly
+    via_template = general_inflection(mu, k)
+    via_wronskian = wronskian_direct(mu, k)
     if via_template == via_wronskian:
         return CheckReport("determinant_identity", params, PASS,
                            data={"terms": len(via_template.nums)})

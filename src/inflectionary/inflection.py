@@ -18,8 +18,10 @@ Bareiss determinant (``det_polymatrix``) of oracle entries; the template
 route expands by minors (``expand_by_minors``), with shift variables as
 entries in ``q_template`` and P(1, j) in ``general_inflection``.
 
-Each route has one entry point, which checks the series range.  The checks
-that read P(mu, k) at one curve parameter do so through
+Each route has one entry point, which checks the series range.  The three
+that build P(mu, k) return it as a ``SparsePoly`` that ``_checked`` has
+verified: variables (x, lambda), x-degree 2mu(k+1), lambda-degree mu(k+1).
+The checks that read P(mu, k) at one curve parameter do so through
 ``inflection_fiber``, the one place that validates lambda and specializes.
 """
 
@@ -46,47 +48,22 @@ def legendre_f() -> SparsePoly:
     })
 
 
-# Candidate coefficients for the D(f) term of the recurrence
-#   P(1, k+1) = D(P(1, k)) * f + c(k) * P(1, k) * D(f).
-# Deriving the recurrence from y' = y*D(f)/(2f) forces c(k) = -(k + 1/2);
-# the variant (1/2 - k) circulates in print but fails the oracle already at
-# k = 0.  calibrate_recurrence_coefficient() re-runs the comparison.
-RECURRENCE_COEFFICIENT_VARIANTS = {
-    "-(k+1/2)": lambda k: Fraction(-(2 * k + 1), 2),
-    "(1/2-k)": lambda k: Fraction(1 - 2 * k, 2),
-}
-SELECTED_RECURRENCE_COEFFICIENT = "-(k+1/2)"
+def _checked(mu: int, k: int, poly: SparsePoly) -> SparsePoly:
+    """``poly`` once its variables and degrees are those of P(mu, k)."""
+    expected_x = 2 * mu * (k + 1)
+    expected_l = mu * (k + 1)
+    if poly.vars != _XL:
+        raise ValueError(f"expected variables {_XL!r}, got {poly.vars!r}")
+    if poly.degree(VAR_X) != expected_x or poly.degree(VAR_LAMBDA) != expected_l:
+        raise ValueError(
+            f"degree contract violated for (mu={mu}, k={k}): "
+            f"deg_x={poly.degree(VAR_X)} (want {expected_x}), "
+            f"deg_lambda={poly.degree(VAR_LAMBDA)} (want {expected_l})"
+        )
+    return poly
 
 
-class InflectionPoly:
-    """An inflection polynomial with its parameters and degree contract."""
-
-    __slots__ = ("mu", "k", "poly")
-
-    def __init__(self, mu: int, k: int, poly: SparsePoly):
-        if mu < 1 or k < 0:
-            raise ValueError(f"bad parameters mu={mu}, k={k}")
-        expected_x = 2 * mu * (k + 1)
-        expected_l = mu * (k + 1)
-        if poly.vars != _XL:
-            raise ValueError(f"expected variables {_XL!r}, got {poly.vars!r}")
-        if poly.degree(VAR_X) != expected_x or poly.degree(VAR_LAMBDA) != expected_l:
-            raise ValueError(
-                f"degree contract violated for (mu={mu}, k={k}): "
-                f"deg_x={poly.degree(VAR_X)} (want {expected_x}), "
-                f"deg_lambda={poly.degree(VAR_LAMBDA)} (want {expected_l})"
-            )
-        self.mu = mu
-        self.k = k
-        self.poly = poly
-
-
-def _seed_poly() -> SparsePoly:
-    f = legendre_f()
-    return divexact(f.derivative(VAR_X), SparsePoly.constant(_XL, 2))
-
-
-def basic_inflection(k: int) -> InflectionPoly:
+def basic_inflection(k: int) -> SparsePoly:
     """P(1, k) via the first-order recurrence, memoized."""
     k = int(k)
     if k < 0:
@@ -96,18 +73,18 @@ def basic_inflection(k: int) -> InflectionPoly:
     return _recurrence_step(k)
 
 
-def _recurrence_apply(prev: SparsePoly, c: Fraction) -> SparsePoly:
-    """One recurrence step D(prev) * f + c * prev * D(f)."""
-    f = legendre_f()
-    return prev.derivative(VAR_X) * f + c * prev * f.derivative(VAR_X)
-
-
 @functools.cache
-def _recurrence_step(k: int) -> InflectionPoly:
+def _recurrence_step(k: int) -> SparsePoly:
+    f = legendre_f()
     if k == 0:
-        return InflectionPoly(1, 0, _seed_poly())
-    coeff = RECURRENCE_COEFFICIENT_VARIANTS[SELECTED_RECURRENCE_COEFFICIENT]
-    return InflectionPoly(1, k, _recurrence_apply(_recurrence_step(k - 1).poly, coeff(k - 1)))
+        return _checked(1, 0, divexact(f.derivative(VAR_X), SparsePoly.constant(_XL, 2)))
+    # P(1, k) = D(P(1, k-1)) * f - (2k - 1)/2 * P(1, k-1) * D(f).  Deriving the
+    # recurrence from y' = y*D(f)/(2f) forces this coefficient, -(j + 1/2) at
+    # the step from j = k - 1; the variant (1/2 - j) circulates in print but
+    # fails the derivative oracle already at the first step.
+    prev = _recurrence_step(k - 1)
+    return _checked(1, k, prev.derivative(VAR_X) * f
+                    + Fraction(1 - 2 * k, 2) * prev * f.derivative(VAR_X))
 
 
 def derivative_oracle(m: int) -> SparsePoly:
@@ -140,21 +117,6 @@ def _quotient_rule_step(m: int) -> SparsePoly:
     return num.derivative(VAR_X) * f + (Fraction(1, 2) - (m - 1)) * num * df
 
 
-def calibrate_recurrence_coefficient() -> dict:
-    """Compare every recurrence coefficient variant against the oracle.
-
-    Returns ``{"selected": name, "results": {name: bool}}`` where a variant
-    passes when its sequence reproduces derivative_oracle(m) for all m <= 5.
-    """
-    results = {}
-    for name, coeff in RECURRENCE_COEFFICIENT_VARIANTS.items():
-        seq = [_seed_poly()]
-        for j in range(4):
-            seq.append(_recurrence_apply(seq[-1], coeff(j)))
-        results[name] = all(derivative_oracle(m) == p for m, p in enumerate(seq, 1))
-    return {"selected": SELECTED_RECURRENCE_COEFFICIENT, "results": results}
-
-
 def shift_var_name(offset: int) -> str:
     return f"t{offset}"
 
@@ -177,7 +139,7 @@ def q_template(mu: int, n: int) -> SparsePoly:
 
 
 @functools.cache
-def general_inflection(mu: int, k: int) -> InflectionPoly:
+def general_inflection(mu: int, k: int) -> SparsePoly:
     """P(mu, k) as the q template with each t_l replaced by P(1, n + l - 1), memoized.
 
     For mu = 1 this delegates to the recurrence.  For mu >= 2 the series
@@ -195,9 +157,9 @@ def general_inflection(mu: int, k: int) -> InflectionPoly:
     if k <= mu:
         raise PreconditionError(f"series parameters out of range: need k > mu, got ({mu}, {k})")
     n = k + 1
-    rows = [[math.perm(n + j, i) * basic_inflection(n + j - i - 1).poly for j in range(mu)]
+    rows = [[math.perm(n + j, i) * basic_inflection(n + j - i - 1) for j in range(mu)]
             for i in range(mu)]
-    return InflectionPoly(mu, k, expand_by_minors(rows))
+    return _checked(mu, k, expand_by_minors(rows))
 
 
 def inflection_fiber(mu: int, k: int, lambda0) -> SparsePoly:
@@ -209,13 +171,13 @@ def inflection_fiber(mu: int, k: int, lambda0) -> SparsePoly:
     lambda0 = as_fraction(lambda0)
     if lambda0 in (0, 1):
         raise PreconditionError(f"degenerate curve parameter lambda = {lambda0}")
-    fiber = general_inflection(mu, k).poly.specialize(VAR_LAMBDA, lambda0)
+    fiber = general_inflection(mu, k).specialize(VAR_LAMBDA, lambda0)
     if fiber.is_zero:
         raise RuntimeError(f"inflection polynomial vanished at lambda = {lambda0}")
     return fiber
 
 
-def wronskian_direct(mu: int, k: int) -> InflectionPoly:
+def wronskian_direct(mu: int, k: int) -> SparsePoly:
     """P(mu, k) straight from the Wronskian of 1..x^k, y..yx^(mu-1).
 
     Entries come from derivative_oracle, so this route is independent of
@@ -233,7 +195,7 @@ def wronskian_direct(mu: int, k: int) -> InflectionPoly:
         raise PreconditionError(f"k must be positive for the Wronskian route, got {k}")
     rows = [[math.perm(k + 1 + j, i) * derivative_oracle(k + 1 + j - i) for j in range(mu)]
             for i in range(mu)]
-    return InflectionPoly(mu, k, det_polymatrix(rows))
+    return _checked(mu, k, det_polymatrix(rows))
 
 
 # -- division polynomials -----------------------------------------------------

@@ -86,15 +86,6 @@ class SignGrid:
         self.window = window
         self.rows = rows
 
-    @property
-    def values(self):
-        """``values[i][j]``, the sign (-1, 0 or +1) at (x_i, lambda_j), read
-        back from the masks as an (nx+1) by (nlambda+1) array."""
-        spec = f"0{self.window.nx + 1}b"
-        return tuple(zip(*([int(a) + int(b) - 1 for a, b in zip(format(nonneg, spec)[::-1],
-                                                                format(positive, spec)[::-1])]
-                           for nonneg, positive in self.rows)))
-
 
 def _ladder(lo: Fraction, hi: Fraction, n: int):
     """(start, step, den), all integers with den > 0, such that node k of the

@@ -7,6 +7,10 @@ imported, so each ``settings(max_examples=...)`` inherits it.  The seed of a
 module-level test hashes its body; for a method, ``hypothesis`` hashes its
 decorators too, so editing a method's ``settings`` draws new examples.
 
+The ``tracing`` fixture loads the benchmark's tracer, ``perfbench/tracing.py``,
+from its file: it is not a package module, and its ``TARGETS`` name the
+functions of ``src/`` that it binds from outside.
+
 A regression that makes a loop run forever (a bisection that never narrows,
 a remainder sequence that never shrinks) should stop the suite with the
 stuck test's traceback, not hang it.  ``faulthandler`` dumps every thread's
@@ -17,12 +21,16 @@ few seconds, far inside the bound.
 """
 
 import faulthandler
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 TEST_TIME_BOUND_S = 60
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 settings.register_profile("exact", deadline=None, derandomize=True, database=None)
 settings.load_profile("exact")
@@ -43,3 +51,13 @@ def _time_bound():
     faulthandler.dump_traceback_later(TEST_TIME_BOUND_S, exit=True, file=_stderr_fd)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(scope="session")
+def tracing():
+    if not TRACING.is_file():
+        pytest.skip("perfbench/tracing.py is not present")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -40,14 +40,14 @@ class TestCompute:
     def test_json_output_round_trips(self, capsys):
         code, out, _ = run(capsys, "compute", "--mu", "1", "--k", "1")
         assert code == 0
-        assert out.strip() == poly_to_json(basic_inflection(1).poly)
-        assert poly_from_json(out.strip()) == basic_inflection(1).poly
+        assert out.strip() == poly_to_json(basic_inflection(1))
+        assert poly_from_json(out.strip()) == basic_inflection(1)
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "compute", "--mu", "1", "--k", "2",
                            "--format", "text")
         assert code == 0
-        assert out.strip() == basic_inflection(2).poly.to_text()
+        assert out.strip() == basic_inflection(2).to_text()
 
     def test_shape_precondition_is_exit_3(self, capsys):
         code, _, err = run(capsys, "compute", "--mu", "2", "--k", "2")
@@ -393,6 +393,9 @@ class TestTopLevel:
         ("verify", "lemma1", "--mu", "2", "--k", "2"),
         ("genus", "--k", "0"),
         ("scan", "--mu", "1", "--k", "2", "--lambda-grid", "0,1"),
+        # the Wronskian route's own preconditions: mu >= 1, and k >= 1 at mu = 1
+        ("verify", "lemma1", "--mu", "1", "--k", "0"),
+        ("verify", "lemma1", "--mu", "0", "--k", "3"),
     ])
     def test_precondition_is_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -412,10 +415,12 @@ class TestTopLevel:
         assert "Traceback" in err
         assert "ValueError: not an exact polynomial division" in err
 
-    def test_coefficient_check(self, capsys):
-        code, out, _ = run(capsys, "--coefficient-check")
-        assert code == 0
-        assert out == '{"selected":"-(k+1/2)","results":{"-(k+1/2)":true,"(1/2-k)":false}}\n'
+    def test_coefficient_check_is_an_unknown_flag(self, capsys):
+        # the recurrence coefficient's calibration is acceptance criterion 02
+        code, out, err = run(capsys, "--coefficient-check")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --coefficient-check" in err
 
     def test_emitted_json_is_parseable_everywhere(self, capsys):
         commands = (

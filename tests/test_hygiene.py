@@ -3,11 +3,12 @@ public name, method or property and no read of the ``Fraction`` view
 ``terms`` in ``src/``; and one ``hypothesis`` profile for every property.
 
 A prune that removes the last use of an imported name, or the last caller
-of a helper, leaves dead code that no behavioural test notices.  A public
-name also counts as read when an acceptance criterion reads it, and a
-public method or property when the benchmark's tracer, which binds and
-reads them from outside the package, does.  These checks read the modules
-with ``ast``, so they need no linter.
+of a helper, leaves dead code that no behavioural test notices.  Code that
+only tests read belongs in the tests.  The one reader outside ``src/`` that
+counts is the benchmark's tracer, which binds and reads names from outside
+the package: a public name also counts as read when it is one of the
+tracer's ``TARGETS``, and a public method or property when the tracer reads
+it.  These checks read the modules with ``ast``, so they need no linter.
 """
 
 import ast
@@ -20,8 +21,6 @@ from test_poly import PACKED
 SRC = Path(__file__).resolve().parents[1] / "src" / "inflectionary"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _imported(tree):
@@ -105,15 +104,16 @@ def test_every_private_helper_is_referenced(module):
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
-def test_every_public_name_is_read(module):
-    # read in src/ outside its own definition, or by an acceptance criterion;
-    # a method or property may also be read by the tracer
-    criteria = _referenced(ast.parse(ACCEPTANCE.read_text()))
-    traced = _referenced(ast.parse(TRACER.read_text()))
+def test_every_public_name_is_read(module, tracing):
+    # read in src/ outside its own definition, or bound by the tracer as one
+    # of its TARGETS; a method or property may also be read by the tracer
+    stem = module.removesuffix(".py")
+    targets = {attr for module_name, attr, _span in tracing.TARGETS if module_name == stem}
+    traced = _referenced(ast.parse(Path(tracing.__file__).read_text()))
     unread = [name for name, definition in _public_definitions(TREES[module])
-              if not _read_elsewhere(name, definition) and name not in criteria]
+              if not _read_elsewhere(name, definition) and name not in targets]
     unread += [name for name, definition in _public_members(TREES[module])
-               if not _read_elsewhere(name, definition) and name not in criteria | traced]
+               if not _read_elsewhere(name, definition) and name not in traced]
     assert unread == []
 
 

@@ -9,15 +9,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import (
+    RECURRENCE_COEFFICIENT_VARIANTS,
+    SELECTED_RECURRENCE_COEFFICIENT,
+    calibrate_recurrence_coefficient,
+)
 from test_poly import oracle_divexact
 
 from inflectionary import inflection
 from inflectionary.inflection import (
-    InflectionPoly,
-    RECURRENCE_COEFFICIENT_VARIANTS,
-    SELECTED_RECURRENCE_COEFFICIENT,
+    _checked,
     basic_inflection,
-    calibrate_recurrence_coefficient,
     derivative_oracle,
     division_polynomial,
     general_inflection,
@@ -71,21 +73,21 @@ class TestLegendreCubic:
 
 class TestRecurrence:
     def test_seed_frozen(self):
-        assert basic_inflection(0).poly == SEED
+        assert basic_inflection(0) == SEED
 
     def test_first_step_frozen(self):
-        assert basic_inflection(1).poly == P11
+        assert basic_inflection(1) == P11
 
     def test_second_step_frozen(self):
-        assert basic_inflection(2).poly == P12
+        assert basic_inflection(2) == P12
 
     def test_point_evaluation(self):
-        value = basic_inflection(1).poly.evaluate({VAR_X: 2, VAR_LAMBDA: -1})
+        value = basic_inflection(1).evaluate({VAR_X: 2, VAR_LAMBDA: -1})
         assert value == Fraction(23, 4)
 
     def test_degrees_through_k8(self):
         for k in range(9):
-            p = basic_inflection(k).poly
+            p = basic_inflection(k)
             assert p.degree(VAR_X) == 2 * (k + 1)
             assert p.degree(VAR_LAMBDA) == k + 1
 
@@ -102,7 +104,7 @@ class TestDerivativeOracle:
             # nonzero, so neither x nor f divides N_m: f^m is reduced
             at_zero = Fraction(1, 2) * math.prod(Fraction(1, 2) - j for j in range(1, m))
             assert numerator.specialize(VAR_X, 0) == SparsePoly((VAR_LAMBDA,), {(m,): at_zero})
-            assert numerator == basic_inflection(m - 1).poly
+            assert numerator == basic_inflection(m - 1)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -119,11 +121,7 @@ class TestDerivativeOracle:
 class TestDegreeContract:
     def test_contract_violation_raises(self):
         with pytest.raises(ValueError):
-            InflectionPoly(1, 2, basic_inflection(1).poly)
-
-    def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            InflectionPoly(0, 1, SEED)
+            _checked(1, 2, basic_inflection(1))
 
 
 def oracle_q_template(mu, n):
@@ -180,10 +178,10 @@ class TestQTemplate:
 class TestRouteAgreement:
     def test_wronskian_equals_recurrence_for_single_section(self):
         for k in (1, 2, 3):
-            assert wronskian_direct(1, k).poly == basic_inflection(k).poly
+            assert wronskian_direct(1, k) == basic_inflection(k)
 
     def test_template_equals_wronskian(self):
-        assert general_inflection(2, 3).poly == wronskian_direct(2, 3).poly
+        assert general_inflection(2, 3) == wronskian_direct(2, 3)
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
@@ -193,27 +191,33 @@ class TestRouteAgreement:
         with pytest.raises(ValueError):
             general_inflection(0, 3)
 
+    @pytest.mark.parametrize("mu, k", [(0, 3), (1, 0)])
+    def test_wronskian_preconditions(self, mu, k):
+        # raised before any determinant is built, so no degree check sees mu < 1
+        with pytest.raises(PreconditionError):
+            wronskian_direct(mu, k)
+
     def test_general_does_not_build_the_template(self, monkeypatch):
         def no_template(mu, n):
             raise AssertionError("general_inflection built the q template")
 
-        expected = wronskian_direct(3, 5).poly
+        expected = wronskian_direct(3, 5)
         general_inflection.cache_clear()
         monkeypatch.setattr(inflection, "q_template", no_template)
-        assert general_inflection(3, 5).poly == expected
+        assert general_inflection(3, 5) == expected
 
     def test_general_is_memoized(self):
         assert general_inflection(2, 4) is general_inflection(2, 4)
 
     def test_concurrent_cold_fills_agree(self):
-        expected = [basic_inflection(k).poly for k in (11, 5, 8)]
+        expected = [basic_inflection(k) for k in (11, 5, 8)]
         _recurrence_step.cache_clear()
         results = []
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=lambda: results.append(
-                [basic_inflection(k).poly for k in (11, 5, 8)])) for _ in range(4)]
+                [basic_inflection(k) for k in (11, 5, 8)])) for _ in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -236,8 +240,8 @@ class TestRouteAgreement:
 
     def test_general_degrees(self):
         p = general_inflection(2, 3)
-        assert p.poly.degree(VAR_X) == 2 * 2 * 4
-        assert p.poly.degree(VAR_LAMBDA) == 2 * 4
+        assert p.degree(VAR_X) == 2 * 2 * 4
+        assert p.degree(VAR_LAMBDA) == 2 * 4
 
 
 # Series up to (3, 5) and lambdas from each real regime of the curve
@@ -250,7 +254,7 @@ FIBER_LAMBDAS = (Fraction(-3), Fraction(-1, 2), Fraction(1, 4), Fraction(3, 4),
 class TestInflectionFiber:
     @pytest.mark.parametrize("mu,k", FIBER_SERIES)
     def test_matches_bivariate_specialization(self, mu, k):
-        bivariate = general_inflection(mu, k).poly
+        bivariate = general_inflection(mu, k)
         for lambda0 in FIBER_LAMBDAS:
             fiber = inflection_fiber(mu, k, lambda0)
             assert fiber == bivariate.specialize(VAR_LAMBDA, lambda0)
@@ -264,7 +268,7 @@ class TestInflectionFiber:
            st.fractions(min_value=-5, max_value=5, max_denominator=12))
     def test_rational_lambda_fiber(self, series, lambda0, x0):
         mu, k = series
-        bivariate = general_inflection(mu, k).poly
+        bivariate = general_inflection(mu, k)
         fiber = inflection_fiber(mu, k, lambda0)
         assert fiber == bivariate.specialize(VAR_LAMBDA, lambda0)
         assert fiber.evaluate({VAR_X: x0}) == bivariate.evaluate({VAR_X: x0, VAR_LAMBDA: lambda0})

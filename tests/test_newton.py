@@ -59,7 +59,7 @@ class TestLatticePoints:
 
 class TestNewtonData:
     def test_lower_faces_of_first_curve(self):
-        assert newton_data(basic_inflection(2).poly) == (((0, 3), (1, 2)), ((1, 2), (5, 0)))
+        assert newton_data(basic_inflection(2)) == (((0, 3), (1, 2)), ((1, 2), (5, 0)))
 
     def test_lower_faces_stop_at_flat_edge(self):
         # support along y = 0 beyond the descent must not join the faces
@@ -79,7 +79,7 @@ class TestNewtonData:
 
 class TestFaceRestriction:
     def test_keeps_only_segment_terms(self):
-        p = basic_inflection(2).poly
+        p = basic_inflection(2)
         face = ((0, 3), (1, 2))
         restricted = face_restriction(p, face)
         assert restricted.support() == {(0, 3), (1, 2)}

@@ -6,25 +6,11 @@ in ``src/`` would otherwise only show when a traced benchmark run breaks.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-import pytest
-
+from inflectionary import inflection
+from inflectionary.inflection import general_inflection
 from inflectionary.poly import SparsePoly
 from inflectionary.roots import SturmChain
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-@pytest.fixture(scope="module")
-def tracing():
-    if not TRACING.is_file():
-        pytest.skip("perfbench/tracing.py is not present")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_target_resolves(tracing):
@@ -43,3 +29,17 @@ def test_sturm_chain_exposes_polys(tracing):
     # the SturmChain counters read each element's ``terms`` through ``polys``
     polys = SturmChain("t", [-2, 0, 1]).polys
     assert polys and all(isinstance(p, SparsePoly) for p in polys)
+
+
+def test_a_traced_build_returns_the_polynomial(tracing):
+    # The tracer's one reader of a build's result beyond the poly counters,
+    # its general_inflection counter, reads ``result.mu`` and ``result.k``
+    # only after a q_template or substitute_polys span under the build; the
+    # build expands by minors and runs neither, so it never reads them.
+    expected = general_inflection(2, 3)
+    with tracing.Tracer() as tracer:
+        general_inflection.cache_clear()
+        result = inflection.general_inflection(2, 3)
+    assert inflection.general_inflection is general_inflection
+    assert type(result) is SparsePoly and result == expected
+    assert "inflection.general_inflection.repeats" not in tracer.counts
