@@ -141,9 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--mu", type=int, required=True)
     plot.add_argument("--k", type=int, required=True)
     plot.add_argument("--out", required=True)
-    plot.add_argument("--window", type=_window_corners, default=None,
+    plot.add_argument("--window", type=_window_corners, default="-1,3,-1,3",
                       help="x_min,x_max,lambda_min,lambda_max (rationals)")
-    # render.DEFAULT_WINDOW's resolution, as literals: render loads only for plot
     plot.add_argument("--nx", type=int, default=512)
     plot.add_argument("--nlambda", type=int, default=512)
 
@@ -209,12 +208,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from .render import DEFAULT_WINDOW, Window, render_curve
-    corners = args.window if args.window is not None else (
-        DEFAULT_WINDOW.x_min, DEFAULT_WINDOW.x_max,
-        DEFAULT_WINDOW.lambda_min, DEFAULT_WINDOW.lambda_max)
+    from .render import Window, render_curve
     try:
-        window = Window(*corners, nx=args.nx, nlambda=args.nlambda)
+        window = Window(*args.window, args.nx, args.nlambda)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     poly = general_inflection(args.mu, args.k)

@@ -47,12 +47,6 @@ DEFAULT_LAMBDA_GRID = (
     Fraction(2), Fraction(5),
 )
 
-# Calibrated direction of the real-root-count dichotomy: sweeping the
-# default grid for (mu, k) in (1,2), (1,3), (1,4), (2,3) gives mu roots with
-# f > 0 when k - mu is even and 2*mu when it is odd.  Pinned here; the scan
-# recomputes the counts and would flag any drift as FAIL.
-PARITY_COUNT_MULTIPLIER = {"even": 1, "odd": 2}
-
 
 # -- symmetry -----------------------------------------------------------------
 
@@ -69,18 +63,17 @@ def _symmetry_report(params: dict, lhs: SparsePoly, rhs: SparsePoly) -> CheckRep
     )
 
 
-def _basic_poly(k: int):
-    """``(k, P(1, k))`` for the checks on P(1, k), which start at k = 1."""
-    k = int(k)
+def _basic_poly(k: int) -> SparsePoly:
+    """P(1, k) for the checks on P(1, k), which start at k = 1."""
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
-    return k, basic_inflection(k)
+    return basic_inflection(k)
 
 
 def check_homogenization_symmetry(k: int) -> CheckReport:
     """Homogenizing to degree 2(k+1) and returning along lambda = 1 must
     reproduce the polynomial with lambda renamed to the new variable."""
-    k, p = _basic_poly(k)
+    p = _basic_poly(k)
     hom = p.homogenize(VAR_Z, 2 * (k + 1))
     lhs = hom.specialize(VAR_LAMBDA, 1)
     rhs = p.rename_var(VAR_LAMBDA, VAR_Z)
@@ -90,7 +83,7 @@ def check_homogenization_symmetry(k: int) -> CheckReport:
 def check_shift_symmetry(k: int) -> CheckReport:
     """P(1 - x, 1 - lambda) must equal P(x, lambda): the involution
     (x, lambda) -> (1 - x, 1 - lambda) of the Legendre family sends f to -f."""
-    k, p = _basic_poly(k)
+    p = _basic_poly(k)
     x = SparsePoly.variable(p.vars, VAR_X)
     lam = SparsePoly.variable(p.vars, VAR_LAMBDA)
     flipped = substitute_polys(p, {VAR_X: 1 - x, VAR_LAMBDA: 1 - lam})
@@ -101,7 +94,6 @@ def check_shift_symmetry(k: int) -> CheckReport:
 
 def predicted_support(k: int):
     """Lattice points of the two conjectured hull pieces of Supp P(1, k)."""
-    k = int(k)
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     upper = [(0, k + 1), (k - 1, k + 1), (k - 1, 2), (2 * k - 2, 2)]
@@ -116,7 +108,7 @@ def sigma_reflection(k: int, exponent):
 
 
 def check_support(k: int) -> CheckReport:
-    k, p = _basic_poly(k)
+    p = _basic_poly(k)
     params = {"k": k, "claim": "support"}
     actual = p.support()
     expected = predicted_support(k)
@@ -135,7 +127,7 @@ def check_support(k: int) -> CheckReport:
 
 def check_coeff_symmetry(k: int) -> CheckReport:
     """Coefficients must be invariant under the sigma involution."""
-    k, p = _basic_poly(k)
+    p = _basic_poly(k)
     params = {"k": k, "claim": "coefficient-symmetry"}
     for exponent in sorted(p.support()):
         mirror = sigma_reflection(k, exponent)
@@ -154,7 +146,6 @@ def check_coeff_symmetry(k: int) -> CheckReport:
 
 def gamma_faces(k: int):
     """The two conjectured origin-facing faces of the Newton polygon."""
-    k = int(k)
     if k < 2:
         raise PreconditionError(f"face structure needs k >= 2, got {k}")
     gamma1 = ((0, k + 1), (k - 1, 2))
@@ -169,7 +160,6 @@ def check_face_structure(k: int) -> CheckReport:
     binary form of degree k - 1, and the shallower face must carry exactly
     the two monomials x^(k-1) lambda^2 and x^(2k+1).
     """
-    k = int(k)
     gamma1, gamma2 = gamma_faces(k)
     p = basic_inflection(k)
     params = {"k": k}
@@ -289,8 +279,6 @@ def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     or the coefficient sum, is zero."""
     p = inflection_fiber(mu, k, lambda0)
     lambda0 = as_fraction(lambda0)
-    mu = int(mu)
-    k = int(k)
     iso = RootIsolator(p)
     intervals = iso.isolate()
     separable, details = _separability(iso.repeated_part())
@@ -314,13 +302,13 @@ def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckR
     calibrated for k > mu; below that the counts are reported OUT_OF_RANGE
     with their agreement recorded, not asserted.
     """
-    mu = int(mu)
-    k = int(k)
     samples = [as_fraction(v) for v in lambda_grid]
     if not samples:
         raise PreconditionError("empty lambda grid")
     parity = "even" if (k - mu) % 2 == 0 else "odd"
-    expected = mu * PARITY_COUNT_MULTIPLIER[parity]
+    # observed on the default grid for (mu, k) in (1,2), (1,3), (1,4), (2,3):
+    # mu roots with f > 0 when k - mu is even, 2*mu when it is odd
+    expected = mu if parity == "even" else 2 * mu
     params = {"mu": mu, "k": k, "grid": samples}
     counts = []
     used = []
@@ -365,8 +353,6 @@ def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckR
 
 def check_determinant_identity(mu: int, k: int) -> CheckReport:
     """The template route and the direct Wronskian must agree exactly."""
-    mu = int(mu)
-    k = int(k)
     params = {"mu": mu, "k": k}
     via_template = general_inflection(mu, k)
     via_wronskian = wronskian_direct(mu, k)
@@ -502,7 +488,7 @@ def singular_probe(k: int) -> CheckReport:
     the allowed set, UNRESOLVED if any candidate resists exact
     classification, PASS otherwise.
     """
-    k, p = _basic_poly(k)
+    p = _basic_poly(k)
     hom = p.homogenize(VAR_Z, 2 * (k + 1))
     params = {"mu": 1, "k": k}
     charts = (

@@ -65,7 +65,6 @@ def _checked(mu: int, k: int, poly: SparsePoly) -> SparsePoly:
 
 def basic_inflection(k: int) -> SparsePoly:
     """P(1, k) via the first-order recurrence, memoized."""
-    k = int(k)
     if k < 0:
         raise PreconditionError(f"k must be nonnegative, got {k}")
     for j in range(k):  # ascending, so no step recurses more than one deep
@@ -99,7 +98,6 @@ def derivative_oracle(m: int) -> SparsePoly:
     route never consults the recurrence, so agreement between the two is a
     real check, not a tautology.
     """
-    m = int(m)
     if m < 1:
         raise ValueError(f"derivative order must be positive, got {m}")
     for j in range(1, m):  # ascending, so no step recurses more than one deep
@@ -127,8 +125,6 @@ def q_template(mu: int, n: int) -> SparsePoly:
     The result is homogeneous of degree mu in the 2*mu - 1 shift variables
     t_(1-mu), ..., t_(mu-1).
     """
-    mu = int(mu)
-    n = int(n)
     if mu < 1:
         raise ValueError(f"mu must be positive, got {mu}")
     if n < 1:
@@ -148,8 +144,6 @@ def general_inflection(mu: int, k: int) -> SparsePoly:
     expanded by minors with entry (i, j) = (n+j) falling i * P(1, n+j-i-1),
     so the template itself is never built.
     """
-    mu = int(mu)
-    k = int(k)
     if mu < 1:
         raise PreconditionError(f"mu must be positive, got {mu}")
     if mu == 1:
@@ -185,8 +179,6 @@ def wronskian_direct(mu: int, k: int) -> SparsePoly:
     (k+1+j) falling i times N(k+1+j-i); since D^m y = y * N_m / f^m, the f
     powers pulled from row i and column j cancel exactly.
     """
-    mu = int(mu)
-    k = int(k)
     if mu < 1:
         raise PreconditionError(f"mu must be positive, got {mu}")
     if k <= mu and mu > 1:
@@ -212,7 +204,6 @@ def division_polynomial(m: int) -> SparsePoly:
     b8 = -a4^2 (with a2 = -(1+lambda), a4 = lambda) and the standard
     doubling recurrences, with y^2 reduced to f throughout; memoized.
     """
-    m = int(m)
     if m < 1:
         raise ValueError(f"division polynomial index must be positive, got {m}")
     return _divpoly(m)
@@ -258,7 +249,6 @@ def torsion_check(k: int, lambda0) -> CheckReport:
     Both specializations must have x-degree 2k^2 - 2 and agree after monic
     normalization; the report records the constant of proportionality.
     """
-    k = int(k)
     if k < 2:
         raise PreconditionError(f"torsion comparison needs k >= 2, got {k}")
     inflect = inflection_fiber(k - 1, k, lambda0)
@@ -295,7 +285,6 @@ def torsion_check(k: int, lambda0) -> CheckReport:
 
 def predicted_delta(k: int) -> int:
     """Conjectured total delta invariant floor(k^2/2) + k of the plane model."""
-    k = int(k)
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     return k * k // 2 + k
@@ -307,7 +296,6 @@ def predicted_genus(k: int) -> int:
     The formula is reported verbatim; it goes negative at k = 2, which the
     callers surface rather than clamp.
     """
-    k = int(k)
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     return math.comb(2 * k + 1, 2) - 3 * (k * k // 2) - 3 * k

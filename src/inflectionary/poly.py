@@ -250,7 +250,6 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        n = int(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = SparsePoly.constant(self.vars, 1)
@@ -320,7 +319,6 @@ class SparsePoly:
         """Pad every term with a power of ``new_var`` up to ``target_degree``."""
         if new_var in self.vars:
             raise ValueError(f"variable {new_var!r} already present")
-        target_degree = int(target_degree)
         if not self.is_zero and target_degree < self.total_degree():
             raise ValueError(
                 f"target degree {target_degree} below total degree {self.total_degree()}"

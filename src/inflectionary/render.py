@@ -38,7 +38,7 @@ class Window:
 
     __slots__ = ("x_min", "x_max", "lambda_min", "lambda_max", "nx", "nlambda")
 
-    def __init__(self, x_min, x_max, lambda_min, lambda_max, nx: int = 512, nlambda: int = 512):
+    def __init__(self, x_min, x_max, lambda_min, lambda_max, nx: int, nlambda: int):
         self.x_min = as_fraction(x_min)
         self.x_max = as_fraction(x_max)
         self.lambda_min = as_fraction(lambda_min)
@@ -59,9 +59,6 @@ class Window:
     def describe(self) -> str:
         return (f"x=[{self.x_min},{self.x_max}] "
                 f"lambda=[{self.lambda_min},{self.lambda_max}]")
-
-
-DEFAULT_WINDOW = Window(Fraction(-1), Fraction(3), Fraction(-1), Fraction(3))
 
 
 class SignGrid:

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from inflectionary.conjectures import (
     DEFAULT_LAMBDA_GRID,
-    PARITY_COUNT_MULTIPLIER,
     check_coeff_symmetry,
     check_determinant_identity,
     check_face_structure,
@@ -35,11 +34,7 @@ from inflectionary.inflection import (
     torsion_check,
 )
 from inflectionary.poly import VAR_LAMBDA, VAR_X, SparsePoly, as_fraction
-from inflectionary.render import (
-    DEFAULT_WINDOW,
-    render_curve,
-    sample_sign_grid,
-)
+from inflectionary.render import Window, render_curve, sample_sign_grid
 from inflectionary.reports import FAIL, PASS, CheckReport
 from inflectionary.roots import RootIsolator, gcd_univariate, sign_at_root
 
@@ -226,14 +221,14 @@ def test_criterion_08_separability(capsys):
 
 def test_criterion_09_root_count_dichotomy(capsys):
     failures = []
-    if PARITY_COUNT_MULTIPLIER != {"even": 1, "odd": 2}:
-        failures.append("pinned parity direction changed")
     for i, (mu, k) in enumerate(DICHOTOMY_PAIRS):
         report = conjecture4_scan(mu, k)
         expected = mu * (1 if (k - mu) % 2 == 0 else 2)
         if report.verdict != "PASS":
             failures.append(f"scan failed at (mu,k)=({mu},{k})")
             continue
+        if report.data["expected"] != expected:
+            failures.append(f"scan expects {report.data['expected']} at (mu,k)=({mu},{k})")
         counts = set(report.data["counts"])
         if counts != {expected}:
             failures.append(f"counts {sorted(counts)} at (mu,k)=({mu},{k})")
@@ -278,7 +273,7 @@ def test_criterion_11_invariant_formulas(capsys):
 
 def test_criterion_12_render_census_consistency(capsys):
     failures = []
-    w = DEFAULT_WINDOW
+    w = Window(-1, 3, -1, 3, 512, 512)  # the plot's default
     for mu, k in ((1, 2), (1, 3)):
         p = general_inflection(mu, k)
         grid = sample_sign_grid(p, w)

@@ -19,7 +19,6 @@ from inflectionary import cli
 from inflectionary.cli import OUTDIR_ENV, main
 from inflectionary.inflection import basic_inflection
 from inflectionary.poly import poly_to_json
-from inflectionary.render import DEFAULT_WINDOW
 from inflectionary.reports import FAIL, UNRESOLVED, CheckReport
 
 
@@ -225,10 +224,10 @@ class TestPlot:
         assert code == 0
         assert b"window=x=[-2,2] lambda=[-1/2,1/2]" in target.read_bytes()
 
-    def test_resolution_defaults_match_the_default_window(self):
-        # the parser holds them as literals, so that a launch need not load render
+    def test_default_window_and_resolution(self):
+        # the parser declares the plot's defaults; render holds none
         args = cli.build_parser().parse_args(["plot", "--mu", "1", "--k", "1", "--out", "x.svg"])
-        assert (args.nx, args.nlambda) == (DEFAULT_WINDOW.nx, DEFAULT_WINDOW.nlambda)
+        assert (args.window, args.nx, args.nlambda) == ((-1, 3, -1, 3), 512, 512)
 
     def test_empty_window_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "plot", "--mu", "1", "--k", "1",

@@ -1,6 +1,7 @@
 """Source hygiene: no unused import, no uncalled private helper, no unread
-public name, method or property and no read of the ``Fraction`` view
-``terms`` in ``src/``; and one ``hypothesis`` profile for every property.
+public name, method or property, no member named like a builtin method, no
+parameter coerced again and no read of the ``Fraction`` view ``terms`` in
+``src/``; and one ``hypothesis`` profile for every property.
 
 A prune that removes the last use of an imported name, or the last caller
 of a helper, leaves dead code that no behavioural test notices.  Code that
@@ -8,7 +9,10 @@ only tests read belongs in the tests.  The one reader outside ``src/`` that
 counts is the benchmark's tracer, which binds and reads names from outside
 the package: a public name also counts as read when it is one of the
 tracer's ``TARGETS``, and a public method or property when the tracer reads
-it.  These checks read the modules with ``ast``, so they need no linter.
+it.  The CLI parser types every integer input, so a library function that
+calls ``int()`` on its own parameter again would only hide a wrong type by
+truncating it.  These checks read the modules with ``ast``, so they need no
+linter.
 """
 
 import ast
@@ -83,6 +87,23 @@ def _public_members(tree):
                         and not member.name.startswith("_"))
 
 
+# attribute names that ``_referenced`` meets on builtin values all over src/
+_BUILTIN_ATTRIBUTES = set().union(*map(dir, (dict, list, set, tuple, str, bytes, int)))
+
+
+def _coerced_parameters(tree):
+    """``(function, parameter)`` for each ``parameter = int(...)`` in a function."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call) \
+                    and isinstance(sub.value.func, ast.Name) and sub.value.func.id == "int":
+                yield from ((node.name, t.id) for t in sub.targets
+                            if isinstance(t, ast.Name) and t.id in params)
+
+
 def _read_elsewhere(name, definition):
     return any(name in _referenced(node, definition) for tree in TREES.values()
                for node in tree.body)
@@ -115,6 +136,20 @@ def test_every_public_name_is_read(module, tracing):
     unread += [name for name, definition in _public_members(TREES[module])
                if not _read_elsewhere(name, definition) and name not in traced]
     assert unread == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_member_is_named_like_a_builtin_method(module):
+    # such a name would always count as read above: src/ calls dict.values(),
+    # str.join() and the like, and _referenced pools every attribute name
+    clashes = [name for name, _definition in _public_members(TREES[module])
+               if name in _BUILTIN_ATTRIBUTES]
+    assert clashes == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_parameter_is_coerced_again(module):
+    assert list(_coerced_parameters(TREES[module])) == []
 
 
 @pytest.mark.parametrize("module", sorted(TREES))

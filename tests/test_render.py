@@ -18,7 +18,6 @@ from inflectionary.render import (
     _CASES,
     _CORNERS,
     _MARGIN,
-    DEFAULT_WINDOW,
     MAX_RESOLUTION,
     SignGrid,
     TIE_RULE,
@@ -84,12 +83,6 @@ def row_sign_changes(grid, j):
 
 
 class TestWindow:
-    def test_defaults(self):
-        w = DEFAULT_WINDOW
-        assert (w.x_min, w.x_max) == (-1, 3)
-        assert (w.lambda_min, w.lambda_max) == (-1, 3)
-        assert (w.nx, w.nlambda) == (512, 512)
-
     def test_node_coordinates_exact(self):
         # nodes sit exactly on x = 1/3 and lambda = 2/3, where the samples vanish
         w = Window(0, 1, 0, 1, 3, 3)
@@ -103,9 +96,9 @@ class TestWindow:
 
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError):
-            Window(1, 1, 0, 1)
+            Window(1, 1, 0, 1, 2, 2)
         with pytest.raises(ValueError):
-            Window(0, 1, 2, -2)
+            Window(0, 1, 2, -2, 2, 2)
 
     def test_tiny_resolution_rejected(self):
         with pytest.raises(ValueError):
