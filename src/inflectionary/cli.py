@@ -19,6 +19,9 @@ import os
 import sys
 from fractions import Fraction
 
+# poly first: a launch that compiles src/ from source reaches a lower peak
+# RSS compiling poly here than at the deepest level of conjectures' imports
+from .poly import parse_rational, poly_to_json
 from .conjectures import (
     DEFAULT_LAMBDA_GRID,
     check_coeff_symmetry,
@@ -37,7 +40,6 @@ from .inflection import (
     predicted_genus,
     torsion_check,
 )
-from .poly import parse_rational, poly_to_json
 from .reports import FAIL, PASS, PreconditionError, jsonable
 
 LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 5))

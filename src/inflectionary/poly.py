@@ -27,6 +27,16 @@ of the result is below half a slot in absolute value and every exponent
 lies inside the degree box, because then the encoding is injective.  The
 product's width comes from max|a| * ||b||_1.
 
+``substitute_polys`` evaluates on the same encoding.  With the assigned
+polynomials written as A_i = N_i / d over their common denominator and top
+the template's total degree, it packs each N_i once, in the result's degree
+box (per variable, 1 plus the largest sum_i e_i deg N_i over the template's
+exponents e), and evaluates sum_e c_e d^(top - |e|) prod_i N_i^e_i at those
+integers.  That value is the packed result, so it alone is unpacked: the
+values on the way may carry across slots and are never read, and only the
+result's coefficients must fit, which are at most
+sum_e |c_e| d^(top - |e|) prod_i ||N_i||_1^e_i, besides each N_i itself.
+
 A product is packed when the product of the two term counts reaches
 ``PACK_MIN_PAIRS`` (an O(1) test made first) and the dense slot box holds
 no more slots than the dict loop makes term pairs; sparse factors keep the
@@ -99,7 +109,7 @@ class SparsePoly:
         arity = len(variables)
         clean = {}
         for exponents, coeff in (terms or {}).items():
-            exponents = tuple(int(e) for e in exponents)
+            exponents = tuple(map(int, exponents))
             if len(exponents) != arity:
                 raise ValueError(
                     f"exponent tuple {exponents!r} does not match variables {variables!r}"
@@ -142,8 +152,7 @@ class SparsePoly:
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"unknown variable {name!r} for {variables!r}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: 1})
+        return cls(variables, {tuple(int(v == name) for v in variables): 1})
 
     @classmethod
     def from_univariate(cls, name, coeffs):
@@ -243,7 +252,7 @@ class SparsePoly:
         nums = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
+                e = tuple(map(int.__add__, e1, e2))
                 nums[e] = nums.get(e, 0) + c1 * c2
         return SparsePoly._make(self.vars, nums, den)
 
@@ -383,37 +392,48 @@ def substitute_polys(template: SparsePoly, assignments) -> SparsePoly:
     """Evaluate ``template`` with polynomials substituted for its variables.
 
     Every variable of the template must be assigned; all assigned polynomials
-    must share one variable tuple, which becomes the result's.  Each power of
-    an assigned polynomial is computed once per call, every template term
-    adds its power product, scaled by its numerator, to the sum, and the sum
-    is divided by the template's denominator once.
+    must share one variable tuple, which becomes the result's.  The template
+    is evaluated once, at the packed assigned numerators in the result's
+    degree box (the module docstring), and the value is unpacked once.
     """
     missing = [v for v in template.vars if v not in assignments]
     if missing:
         raise ValueError(f"no assignment for {missing!r}")
-    target_vars = None
-    for v in template.vars:
-        p = assignments[v]
+    polys = [assignments[v] for v in template.vars]
+    for v, p in zip(template.vars, polys):
         if not isinstance(p, SparsePoly):
             raise TypeError(f"assignment for {v!r} is not a polynomial")
-        if target_vars is None:
-            target_vars = p.vars
-        elif p.vars != target_vars:
+        if p.vars != polys[0].vars:
             raise ValueError("assigned polynomials disagree on variables")
-    if target_vars is None:
+    if not polys:
         raise ValueError("template has no variables")
-    powers = {}
-    total = SparsePoly.zero(target_vars)
-    for e, c in template.nums.items():
-        product = c
-        for name, exp in zip(template.vars, e):
-            if exp:
-                power = powers.get((name, exp))
-                if power is None:
-                    power = powers[name, exp] = assignments[name] ** exp
-                product = power * product
-        total = total + product
-    return SparsePoly._make(target_vars, total.nums, total.den * template.den)
+    target_vars = polys[0].vars
+    if not template.nums:
+        return SparsePoly.zero(target_vars)
+    # the N_i over the common denominator d, and c_e d^(top - |e|) (module docstring)
+    ints, den = _cleared(polys)
+    tops, top = _degrees(template.nums), template.total_degree()
+    scaled = {e: c * den ** (top - sum(e)) for e, c in template.nums.items()}
+    radices = [1 + max(sum(map(int.__mul__, e, column)) for e in scaled) for column in
+               zip(*(_degrees(t) or [0] * len(target_vars) for t in ints))]
+    norms = [sum(map(abs, t.values())) for t in ints]
+    # every N_i is packed, so its slots must hold it even where the result's
+    # bound misses it: a variable the template leaves unused, or a zero factor
+    width = _slot_width(max(sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in scaled.items()),
+                            *norms))
+    # one Horner pass over the last variable, with powers of the others
+    *inner, point = (_pack(t, radices, width) for t in ints)
+    tables = list(map(_powers, inner, tops))
+    sums = [0] * (tops[-1] + 1)
+    for e, c in scaled.items():
+        for table, i in zip(tables, e):
+            c *= table[i]
+        sums[e[-1]] += c
+    value = 0
+    for c in reversed(sums):
+        value = value * point + c
+    return SparsePoly._make(target_vars, _unpack(value, radices, width),
+                            template.den * den ** top)
 
 
 def divexact(p: SparsePoly, d: SparsePoly) -> SparsePoly:

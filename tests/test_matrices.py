@@ -243,6 +243,60 @@ def test_packed_det_matches_dict_bareiss_and_cofactor(rows, shape):
     assert expand_by_minors(rows) == det
 
 
+# -- expansion by minors: packed minor sums against the per-product expansion --
+
+def oracle_expand_by_minors(m):
+    """The expansion by minors on ``SparsePoly`` arithmetic, one product and
+    one sum at a time: the oracle for the packed minor sums."""
+    minors = {0: None}
+    for row in m:
+        grown = {}
+        for mask, minor in minors.items():
+            for j, entry in enumerate(row):
+                if not mask >> j & 1:
+                    term = entry if minor is None else entry * minor
+                    if (mask >> j).bit_count() & 1:
+                        term = -term
+                    key = mask | 1 << j
+                    grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors[(1 << len(m)) - 1]
+
+
+@st.composite
+def bivariate_matrices(draw):
+    """Up to 4 by 4 matrices over (x, lambda) with mixed denominators, zero
+    entries, and at times a zero row or a zero column."""
+    n = draw(st.integers(1, 4))
+    coefficient = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9]))
+    degree = draw(st.integers(1, 3))
+    entry = st.dictionaries(st.tuples(*[st.integers(0, degree)] * 2), coefficient,
+                            max_size=9).map(lambda t: SparsePoly(XL, t))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    zero, k = SparsePoly.zero(XL), draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["as drawn", "zero row", "zero column"]))
+    if shape == "zero row":
+        rows[k] = [zero] * n
+    elif shape == "zero column":
+        for r in rows:
+            r[k] = zero
+    return rows
+
+
+@settings(max_examples=60)
+@given(bivariate_matrices())
+@example([[const(Fraction(-3, 4))]])
+@example([[(X + L + 1) ** 2 * Fraction(1, 3), X - L, const(0)],
+          [L ** 3 - Fraction(1, 2), (X - 1) ** 3, X * L * Fraction(5, 6)],
+          [X ** 2 + L, const(7), (L + 2) ** 2 * Fraction(1, 4)]])
+# both products of the 2 by 2 determinant reach their own bound 4 * 90^2 =
+# 32400 at x^3, in 15 bits, and their sum 64800 needs the next byte
+@example([[90 * (1 + X + X ** 2 + X ** 3)] * 2, [-90 * (1 + X + X ** 2 + X ** 3),
+                                                 90 * (1 + X + X ** 2 + X ** 3)]])
+def test_expand_by_minors_matches_the_per_product_oracle(rows):
+    assert expand_by_minors(rows) == oracle_expand_by_minors(rows)
+
+
 # -- the minor box: every square submatrix fits, and it never exceeds _box's -----
 
 VARIABLE_TUPLES = [("x",), XL, ("x", "lambda", "y")]
@@ -490,6 +544,45 @@ def test_q_template_matches_oracle_determinant():
 
 
 class TestRouteSelection:
+    @staticmethod
+    def _minor_boxes(monkeypatch, rows):
+        """(term pairs, box sizes packed) of each minor sum of the expansion."""
+        sums = []
+        minor_sum, pack = matrices._minor_sum, matrices._pack
+
+        def sum_spy(products):
+            sums.append((sum(len(x[0]) * len(y[0]) for x, y, _ in products), []))
+            return minor_sum(products)
+
+        def pack_spy(ints, radices, width):
+            sums[-1][1].append(math.prod(radices))
+            return pack(ints, radices, width)
+
+        monkeypatch.setattr(matrices, "_minor_sum", sum_spy)
+        monkeypatch.setattr(matrices, "_pack", pack_spy)
+        det = expand_by_minors(rows)
+        monkeypatch.undo()
+        return det, sums
+
+    def test_q_template_packs_no_box_larger_than_its_term_pairs(self, monkeypatch):
+        # the monomial entries in 11 shift variables leave every minor's box
+        # mostly empty: packed regardless, q_template(6, 9) took seconds and
+        # over 100 MB, against milliseconds on the dict loop
+        mu, n = 6, 9
+        names = tuple(f"t{off}" for off in range(1 - mu, mu))
+        rows = [[math.perm(n + j, i) * SparsePoly.variable(names, f"t{j - i}")
+                 for j in range(mu)] for i in range(mu)]
+        det, sums = self._minor_boxes(monkeypatch, rows)
+        assert det == q_template(mu, n)
+        assert sums and all(box <= pairs for pairs, boxes in sums for box in boxes)
+
+    def test_dense_minor_sums_are_packed(self, monkeypatch):
+        rows = [[math.perm(6 + j, i) * basic_inflection(6 + j - i - 1) for j in range(3)]
+                for i in range(3)]
+        det, sums = self._minor_boxes(monkeypatch, rows)
+        assert det == oracle_expand_by_minors(rows)
+        assert sums[-1][1] and all(box <= pairs for pairs, boxes in sums for box in boxes)
+
     def test_wronskian_divisions_cross_the_cutoff(self, monkeypatch):
         # P(4, 5)'s Wronskian divides about 199k-bit by 67k-bit packed minors
         calls = []

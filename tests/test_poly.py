@@ -495,6 +495,67 @@ def operands(nvars):
 operand_pairs = st.one_of(*(st.tuples(operands(n), operands(n)) for n in (1, 2, 3)))
 
 
+def oracle_substitute_polys(template, assignments):
+    """The powers-dict loop on ``SparsePoly`` arithmetic: each power of an
+    assigned polynomial is computed once, each template term adds its power
+    product, scaled by its numerator, to the sum, and the sum is divided by
+    the template's denominator once.  The oracle for the packed evaluation."""
+    target_vars = assignments[template.vars[0]].vars
+    powers = {}
+    total = SparsePoly.zero(target_vars)
+    for e, c in template.nums.items():
+        product = c
+        for name, exp in zip(template.vars, e):
+            if exp:
+                power = powers.get((name, exp))
+                if power is None:
+                    power = powers[name, exp] = assignments[name] ** exp
+                product = power * product
+        total = total + product
+    return SparsePoly._make(target_vars, total.nums, total.den * template.den)
+
+
+TEMPLATE_VARS = ("t0", "t1", "t2")
+
+
+@st.composite
+def substitutions(draw):
+    """A template in 1 to 3 variables (zero, constant or up to degree 3 in
+    each) and an assignment of polynomials in 1 to 3 variables to it, with
+    mixed denominators and signs, zero and constants among them."""
+    variables = TEMPLATE_VARS[:draw(st.integers(1, 3))]
+    exponents = st.tuples(*[st.integers(0, 3)] * len(variables))
+    template = draw(st.one_of(
+        st.dictionaries(exponents, mixed_rationals, max_size=6).map(
+            lambda t: SparsePoly(variables, t)),
+        mixed_rationals.map(lambda c: SparsePoly.constant(variables, c))))
+    nvars = draw(st.integers(1, 3))
+    assigned = st.one_of(polys_in(nvars, max_degree=2, max_size=4),
+                         st.just(SparsePoly.zero(XLZ[:nvars])),
+                         mixed_rationals.map(lambda c: SparsePoly.constant(XLZ[:nvars], c)))
+    return template, {v: draw(assigned) for v in variables}
+
+
+@settings(max_examples=80)
+@given(substitutions())
+@example((SparsePoly(("t0", "t1"), {(2, 1): Fraction(-5, 6), (0, 3): 1, (1, 0): 4}),
+          {"t0": 1 - X * Fraction(1, 3), "t1": xl({})}))  # a zero assignment
+@example((xl({(4, 2): Fraction(1, 2), (0, 0): -3}), {VAR_X: 1 - X, VAR_LAMBDA: 1 - L}))
+def test_substitute_polys_matches_the_powers_oracle(case):
+    template, assignments = case
+    assert substitute_polys(template, assignments) == oracle_substitute_polys(template, assignments)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_substituted_coefficient_at_the_width_bound(sign):
+    # the one result coefficient, 3 * (sign * (2^61 - 1))^5, has the
+    # absolute value of the width bound sum_e |c_e| prod_i ||N_i||_1^e_i
+    m = 2 ** 61 - 1
+    template = SparsePoly(("t",), {(5,): 3})
+    result = substitute_polys(template, {"t": xl({(1, 0): sign * m})})
+    assert result == xl({(5, 0): 3 * (sign * m) ** 5})
+
+
 def assert_matches_oracle(p, variables, terms):
     """``p`` is the canonical form of the Fraction term dict ``terms``."""
     assert p.vars == variables
