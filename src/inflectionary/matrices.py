@@ -2,17 +2,12 @@
 
 ``expand_by_minors`` is the division-free expansion by minors (Gentleman &
 Johnson, ACM TOMS 2(3), 1976) that the determinant template uses.  Each
-minor it adds is a signed sum of (old minor) * (entry) products, whose
-numerators it packs in one box fitted to them: radices 1 plus their largest
-degree sums, and a width from the sum of their coefficient bounds
-min(max|a| * ||b||_1, max|b| * ||a||_1).  It sums the products on the
-integers and unpacks the minor once.  If that box holds more slots than the
-products make term pairs, as for ``q_template``'s monomial entries, they are
-summed by a dict loop on the integers instead, the rule
-``SparsePoly.__mul__`` applies to one product.
+minor it adds is a signed sum of (old minor) * (entry) products, which
+``poly._product_sum`` sums on the integers, packed or by the dict loop by
+the rule stated in ``poly``'s docstring.
 ``det_polymatrix``, which the Wronskian uses, brings each row's numerators
 over one common denominator, packs each entry into one integer, as
-``poly``'s packed product does, runs one fraction-free Bareiss elimination
+``poly._product_sum`` does, runs one fraction-free Bareiss elimination
 (``_bareiss``) on the integers and unpacks the determinant once, over the
 product of the row denominators.  ``resultant`` packs its inputs'
 coefficients the same way, in the box ``_box`` gives their Sylvester
@@ -53,7 +48,7 @@ from __future__ import annotations
 
 import math
 
-from .poly import PACK_MIN_PAIRS, SparsePoly, _cleared, _degrees, _pack, _slot_width, _unpack
+from .poly import SparsePoly, _cleared, _pack, _product_sum, _slot_width, _unpack
 
 
 def _check_square(rows):
@@ -123,55 +118,25 @@ def expand_by_minors(m):
     """Determinant of the square matrix ``m``: row i extends each minor on
     rows < i, keyed by its columns' bitmask, by a column j, signed by the
     parity of its columns right of j.  That is n * 2^(n-1) entry products
-    for n rows, and no division.  Each new minor sums its products on the
-    integers, over the product of the row's and the old minors' least
-    common denominators (``_minor_sum``)."""
+    for n rows, and no division.  Each new minor is one ``_product_sum`` of
+    its products, over the product of the row's and the old minors' least
+    common denominators."""
     variables = m[0][0].vars
     n = len(m)
     minors = {1 << j: entry for j, entry in enumerate(m[0])}
     for row in m[1:]:
         a, a_den = _cleared(list(minors.values()))
         b, b_den = _cleared(row)
-        a, b = dict(zip(minors, map(_sized, a))), list(map(_sized, b))
+        a = dict(zip(minors, a))
         grown = {}
         for key in dict.fromkeys(mask | 1 << j for mask in minors for j in range(n)
                                  if not mask >> j & 1):
-            # (minor, entry, sign) of each nonzero product
-            products = [(x, y, (key >> j + 1).bit_count() & 1) for j, y in enumerate(b)
-                        if key >> j & 1 and y and (x := a[key ^ 1 << j])]
-            grown[key] = SparsePoly._make(variables, _minor_sum(products), a_den * b_den)
+            # (minor, entry, sign) of each product
+            products = [(a[key ^ 1 << j], y, (key >> j + 1).bit_count() & 1)
+                        for j, y in enumerate(b) if key >> j & 1]
+            grown[key] = SparsePoly._make(variables, _product_sum(products), a_den * b_den)
         minors = grown
     return minors[(1 << n) - 1]
-
-
-def _sized(t):
-    """Integer terms with their degrees, largest |c| and norm ||t||_1, or
-    None for no terms."""
-    return (t, _degrees(t), max(map(abs, t.values())), sum(map(abs, t.values()))) if t else None
-
-
-def _minor_sum(products):
-    """Integer terms of the sum of (-1)^odd x y over ``_sized`` (x, y, odd),
-    packed in the box of the module docstring, or by the dict loop if that
-    box holds more slots than the products make term pairs."""
-    pairs = sum(len(x[0]) * len(y[0]) for x, y, _ in products)
-    if pairs >= PACK_MIN_PAIRS:
-        radices = [1 + max(column) for column in
-                   zip(*(map(int.__add__, x[1], y[1]) for x, y, _ in products))]
-        if math.prod(radices) <= pairs:
-            width = _slot_width(sum(min(x[2] * y[3], y[2] * x[3]) for x, y, _ in products))
-            value = 0
-            for x, y, odd in products:
-                product = _pack(x[0], radices, width) * _pack(y[0], radices, width)
-                value = value - product if odd else value + product
-            return _unpack(value, radices, width) if value else {}
-    terms = {}
-    for x, y, odd in products:
-        for e1, c1 in x[0].items():
-            for e2, c2 in y[0].items():
-                e = tuple(map(int.__add__, e1, e2))
-                terms[e] = terms.get(e, 0) + (-c1 * c2 if odd else c1 * c2)
-    return terms
 
 
 def _bareiss(m) -> int:

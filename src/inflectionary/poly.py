@@ -24,8 +24,19 @@ is the packed product, over the product of the denominators.  Unpacking
 adds a bias of half a slot to every slot, which makes each slot's digit
 nonnegative, and reads the digits back; it is exact when every coefficient
 of the result is below half a slot in absolute value and every exponent
-lies inside the degree box, because then the encoding is injective.  The
-product's width comes from max|a| * ||b||_1.
+lies inside the degree box, because then the encoding is injective.
+
+``_product_sum`` is the one product kernel.  It sums signed products
+sum_p (-1)^odd_p x_p y_p of integer terms: ``SparsePoly.__mul__`` is the
+case of one product, and each minor of ``matrices.expand_by_minors`` a sum
+of several.  The box's radices are 1 plus the largest degree sum
+deg x_p + deg y_p in each variable, and the slot width holds
+sum_p min(max|x_p| * ||y_p||_1, max|y_p| * ||x_p||_1), which bounds every
+coefficient of the sum.  A sum is packed when its products make at least
+``PACK_MIN_PAIRS`` term pairs (an O(1) test made first) and the box holds
+no more slots than those pairs; then the packed products are summed on the
+integers and unpacked once.  Sparse sums keep the dict loop, where packing
+would spend its time on empty slots.
 
 ``substitute_polys`` evaluates on the same encoding.  With the assigned
 polynomials written as A_i = N_i / d over their common denominator and top
@@ -36,11 +47,6 @@ integers.  That value is the packed result, so it alone is unpacked: the
 values on the way may carry across slots and are never read, and only the
 result's coefficients must fit, which are at most
 sum_e |c_e| d^(top - |e|) prod_i ||N_i||_1^e_i, besides each N_i itself.
-
-A product is packed when the product of the two term counts reaches
-``PACK_MIN_PAIRS`` (an O(1) test made first) and the dense slot box holds
-no more slots than the dict loop makes term pairs; sparse factors keep the
-dict loop, where packing would spend its time on empty slots.
 """
 
 from __future__ import annotations
@@ -56,8 +62,8 @@ VAR_LAMBDA = "lambda"
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-# A product with fewer term pairs than this stays on the dict loop whatever
-# its density: below it packing costs more than the dict loop it replaces.
+# A product sum with fewer term pairs than this stays on the dict loop
+# whatever its density: below it packing costs more than the dict loop.
 PACK_MIN_PAIRS = 16
 
 
@@ -242,19 +248,8 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return _scaled(self, _exact(other))
         other = self._coerce(other)
-        a, b = self.nums, other.nums
-        den = self.den * other.den
-        pairs = len(a) * len(b)
-        if pairs >= PACK_MIN_PAIRS:
-            radices = [i + j + 1 for i, j in zip(_degrees(a), _degrees(b))]
-            if math.prod(radices) <= pairs:
-                return SparsePoly._make(self.vars, _packed_product(a, b, radices), den)
-        nums = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(int.__add__, e1, e2))
-                nums[e] = nums.get(e, 0) + c1 * c2
-        return SparsePoly._make(self.vars, nums, den)
+        return SparsePoly._make(self.vars, _product_sum([(self.nums, other.nums, False)]),
+                                self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -522,17 +517,35 @@ def _unpack(value: int, radices, width: int):
     return terms
 
 
-def _packed_product(a, b, radices):
-    """Integer terms of the product of the integer terms ``a`` and ``b``
-    from one big-integer product.
-
-    Every product coefficient is at most max|a| * ||b||_1, and ``radices``
-    bound its exponents.
-    """
-    a_abs = [abs(c) for c in a.values()]
-    b_abs = [abs(c) for c in b.values()]
-    width = _slot_width(min(max(a_abs) * sum(b_abs), max(b_abs) * sum(a_abs)))
-    return _unpack(_pack(a, radices, width) * _pack(b, radices, width), radices, width)
+def _product_sum(products):
+    """Integer terms of the sum of (-1)^odd x y over the integer terms of
+    each (x, y, odd), packed by the rule of the module docstring or summed by
+    the dict loop, which may leave zero terms for ``SparsePoly._make``."""
+    pairs = sum(len(x) * len(y) for x, y, _ in products)
+    if pairs >= PACK_MIN_PAIRS:
+        # an empty operand adds no pairs, no degrees and nothing to the sum
+        products = [p for p in products if p[0] and p[1]]
+        radices = [1 + max(column) for column in
+                   zip(*(map(int.__add__, _degrees(x), _degrees(y)) for x, y, _ in products))]
+        if math.prod(radices) <= pairs:
+            bound = 0
+            for x, y, _ in products:
+                x_abs, y_abs = [*map(abs, x.values())], [*map(abs, y.values())]
+                bound += min(max(x_abs) * sum(y_abs), max(y_abs) * sum(x_abs))
+            width = _slot_width(bound)
+            value = 0
+            for x, y, odd in products:
+                product = _pack(x, radices, width) * _pack(y, radices, width)
+                value = value - product if odd else value + product
+            return _unpack(value, radices, width) if value else {}
+    terms = {}
+    for x, y, odd in products:
+        for e1, c1 in x.items():
+            c1 = -c1 if odd else c1
+            for e2, c2 in y.items():
+                e = tuple(map(int.__add__, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+    return terms
 
 
 # -- canonical JSON interchange ---------------------------------------------

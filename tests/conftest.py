@@ -9,7 +9,9 @@ decorators too, so editing a method's ``settings`` draws new examples.
 
 The ``tracing`` fixture loads the benchmark's tracer, ``perfbench/tracing.py``,
 from its file: it is not a package module, and its ``TARGETS`` name the
-functions of ``src/`` that it binds from outside.
+functions of ``src/`` that it binds from outside.  The ``product_sums``
+fixture spies on the one product kernel, ``poly._product_sum``, and on the
+``poly._pack`` calls made inside it.
 
 A regression that makes a loop run forever (a bisection that never narrows,
 a remainder sequence that never shrinks) should stop the suite with the
@@ -22,6 +24,7 @@ few seconds, far inside the bound.
 
 import faulthandler
 import importlib.util
+import math
 import os
 from pathlib import Path
 
@@ -61,3 +64,33 @@ def tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def product_sums(monkeypatch):
+    """(term pairs, sizes of the boxes packed) of each ``poly._product_sum``
+    call the test makes, in call order; both bindings of the kernel, in
+    ``poly`` and in ``matrices``, are spied on."""
+    from inflectionary import matrices, poly
+
+    sums, running = [], []
+    product_sum, pack = poly._product_sum, poly._pack
+
+    def sum_spy(products):
+        boxes = []
+        sums.append((sum(len(x) * len(y) for x, y, _ in products), boxes))
+        running.append(boxes)
+        try:
+            return product_sum(products)
+        finally:
+            running.pop()
+
+    def pack_spy(ints, radices, width):
+        if running:
+            running[-1].append(math.prod(radices))
+        return pack(ints, radices, width)
+
+    for module in (poly, matrices):
+        monkeypatch.setattr(module, "_product_sum", sum_spy)
+    monkeypatch.setattr(poly, "_pack", pack_spy)
+    return sums

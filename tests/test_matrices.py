@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_poly import oracle_divexact
+from test_poly import dict_route, oracle_divexact
 
 from inflectionary import conjectures, matrices
 from inflectionary.inflection import basic_inflection, derivative_oracle, q_template
@@ -29,6 +29,7 @@ L = SparsePoly.variable(XL, "lambda")
 T = SparsePoly.variable(("t",), "t")
 
 
+@dict_route()
 def det_cofactor(rows) -> SparsePoly:
     """Determinant by cofactor expansion along the first row.
 
@@ -187,6 +188,7 @@ class TestResultant:
 
 # -- packed Bareiss against the SparsePoly Bareiss and the cofactor oracle ------
 
+@dict_route()
 def oracle_bareiss(rows):
     """Fraction-free Bareiss on ``SparsePoly`` entries, dividing by the dict
     loop: the oracle for the packed determinant."""
@@ -245,9 +247,11 @@ def test_packed_det_matches_dict_bareiss_and_cofactor(rows, shape):
 
 # -- expansion by minors: packed minor sums against the per-product expansion --
 
+@dict_route()
 def oracle_expand_by_minors(m):
     """The expansion by minors on ``SparsePoly`` arithmetic, one product and
-    one sum at a time: the oracle for the packed minor sums."""
+    one sum at a time, each product on the dict loop: the oracle for the
+    packed minor sums."""
     minors = {0: None}
     for row in m:
         grown = {}
@@ -544,27 +548,7 @@ def test_q_template_matches_oracle_determinant():
 
 
 class TestRouteSelection:
-    @staticmethod
-    def _minor_boxes(monkeypatch, rows):
-        """(term pairs, box sizes packed) of each minor sum of the expansion."""
-        sums = []
-        minor_sum, pack = matrices._minor_sum, matrices._pack
-
-        def sum_spy(products):
-            sums.append((sum(len(x[0]) * len(y[0]) for x, y, _ in products), []))
-            return minor_sum(products)
-
-        def pack_spy(ints, radices, width):
-            sums[-1][1].append(math.prod(radices))
-            return pack(ints, radices, width)
-
-        monkeypatch.setattr(matrices, "_minor_sum", sum_spy)
-        monkeypatch.setattr(matrices, "_pack", pack_spy)
-        det = expand_by_minors(rows)
-        monkeypatch.undo()
-        return det, sums
-
-    def test_q_template_packs_no_box_larger_than_its_term_pairs(self, monkeypatch):
+    def test_q_template_packs_no_box_larger_than_its_term_pairs(self, product_sums):
         # the monomial entries in 11 shift variables leave every minor's box
         # mostly empty: packed regardless, q_template(6, 9) took seconds and
         # over 100 MB, against milliseconds on the dict loop
@@ -572,16 +556,18 @@ class TestRouteSelection:
         names = tuple(f"t{off}" for off in range(1 - mu, mu))
         rows = [[math.perm(n + j, i) * SparsePoly.variable(names, f"t{j - i}")
                  for j in range(mu)] for i in range(mu)]
-        det, sums = self._minor_boxes(monkeypatch, rows)
+        det = expand_by_minors(rows)
+        assert product_sums and all(box <= pairs for pairs, boxes in product_sums
+                                    for box in boxes)
         assert det == q_template(mu, n)
-        assert sums and all(box <= pairs for pairs, boxes in sums for box in boxes)
 
-    def test_dense_minor_sums_are_packed(self, monkeypatch):
+    def test_dense_minor_sums_are_packed(self, product_sums):
         rows = [[math.perm(6 + j, i) * basic_inflection(6 + j - i - 1) for j in range(3)]
                 for i in range(3)]
-        det, sums = self._minor_boxes(monkeypatch, rows)
+        det = expand_by_minors(rows)
+        assert product_sums[-1][1] and all(box <= pairs for pairs, boxes in product_sums
+                                           for box in boxes)
         assert det == oracle_expand_by_minors(rows)
-        assert sums[-1][1] and all(box <= pairs for pairs, boxes in sums for box in boxes)
 
     def test_wronskian_divisions_cross_the_cutoff(self, monkeypatch):
         # P(4, 5)'s Wronskian divides about 199k-bit by 67k-bit packed minors

@@ -16,8 +16,7 @@ from inflectionary.poly import (
     VAR_LAMBDA,
     VAR_X,
     SparsePoly,
-    _degrees,
-    _packed_product,
+    _product_sum,
     as_fraction,
     divexact,
     parse_rational,
@@ -433,7 +432,9 @@ def test_specialize_matches_fraction_oracle(p, name, value):
 
 @contextlib.contextmanager
 def dict_route():
-    """A context in which every product takes the dict loop."""
+    """A context in which every product sum takes the dict loop; as a
+    decorator, ``@dict_route()``, it keeps an oracle that multiplies
+    independent of the packed kernel its subject runs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly_module, "PACK_MIN_PAIRS", math.inf)
         yield
@@ -495,6 +496,7 @@ def operands(nvars):
 operand_pairs = st.one_of(*(st.tuples(operands(n), operands(n)) for n in (1, 2, 3)))
 
 
+@dict_route()
 def oracle_substitute_polys(template, assignments):
     """The powers-dict loop on ``SparsePoly`` arithmetic: each power of an
     assigned polynomial is computed once, each template term adds its power
@@ -590,17 +592,51 @@ def test_integer_form_matches_the_fraction_oracle(pair, extra):
         assert_matches_oracle(pieces[power], a.vars[:-1], terms)
 
 
-@PACKED
-@given(poly_pairs)
-@example((X + L, X - L))
-@example((xl({(3, 1): Fraction(-2, 3)}), xl({(0, 2): Fraction(9, 4)})))
-def test_packed_product_matches_dict_product(pair):
-    a, b = pair
-    radices = [i + j + 1 for i, j in zip(_degrees(a.nums), _degrees(b.nums))]
-    packed = SparsePoly(a.vars, {e: Fraction(c, a.den * b.den)
-                                 for e, c in _packed_product(a.nums, b.nums, radices).items()})
-    with dict_route():
-        assert packed == a * b
+def oracle_product_sum(products):
+    """The sum of (-1)^odd x y over integer term dicts (x, y, odd), one term
+    pair at a time, zero terms dropped: the oracle for ``_product_sum``."""
+    terms = {}
+    for x, y, odd in products:
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + (-c1 * c2 if odd else c1 * c2)
+    return {e: c for e, c in terms.items() if c}
+
+
+@st.composite
+def signed_products(draw):
+    """1 to 4 signed products of integer term dicts in 1 to 3 variables, with
+    small and wide coefficients and empty operands; at times the last product
+    cancels the first."""
+    exponents = st.tuples(*[st.integers(0, 3)] * draw(st.integers(1, 3)))
+    coefficient = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70)).filter(bool)
+    terms = st.dictionaries(exponents, coefficient, max_size=8)
+    products = draw(st.lists(st.tuples(terms, terms, st.booleans()), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        x, y, odd = products[0]
+        products.append((y, x, not odd))
+    return products
+
+
+NINETY = {(i,): 90 for i in range(4)}  # 90 (1 + t + t^2 + t^3)
+
+
+@settings(max_examples=120)
+@given(signed_products(), st.sampled_from([1, PACK_MIN_PAIRS]))
+@example([({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}, False)], 1)  # (x + l)(x - l)
+@example([({(3, 1): -2}, {(0, 2): 9}, False)], 1)
+# the 2 by 2 determinant 90q * 90q - 90q * (-90q): each product reaches its
+# own bound 4 * 90^2 = 32400 at t^3, in 15 bits, and their sum 64800 needs the
+# next byte, so a per-product width would overflow
+@example([(NINETY, NINETY, False), (NINETY, {e: -c for e, c in NINETY.items()}, True)],
+         PACK_MIN_PAIRS)
+def test_product_sum_matches_the_dict_loop(products, min_pairs):
+    # at min_pairs = 1 every sum whose box is dense packs, however few its pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "PACK_MIN_PAIRS", min_pairs)
+        terms = _product_sum(products)
+    assert {e: c for e, c in terms.items() if c} == oracle_product_sum(products)
 
 
 @PACKED
@@ -621,28 +657,20 @@ def test_packed_quotient_matches_dict_division(pair, scale):
 
 
 class TestRouteSelection:
-    def test_sparse_nine_variable_product_takes_dict_route(self, monkeypatch):
+    def test_sparse_nine_variable_product_takes_dict_route(self, product_sums):
         names = tuple(f"t{i}" for i in range(9))
         t = [SparsePoly.variable(names, n) for n in names]
         a = sum(t[1:], t[0])
         b = sum((v * v for v in t[1:]), t[0] * t[0])
-        assert len(a.terms) * len(b.terms) >= PACK_MIN_PAIRS
-
-        def refuse(*args):
-            raise AssertionError("a sparse product was packed")
-
-        monkeypatch.setattr(poly_module, "_packed_product", refuse)
         product = a * b
         assert len(product.terms) == 81
+        pairs, boxes = product_sums[-1]
+        assert pairs == 81 >= PACK_MIN_PAIRS and not boxes
 
-    def test_dense_product_is_packed(self, monkeypatch):
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return _packed_product(*args)
-
-        monkeypatch.setattr(poly_module, "_packed_product", spy)
+    def test_dense_product_is_packed(self, product_sums):
         a = (X + L + 1) ** 4
-        assert a * a == (X + L + 1) ** 8
-        assert calls
+        product = a * a
+        pairs, boxes = product_sums[-1]
+        assert boxes and all(box <= pairs for box in boxes)
+        with dict_route():
+            assert product == (X + L + 1) ** 8
