@@ -7,7 +7,8 @@ contract: 0 success/all-pass, 1 a check failed, 2 usage error, 3 violated
 precondition (a PreconditionError), 4 I/O failure, 5 internal fault (any
 other exception, any other ValueError included; its traceback goes to
 stderr).  A report that is neither PASS nor FAIL exits 0 with a warning on
-stderr.
+stderr.  Each verify family is a subcommand of its own, which declares the
+flags that family reads and their defaults (``verify <family> --help``).
 """
 
 from __future__ import annotations
@@ -47,31 +48,18 @@ LEMMA1_PAIRS = ((2, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 5))
 OUTDIR_ENV = "INFLECTIONARY_OUTDIR"
 
 
-def _lemma1_reports(k, args):
-    if (args.mu is None) != (k is None):
-        raise _UsageError("lemma1 needs both --mu and --k, or neither")
-    pairs = [(args.mu, k)] if args.mu is not None else LEMMA1_PAIRS
-    return [check_determinant_identity(mu, k) for mu, k in pairs]
-
-
-# verify family -> (flags it reads, first k, default --k-max, checks(k, args)).
-# Any other flag is a usage error, not silently dropped; so are --k and
-# --k-max together, since --k wins.  A family with a default --k-max sweeps
-# k = first..k-max (defaults stay inside desk scale); for the others the first
-# k is the default --k.  The lambdas look the checks up by module-level name
-# at call time, so a rebinding of those names (perfbench/tracing.py) is seen.
-_VERIFY_FAMILIES = {
-    "symmetry": (("k", "k_max"), 1, 8, lambda k, args: [
-        check_homogenization_symmetry(k), check_shift_symmetry(k)]),
-    "support": (("k", "k_max"), 1, 8, lambda k, args: [
-        check_support(k), check_coeff_symmetry(k)]),
-    "faces": (("k", "k_max"), 2, 6, lambda k, args: [check_face_structure(k)]),
-    "lemma1": (("mu", "k"), None, None, _lemma1_reports),
-    "torsion": (("k", "lambda0"), 2, None, lambda k, args: [torsion_check(
-        k, Fraction(-1) if args.lambda0 is None else args.lambda0)]),
-    "singular": (("k",), 2, None, lambda k, args: [singular_probe(k)]),
+# verify family -> its reports at one k (for lemma1, at one (mu, k)).  The
+# family's flags and defaults live in its subparser.  The lambdas look the
+# checks up by module-level name at call time, so a rebinding of those names
+# (perfbench/tracing.py) is seen.
+_VERIFY_CHECKS = {
+    "symmetry": lambda k, args: [check_homogenization_symmetry(k), check_shift_symmetry(k)],
+    "support": lambda k, args: [check_support(k), check_coeff_symmetry(k)],
+    "faces": lambda k, args: [check_face_structure(k)],
+    "lemma1": lambda pair, args: [check_determinant_identity(*pair)],
+    "torsion": lambda k, args: [torsion_check(k, args.lambda0)],
+    "singular": lambda k, args: [singular_probe(k)],
 }
-_VERIFY_FLAG_NAMES = {"k": "--k", "k_max": "--k-max", "mu": "--mu", "lambda0": "--lambda"}
 
 
 def _rational(text: str) -> Fraction:
@@ -88,14 +76,16 @@ def _rational_list(text: str):
     return tuple(_rational(piece) for piece in parts)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _sweep(first: int):
+    """--k-max's type for a family whose sweep starts at k = first: the ks
+    to check.  A range, never an int, so that no parsed value ``is`` the
+    default and escapes argparse's check that --k and --k-max exclude."""
+    def sweep(text: str) -> range:
+        last = int(text)
+        if last < first:
+            raise argparse.ArgumentTypeError(f"the sweep starts at k = {first}, got {last}")
+        return range(first, last + 1)
+    return sweep
 
 
 def _window_corners(text: str):
@@ -121,12 +111,26 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--format", choices=("json", "text"), default="json")
 
     verify = sub.add_parser("verify", help="run one verification check family")
-    verify.add_argument("check", choices=(
-        "symmetry", "support", "faces", "lemma1", "torsion", "singular"))
-    verify.add_argument("--k", type=int)
-    verify.add_argument("--k-max", type=_positive_int, dest="k_max")
-    verify.add_argument("--mu", type=int)
-    verify.add_argument("--lambda", type=_rational, dest="lambda0")
+    families = verify.add_subparsers(dest="check", required=True)
+    for name, claims, first, k_max in (
+            ("symmetry", "homogenization and shift symmetry", 1, 8),
+            ("support", "support and coefficient symmetry", 1, 8),
+            ("faces", "the two faces at the origin", 2, 6)):
+        family = families.add_parser(name, help=f"{claims} of P(1, k)")
+        ks = family.add_mutually_exclusive_group()
+        ks.add_argument("--k", type=int, help="check this k only")
+        ks.add_argument("--k-max", type=_sweep(first), dest="k_max",
+                        default=range(first, k_max + 1),
+                        help=f"check k = {first}..K_MAX (default: {k_max})")
+    lemma1 = families.add_parser("lemma1", help="template and Wronskian agree on P(mu, k)")
+    lemma1.add_argument("--mu", type=int, help="with --k (default: six pairs)")
+    lemma1.add_argument("--k", type=int)
+    torsion = families.add_parser("torsion", help="P(k-1, k) and the 2k-division polynomial")
+    torsion.add_argument("--k", type=int, default=2, help="(default: 2)")
+    torsion.add_argument("--lambda", type=_rational, dest="lambda0",
+                         default=Fraction(-1), help="(default: -1)")
+    singular = families.add_parser("singular", help="only the three known singular points")
+    singular.add_argument("--k", type=int, default=2, help="(default: 2)")
 
     roots = sub.add_parser("roots", help="census the real roots at one lambda")
     roots.add_argument("--mu", type=int, required=True)
@@ -163,23 +167,6 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _verify_reports(args):
-    check = args.check
-    flags, first_k, k_max, checks = _VERIFY_FAMILIES[check]
-    unread = [flag for dest, flag in _VERIFY_FLAG_NAMES.items()
-              if getattr(args, dest) is not None and dest not in flags]
-    if unread:
-        raise _UsageError(f"verify {check} does not read {', '.join(unread)}")
-    if args.k is not None and args.k_max is not None:
-        raise _UsageError("--k and --k-max are exclusive")
-    if k_max is None or args.k is not None:
-        return checks(first_k if args.k is None else args.k, args)
-    ks = range(first_k, (args.k_max or k_max) + 1)
-    if not ks:
-        raise _UsageError(f"{check} starts at k = {first_k}; --k-max must be at least {first_k}")
-    return [report for k in ks for report in checks(k, args)]
-
-
 class _UsageError(Exception):
     pass
 
@@ -196,7 +183,14 @@ def _print_reports(reports) -> int:
 
 
 def cmd_verify(args) -> int:
-    return _print_reports(_verify_reports(args))
+    if args.check == "lemma1":
+        if (args.mu is None) != (args.k is None):
+            raise _UsageError("lemma1 needs both --mu and --k, or neither")
+        ks = LEMMA1_PAIRS if args.mu is None else [(args.mu, args.k)]
+    else:
+        ks = args.k_max if args.k is None else [args.k]  # torsion, singular: --k has a default
+    checks = _VERIFY_CHECKS[args.check]
+    return _print_reports([report for k in ks for report in checks(k, args)])
 
 
 def cmd_roots(args) -> int:

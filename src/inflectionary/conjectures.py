@@ -293,7 +293,7 @@ def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     )
 
 
-def conjecture4_scan(mu: int, k: int, lambda_grid=DEFAULT_LAMBDA_GRID) -> CheckReport:
+def conjecture4_scan(mu: int, k: int, lambda_grid) -> CheckReport:
     """Sweep a lambda grid and test the two-valued real-root-count law.
 
     The number of real roots where f > 0 must be constant across the grid

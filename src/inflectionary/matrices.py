@@ -31,8 +31,7 @@ With c_j the least norm ||a_ij||_1 in column j and r_i = max_j
 ceil(||a_ij||_1 / c_j), its coefficients are at most the permanent of its
 norms, <= |R|! prod_R r prod_C c <= n! prod r prod c, all being >= 1.
 Least and largest run over nonzero entries, a zero row or column having
-given zero, and the box is the least of these bounds, the same on the
-transpose, ``_box``'s and (for the width) the product of column sums.
+given zero, and the box is the lesser of these bounds and ``_box``'s.
 
 Evaluation at the packing point is a ring homomorphism, so a division that
 is exact on polynomials is exact on the packed integers, however large the
@@ -97,18 +96,14 @@ def _box(rows):
 def _minor_box(cleared, radices, width):
     """``_box``'s radices and slot width, shrunk to the potential bounds of
     the module docstring; ``cleared`` has no zero row or column."""
-    def fit(grid, excess, total):
-        bounds = []
-        for g in (grid, list(zip(*grid))):  # zero entries are None
-            cols = [min(a for a in col if a is not None) for col in zip(*g)]
-            rows = [max(excess(a, c) for a, c in zip(row, cols) if a is not None) for row in g]
-            bounds.append(total(rows + cols))
-        return min(bounds)
+    def fit(grid, excess, total):  # zero entries are None
+        cols = [min(a for a in col if a is not None) for col in zip(*grid)]
+        rows = [max(excess(a, c) for a, c in zip(row, cols) if a is not None) for row in grid]
+        return total(rows + cols)
 
     norms = [[sum(map(abs, t.values())) or None for t in row] for row in cleared]
     n_fact = math.factorial(len(cleared))
-    bound = min(fit(norms, lambda a, c: -(-a // c), lambda p: n_fact * math.prod(p)),
-                math.prod(sum(filter(None, col)) for col in zip(*norms)))
+    bound = fit(norms, lambda a, c: -(-a // c), lambda p: n_fact * math.prod(p))
     return [1 + min(r - 1, fit([[max(e[v] for e in t) if t else None for t in row]
                                 for row in cleared], int.__sub__, sum))
             for v, r in enumerate(radices)], min(width, _slot_width(bound))

@@ -222,7 +222,7 @@ def test_criterion_08_separability(capsys):
 def test_criterion_09_root_count_dichotomy(capsys):
     failures = []
     for i, (mu, k) in enumerate(DICHOTOMY_PAIRS):
-        report = conjecture4_scan(mu, k)
+        report = conjecture4_scan(mu, k, DEFAULT_LAMBDA_GRID)
         expected = mu * (1 if (k - mu) % 2 == 0 else 2)
         if report.verdict != "PASS":
             failures.append(f"scan failed at (mu,k)=({mu},{k})")

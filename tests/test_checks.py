@@ -344,19 +344,19 @@ class TestScan:
         isolate = RootIsolator.isolate
         monkeypatch.setattr(RootIsolator, "isolate",
                             lambda self: isolated.append(self) or isolate(self))
-        report = conjecture4_scan(1, 4)
+        report = conjecture4_scan(1, 4, DEFAULT_LAMBDA_GRID)
         assert report.verdict == PASS
         assert isolated == []
 
     def test_odd_gap_gives_two_positive_roots(self):
-        report = conjecture4_scan(1, 2)
+        report = conjecture4_scan(1, 2, DEFAULT_LAMBDA_GRID)
         assert report.verdict == PASS
         assert report.data["parity"] == "odd"
         assert report.data["expected"] == 2
         assert set(report.data["counts"]) == {2}
 
     def test_even_gap_gives_one_positive_root(self):
-        report = conjecture4_scan(1, 3)
+        report = conjecture4_scan(1, 3, DEFAULT_LAMBDA_GRID)
         assert report.verdict == PASS
         assert report.data["expected"] == 1
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +34,22 @@ def run(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+# verify family -> the flags it reads
+VERIFY_READS = {
+    "symmetry": {"--k", "--k-max"},
+    "support": {"--k", "--k-max"},
+    "faces": {"--k", "--k-max"},
+    "lemma1": {"--mu", "--k"},
+    "torsion": {"--k", "--lambda"},
+    "singular": {"--k"},
+}
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 class TestCompute:
@@ -125,12 +142,53 @@ class TestVerify:
         assert out == ""
         assert flag in err
 
-    @pytest.mark.parametrize("family", ["symmetry", "support", "faces"])
-    def test_k_with_k_max_is_exit_2(self, capsys, family):
-        code, out, err = run(capsys, "verify", family, "--k", "2", "--k-max", "5")
+    # the last two give --k-max its family's default, which argparse would let
+    # pass its exclusion check if the parsed value were the default object
+    @pytest.mark.parametrize("family,k,k_max", [
+        ("symmetry", "2", "5"), ("support", "2", "5"), ("faces", "2", "5"),
+        ("symmetry", "2", "8"), ("faces", "3", "6"),
+    ], ids=["symmetry", "support", "faces", "symmetry-default", "faces-default"])
+    def test_k_with_k_max_is_exit_2(self, capsys, family, k, k_max):
+        code, out, err = run(capsys, "verify", family, "--k", k, "--k-max", k_max)
         assert code == 2
         assert out == ""
         assert "--k-max" in err
+
+    @pytest.mark.parametrize("family", sorted(VERIFY_READS))
+    def test_family_help_lists_exactly_its_flags(self, capsys, family):
+        code, out, _ = run(capsys, "verify", family, "--help")
+        assert code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == VERIFY_READS[family] | {"--help"}
+
+    # Each family with each subset of the four flags, in any order, at small
+    # valid values: the family's reads are the whole usage rule.
+    @settings(max_examples=150)
+    @given(st.sampled_from(sorted(VERIFY_READS)),
+           st.permutations(("--k", "--k-max", "--mu", "--lambda")).flatmap(
+               lambda order: st.integers(0, 4).map(lambda n: order[:n])),
+           st.sampled_from(("3", "4")), st.sampled_from(("2", "3")),
+           st.sampled_from(("1", "2")), st.sampled_from(("2", "-1/2")))
+    @example("lemma1", ("--mu",), "3", "2", "2", "2")
+    @example("lemma1", ("--k", "--mu"), "3", "2", "2", "2")
+    @example("torsion", ("--lambda", "--k"), "3", "2", "2", "-1/2")
+    @example("faces", ("--k-max",), "3", "2", "2", "2")
+    @example("symmetry", ("--k", "--k-max"), "3", "2", "2", "2")
+    def test_the_family_reads_rule_the_usage(self, family, flags, k, k_max, mu, lambda0):
+        value = {"--k": k, "--k-max": k_max, "--mu": mu, "--lambda": lambda0}
+        argv = ["verify", family] + [token for flag in flags for token in (flag, value[flag])]
+        chosen = set(flags)
+        misuse = (bool(chosen - VERIFY_READS[family]) or {"--k", "--k-max"} <= chosen
+                  or (family == "lemma1" and len(chosen & {"--mu", "--k"}) == 1))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code == (2 if misuse else 0)
+        if misuse:
+            assert out.getvalue() == ""
+
+    def test_every_family_has_checks(self):
+        verify = _subcommands(cli.build_parser())["verify"]
+        assert set(cli._VERIFY_CHECKS) == set(_subcommands(verify)) == set(VERIFY_READS)
 
     def test_unknown_family_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
