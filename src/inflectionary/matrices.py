@@ -10,11 +10,23 @@ over one common denominator, packs each entry into one integer, as
 ``poly._product_sum`` does, runs one fraction-free Bareiss elimination
 (``_bareiss``) on the integers and unpacks the determinant once, over the
 product of the row denominators.  ``resultant`` packs its inputs'
-coefficients the same way, in the box ``_box`` gives their Sylvester
-matrix, and runs Collins' subresultant remainder sequence on them
-(Collins, JACM 14, 1967; Brown & Traub, JACM 18, 1971; Cohen, Alg. 3.3.7)
-with no content removal: each pseudo-remainder only multiplies, and each
-step divides it exactly by g h^delta.
+coefficients the same way, in the box ``_box`` gives the rows of their
+Sylvester matrix (its zero padding widens no radix, bound or denominator,
+so it is left out), and runs Collins' subresultant remainder sequence on
+them (Collins, JACM 14, 1967; Brown & Traub, JACM 18, 1971; Cohen, Alg.
+3.3.7) with no content removal: each pseudo-remainder only multiplies, and
+each step divides it exactly by g h^delta.
+
+Both determinants take the smallest rows first, by a rule read off the
+input.  The Bareiss pivots at each step on the column's entry with the
+fewest bits, and the expansion takes the rows in ascending order of their
+term counts, negating the result for an odd order.  Neither order changes
+the determinant: a row permutation only signs it, and fraction-free
+elimination is exact for any choice of pivot row (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968).  Both matrices the routes build hold their largest entries
+in row 0 and shrink down the rows, so the minors carried through most
+steps stay small.
 
 Both are exact for one reason.  Every value that is tested for zero or
 unpacked is a minor of the cleared matrix: a Bareiss intermediate (of the
@@ -45,6 +57,7 @@ CPython 3.12+ ``divmod`` does itself and 3.11's does not.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .poly import SparsePoly, _cleared, _pack, _product_sum, _slot_width, _unpack
@@ -64,8 +77,10 @@ def _check_square(rows):
 
 def det_polymatrix(rows) -> SparsePoly:
     """Fraction-free Bareiss determinant of a square polynomial matrix, exact
-    as the module docstring shows.  Zero pivots are handled by row swaps with
-    sign tracking; a fully zero pivot column short-circuits to zero."""
+    as the module docstring shows.  Each step pivots on its column's packed
+    entry with the fewest bits, by a row swap that flips the sign (see
+    ``_bareiss``); a zero row or column, or a pivot column that turns zero,
+    gives zero."""
     _, variables = _check_square(rows)
     cleared, radices, width, den = _box(rows)
     if not all(map(any, cleared)) or not all(map(any, zip(*cleared))):
@@ -110,16 +125,24 @@ def _minor_box(cleared, radices, width):
 
 
 def expand_by_minors(m):
-    """Determinant of the square matrix ``m``: row i extends each minor on
-    rows < i, keyed by its columns' bitmask, by a column j, signed by the
-    parity of its columns right of j.  That is n * 2^(n-1) entry products
-    for n rows, and no division.  Each new minor is one ``_product_sum`` of
-    its products, over the product of the row's and the old minors' least
-    common denominators."""
+    """Determinant of the square matrix ``m``: each row extends each minor on
+    the rows before it, keyed by its columns' bitmask, by a column j, signed
+    by the parity of its columns right of j.  That is n * 2^(n-1) entry
+    products for n rows, and no division.  Each new minor is one
+    ``_product_sum`` of its products, over the product of the row's and the
+    old minors' least common denominators.
+
+    The rows are taken in ascending order of their term counts (a stable
+    sort), so the minors carried longest are the smallest.  When that order
+    is an odd permutation of ``m``'s rows, the first row taken is negated,
+    which negates the result at the cost of the smallest entries."""
     variables = m[0][0].vars
     n = len(m)
-    minors = {1 << j: entry for j, entry in enumerate(m[0])}
-    for row in m[1:]:
+    order = sorted(range(n), key=lambda i: sum(len(e.nums) for e in m[i]))
+    odd = sum(a > b for a, b in itertools.combinations(order, 2)) & 1
+    rows = [m[i] for i in order]
+    minors = {1 << j: -entry if odd else entry for j, entry in enumerate(rows[0])}
+    for row in rows[1:]:
         a, a_den = _cleared(list(minors.values()))
         b, b_den = _cleared(row)
         a = dict(zip(minors, a))
@@ -135,19 +158,24 @@ def expand_by_minors(m):
 
 
 def _bareiss(m) -> int:
-    """Determinant of the square integer matrix ``m``, whose rows it overwrites."""
+    """Determinant of the square integer matrix ``m``, whose rows it overwrites.
+
+    Step k pivots on the nonzero entry of column k, over rows k..n-1, with
+    the fewest bits (the lowest such row on a tie), swapped into row k with
+    a sign flip; a column with no nonzero entry there gives 0.  Any pivot
+    row keeps the elimination exact (module docstring), and the smallest
+    keeps the intermediate minors small."""
     n = len(m)
     sign = 1
     prev = None
     for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        i = min((i for i in range(k, n) if m[i][k]), key=lambda i: m[i][k].bit_length(),
+                default=None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
         pivot = m[k][k]
         row_k = m[k]
         for i in range(k + 1, n):
@@ -222,12 +250,8 @@ def sylvester_matrix(a: SparsePoly, b: SparsePoly, name: str):
     if da < 1 and db < 1:
         raise ValueError("neither input involves the eliminated variable")
     idx = a.vars.index(name)
-    rest = a.vars[:idx] + a.vars[idx + 1:]
-    zero = SparsePoly.zero(rest)
-    ca = a.coefficients_in(name)
-    cb = b.coefficients_in(name)
-    arow = [ca.get(da - i, zero) for i in range(da + 1)]
-    brow = [cb.get(db - i, zero) for i in range(db + 1)]
+    zero = SparsePoly.zero(a.vars[:idx] + a.vars[idx + 1:])
+    arow, brow = _coefficient_row(a, name, zero), _coefficient_row(b, name, zero)
     size = da + db
     rows = []
     for shift in range(db):
@@ -235,6 +259,13 @@ def sylvester_matrix(a: SparsePoly, b: SparsePoly, name: str):
     for shift in range(da):
         rows.append([zero] * shift + brow + [zero] * (size - shift - db - 1))
     return rows
+
+
+def _coefficient_row(p: SparsePoly, name: str, zero: SparsePoly):
+    """``p``'s coefficients in ``name``, from its leading power down to the
+    constant, with ``zero`` for each absent power."""
+    coefficients, degree = p.coefficients_in(name), p.degree(name)
+    return [coefficients.get(degree - i, zero) for i in range(degree + 1)]
 
 
 def resultant(a: SparsePoly, b: SparsePoly, name: str) -> SparsePoly:
@@ -262,10 +293,14 @@ def resultant(a: SparsePoly, b: SparsePoly, name: str) -> SparsePoly:
         return a.coefficients_in(name)[0] ** db
     if db < 1:
         return b.coefficients_in(name)[0] ** da
-    cleared, radices, width, den = _box(sylvester_matrix(a, b, name))
-    # row 0 leads with a's coefficients and row deg(b) with b's, descending
-    res = _subresultant([_pack(t, radices, width) for t in cleared[0][da::-1]],
-                        [_pack(t, radices, width) for t in cleared[db][db::-1]])
+    zero = SparsePoly.zero(rest)
+    # the Sylvester matrix's rows without their zero padding, which adds to
+    # no radix, bound or denominator of _box; row 0 holds a's coefficients
+    # and row deg(b) b's, descending
+    arow, brow = _coefficient_row(a, name, zero), _coefficient_row(b, name, zero)
+    cleared, radices, width, den = _box([arow] * db + [brow] * da)
+    res = _subresultant([_pack(t, radices, width) for t in cleared[0][::-1]],
+                        [_pack(t, radices, width) for t in cleared[db][::-1]])
     return SparsePoly._make(rest, _unpack(res, radices, width) if res else {}, den)
 
 

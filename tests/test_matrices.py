@@ -301,6 +301,42 @@ def test_expand_by_minors_matches_the_per_product_oracle(rows):
     assert expand_by_minors(rows) == oracle_expand_by_minors(rows)
 
 
+# -- row order: the size-ordered routes against the oracles on permuted rows ------
+
+def _sign(order):
+    """The sign of the permutation ``order``, by its inversions."""
+    return -1 if sum(a > b for a, b in itertools.combinations(order, 2)) & 1 else 1
+
+
+@st.composite
+def permuted_matrices(draw):
+    """A ``bivariate_matrices`` draw and an order of its rows, reversed or shuffled."""
+    rows = draw(bivariate_matrices())
+    n = len(rows)
+    return rows, draw(st.just(list(range(n - 1, -1, -1))) | st.permutations(range(n)))
+
+
+@settings(max_examples=60)
+@given(permuted_matrices())
+# column 0's smallest packed entry, 3 in row 2, is not its first nonzero one
+@example(([[X ** 2 + 50 * X * L, L, const(1)], [const(0), X, L], [const(3), X + L, const(2)]],
+          [0, 1, 2]))
+@example(([[X ** 2 + 50 * X * L, L, const(1)], [const(0), X, L], [const(3), X + L, const(2)]],
+          [2, 0, 1]))
+# 2 and -3 tie at two bits below 5's three
+@example(([[const(5), X, L], [const(2), const(1), X * L], [const(-3), L, const(1)]], [0, 2, 1]))
+# column 1 is twice column 0, so it turns zero after the first step
+@example(([[X, 2 * X, L], [L, 2 * L, const(1)], [const(1), const(2), X]], [1, 0, 2]))
+def test_permuted_rows_only_sign_the_determinant(drawn):
+    rows, order = drawn
+    permuted = [rows[i] for i in order]
+    sign = _sign(order)
+    expected = sign * oracle_bareiss(rows)
+    assert expected == sign * det_cofactor(rows)
+    assert det_polymatrix(permuted) == expected
+    assert expand_by_minors(permuted) == expected
+
+
 # -- the minor box: every square submatrix fits, and it never exceeds _box's -----
 
 VARIABLE_TUPLES = [("x",), XL, ("x", "lambda", "y")]
@@ -570,7 +606,7 @@ class TestRouteSelection:
         assert det == oracle_expand_by_minors(rows)
 
     def test_wronskian_divisions_cross_the_cutoff(self, monkeypatch):
-        # P(4, 5)'s Wronskian divides about 199k-bit by 67k-bit packed minors
+        # P(4, 5)'s Wronskian divides about 176k-bit by 44k-bit packed minors
         calls = []
         div2n1n = matrices._div2n1n
 
@@ -583,6 +619,61 @@ class TestRouteSelection:
                 for i in range(4)]
         assert det_polymatrix(rows) == expand_by_minors(rows)
         assert max(calls) > 10 * DIVISION_CUTOFF
+
+    def test_the_smallest_pivot_and_row_come_first(self, monkeypatch):
+        # P(4, 5)'s Wronskian and template both shrink down the rows: the
+        # Bareiss first pivots on row 3's packed entry, the smallest in
+        # column 0, and the expansion first extends row 3's entries by row 2's
+        columns, divisors, products = [], [], []
+        bareiss, divide, product_sum = (matrices._bareiss, matrices._divide_packed,
+                                        matrices._product_sum)
+
+        def bareiss_spy(m):
+            columns.append([row[0] for row in m])
+            return bareiss(m)
+
+        def divide_spy(a, b):
+            divisors.append(b)
+            return divide(a, b)
+
+        def product_sum_spy(triples):
+            products.append(triples)
+            return product_sum(triples)
+
+        monkeypatch.setattr(matrices, "_bareiss", bareiss_spy)
+        monkeypatch.setattr(matrices, "_divide_packed", divide_spy)
+        monkeypatch.setattr(matrices, "_product_sum", product_sum_spy)
+        wronskian = [[math.perm(6 + j, i) * derivative_oracle(6 + j - i) for j in range(4)]
+                     for i in range(4)]
+        template = [[math.perm(6 + j, i) * basic_inflection(6 + j - i - 1) for j in range(4)]
+                    for i in range(4)]
+        det = det_polymatrix(wronskian)
+        [column] = columns
+        bits = [v.bit_length() for v in column]
+        assert bits == sorted(bits, reverse=True) and bits[3] < bits[2]
+        assert divisors[0] == column[3]
+        assert expand_by_minors(template) == det
+        # the first minor is on columns 0 and 1: (row 3's column 1) * (row 2's
+        # column 0), then (row 3's column 0) * (row 2's column 1)
+        assert [(len(x), len(y)) for x, y, _ in products[0]] == [
+            (len(template[3][1].nums), len(template[2][0].nums)),
+            (len(template[3][0].nums), len(template[2][1].nums))]
+
+    def test_pivot_ties_go_to_the_lowest_row(self, monkeypatch):
+        # column 0 packs to 5, 2 and -3: 2 and -3 tie at two bits, so row 1
+        # holds the first pivot, the divisor of the second step
+        divisors = []
+        divide = matrices._divide_packed
+
+        def spy(a, b):
+            divisors.append(b)
+            return divide(a, b)
+
+        monkeypatch.setattr(matrices, "_divide_packed", spy)
+        rows = [[const(5), const(1), const(0)], [const(2), const(1), const(1)],
+                [const(-3), const(1), const(2)]]
+        assert det_polymatrix(rows) == const(-2) == det_cofactor(rows)
+        assert set(divisors) == {2}
 
     def test_sylvester_matrix_is_packed(self, monkeypatch):
         # the resultant runs its remainder sequence on packed integers in the
