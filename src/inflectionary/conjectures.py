@@ -221,28 +221,17 @@ def check_face_structure(k: int) -> CheckReport:
 # -- separability and root censuses -------------------------------------------
 
 def _separability(shared: SparsePoly):
-    """The census's separability test: is ``shared``, the repeated part
-    gcd(p, p') of p, supported on {0, 1}?
-
-    Returns ``(ok, details)`` where details records the gcd degree, the
-    multiplicities split off at x = 0 and x = 1, and a witness interval for
-    a stray real root when one exists.
-    """
-    details = {"gcd_degree": max(shared.degree(VAR_X), 0)}
+    """The census's separability test on ``shared``, the repeated part
+    gcd(p, p') of p: the multiplicities it splits off at x = 0 and x = 1,
+    and the isolating intervals of its real roots elsewhere, which are none
+    exactly when p is separable away from {0, 1}."""
     if shared.degree(VAR_X) < 1:
-        details["mult_at_0"] = 0
-        details["mult_at_1"] = 0
-        return True, details
-    details["mult_at_0"], residual = deflate(shared, 0)
-    details["mult_at_1"], residual = deflate(residual, 1)
+        return 0, 0, []
+    at_0, residual = deflate(shared, 0)
+    at_1, residual = deflate(residual, 1)
     if residual.degree(VAR_X) < 1:
-        return True, details
-    intervals = RootIsolator(residual).isolate()
-    details["stray_real_roots"] = len(intervals)
-    if not intervals:
-        return True, details
-    details["witness_interval"] = intervals[0]
-    return False, details
+        return at_0, at_1, []
+    return at_0, at_1, RootIsolator(residual).isolate()
 
 
 class RootCensus(NamedTuple):
@@ -281,14 +270,13 @@ def real_root_census(mu: int, k: int, lambda0) -> RootCensus:
     lambda0 = as_fraction(lambda0)
     iso = RootIsolator(p)
     intervals = iso.isolate()
-    separable, details = _separability(iso.repeated_part())
+    at_0, at_1, stray = _separability(iso.repeated_part())
     return RootCensus(
         mu=mu, k=k, lambda0=lambda0,
         total_real_roots=len(intervals),
         roots_f_positive=_roots_f_positive(iso, lambda0),
-        roots_at_01={0: details["mult_at_0"] + ((0,) not in p.nums),
-                     1: details["mult_at_1"] + (not sum(p.nums.values()))},
-        separable_away_from_01=separable,
+        roots_at_01={0: at_0 + ((0,) not in p.nums), 1: at_1 + (not sum(p.nums.values()))},
+        separable_away_from_01=not stray,
         intervals=intervals,
     )
 

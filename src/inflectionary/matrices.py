@@ -10,12 +10,11 @@ over one common denominator, packs each entry into one integer, as
 ``poly._product_sum`` does, runs one fraction-free Bareiss elimination
 (``_bareiss``) on the integers and unpacks the determinant once, over the
 product of the row denominators.  ``resultant`` packs its inputs'
-coefficients the same way, in the box ``_box`` gives the rows of their
-Sylvester matrix (its zero padding widens no radix, bound or denominator,
-so it is left out), and runs Collins' subresultant remainder sequence on
-them (Collins, JACM 14, 1967; Brown & Traub, JACM 18, 1971; Cohen, Alg.
-3.3.7) with no content removal: each pseudo-remainder only multiplies, and
-each step divides it exactly by g h^delta.
+coefficients the same way, in the box of their Sylvester matrix, and runs
+Collins' subresultant remainder sequence on them (Collins, JACM 14, 1967;
+Brown & Traub, JACM 18, 1971; Cohen, Alg. 3.3.7) with no content removal:
+each pseudo-remainder only multiplies, and each step divides it exactly by
+g h^delta.
 
 Both determinants take the smallest rows first, by a rule read off the
 input.  The Bareiss pivots at each step on the column's entry with the
@@ -31,19 +30,28 @@ steps stay small.
 Both are exact for one reason.  Every value that is tested for zero or
 unpacked is a minor of the cleared matrix: a Bareiss intermediate (of the
 row-permuted matrix after swaps), or a subresultant coefficient, read only
-after its division.  So the packing box need only hold every minor.
-``_box``, which ``resultant`` uses, bounds a minor's degree in each variable
-by the sum of the rows' largest entry degrees, which fixes the radices, and
-its coefficients by prod_rows sum_entries ||a_ij||_1, which fixes the slot
-width with a sign bit to spare.  ``det_polymatrix`` shrinks that box by
-row and column potentials (``_minor_box``).  With v_j the least degree in
-column j and u_i = max_j (deg a_ij - v_j), a minor on rows R and columns C
-has degree at most sum_R u + sum_C v <= sum u + sum v, all being >= 0.
+after its division.  So a packing box need only hold every minor, and each
+kernel sizes its own once, from its operands.  Any matrix's minors fit the
+row-sum bound: a minor's degree in each variable is at most the sum of the
+rows' largest entry degrees (the radices), and its coefficients at most
+prod_rows sum_entries ||a_ij||_1 (the slot width, with a sign bit to spare).
+
+``det_polymatrix`` (``_minor_box``) takes the lesser of that bound and the
+potential bound, per variable and for the width.  With v_j the least degree
+in column j and u_i = max_j (deg a_ij - v_j), a minor on rows R and columns
+C has degree at most sum_R u + sum_C v <= sum u + sum v, all being >= 0.
 With c_j the least norm ||a_ij||_1 in column j and r_i = max_j
 ceil(||a_ij||_1 / c_j), its coefficients are at most the permanent of its
 norms, <= |R|! prod_R r prod_C c <= n! prod r prod c, all being >= 1.
 Least and largest run over nonzero entries, a zero row or column having
-given zero, and the box is the lesser of these bounds and ``_box``'s.
+given zero.
+
+``resultant`` takes the Sylvester matrix's row-sum bound, to which its zero
+padding adds nothing.  With a of degree m and b of degree n in the
+eliminated variable, each of its n a-rows over its least common denominator
+is a's numerators over a.den, and likewise its m b-rows: the radices are
+1 + n deg_v a + m deg_v b per remaining variable v, the slot holds
+||a||_1^n ||b||_1^m, and the denominator is a.den^n b.den^m.
 
 Evaluation at the packing point is a ring homomorphism, so a division that
 is exact on polynomials is exact on the packed integers, however large the
@@ -60,7 +68,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .poly import SparsePoly, _cleared, _pack, _product_sum, _slot_width, _unpack
+from .poly import SparsePoly, _cleared, _degrees, _pack, _product_sum, _slot_width, _unpack
 
 
 def _check_square(rows):
@@ -82,46 +90,36 @@ def det_polymatrix(rows) -> SparsePoly:
     ``_bareiss``); a zero row or column, or a pivot column that turns zero,
     gives zero."""
     _, variables = _check_square(rows)
-    cleared, radices, width, den = _box(rows)
+    cleared, dens = zip(*map(_cleared, rows))
     if not all(map(any, cleared)) or not all(map(any, zip(*cleared))):
         return SparsePoly.zero(variables)  # a zero row or column
-    radices, width = _minor_box(cleared, radices, width)
+    radices, width = _minor_box(cleared, len(variables))
     det = _bareiss([[_pack(ints, radices, width) for ints in row] for row in cleared])
-    return SparsePoly._make(variables, _unpack(det, radices, width) if det else {}, den)
+    return SparsePoly._make(variables, _unpack(det, radices, width) if det else {},
+                            math.prod(dens))
 
 
-def _box(rows):
-    """Each row's integer numerators over its least common denominator, the
-    radices and slot width that hold every minor of the cleared matrix (the
-    degree box and coefficient bound of the module docstring), and the
-    product of the row denominators."""
-    radices = [1] * len(rows[0][0].vars)
-    cleared, bound, den = [], 1, 1
-    for row in rows:
-        ints, row_den = _cleared(row)
-        exponents = [e for terms in ints for e in terms]
-        if exponents:
-            radices = [d + max(column) for d, column in zip(radices, zip(*exponents))]
-        bound *= sum(abs(c) for terms in ints for c in terms.values())
-        den *= row_den
-        cleared.append(ints)
-    return cleared, radices, _slot_width(bound), den
+def _minor_box(cleared, arity):
+    """The radices and slot width that hold every minor of ``cleared``, a
+    matrix of integer terms in ``arity`` variables with no zero row or
+    column: per variable and for the coefficients, the lesser of the
+    row-sum and potential bounds of the module docstring."""
+    # each entry's degree in each variable, then its norm; None for a zero entry
+    entries = [[(*_degrees(t), sum(map(abs, t.values()))) if t else None for t in row]
+               for row in cleared]
 
-
-def _minor_box(cleared, radices, width):
-    """``_box``'s radices and slot width, shrunk to the potential bounds of
-    the module docstring; ``cleared`` has no zero row or column."""
-    def fit(grid, excess, total):  # zero entries are None
+    def least(k, row_sum, excess, total):
+        grid = [[e and e[k] for e in row] for row in entries]
         cols = [min(a for a in col if a is not None) for col in zip(*grid)]
         rows = [max(excess(a, c) for a, c in zip(row, cols) if a is not None) for row in grid]
-        return total(rows + cols)
+        return min(row_sum([[a for a in row if a is not None] for row in grid]),
+                   total(rows + cols))
 
-    norms = [[sum(map(abs, t.values())) or None for t in row] for row in cleared]
     n_fact = math.factorial(len(cleared))
-    bound = fit(norms, lambda a, c: -(-a // c), lambda p: n_fact * math.prod(p))
-    return [1 + min(r - 1, fit([[max(e[v] for e in t) if t else None for t in row]
-                                for row in cleared], int.__sub__, sum))
-            for v, r in enumerate(radices)], min(width, _slot_width(bound))
+    bound = least(arity, lambda g: math.prod(map(sum, g)), lambda a, c: -(-a // c),
+                  lambda p: n_fact * math.prod(p))
+    return [1 + least(v, lambda g: sum(map(max, g)), int.__sub__, sum)
+            for v in range(arity)], _slot_width(bound)
 
 
 def expand_by_minors(m):
@@ -251,21 +249,14 @@ def sylvester_matrix(a: SparsePoly, b: SparsePoly, name: str):
         raise ValueError("neither input involves the eliminated variable")
     idx = a.vars.index(name)
     zero = SparsePoly.zero(a.vars[:idx] + a.vars[idx + 1:])
-    arow, brow = _coefficient_row(a, name, zero), _coefficient_row(b, name, zero)
     size = da + db
     rows = []
-    for shift in range(db):
-        rows.append([zero] * shift + arow + [zero] * (size - shift - da - 1))
-    for shift in range(da):
-        rows.append([zero] * shift + brow + [zero] * (size - shift - db - 1))
+    for p, degree, shifts in ((a, da, db), (b, db, da)):
+        coefficients = p.coefficients_in(name)
+        row = [coefficients.get(degree - i, zero) for i in range(degree + 1)]
+        rows += ([zero] * shift + row + [zero] * (size - shift - degree - 1)
+                 for shift in range(shifts))
     return rows
-
-
-def _coefficient_row(p: SparsePoly, name: str, zero: SparsePoly):
-    """``p``'s coefficients in ``name``, from its leading power down to the
-    constant, with ``zero`` for each absent power."""
-    coefficients, degree = p.coefficients_in(name), p.degree(name)
-    return [coefficients.get(degree - i, zero) for i in range(degree + 1)]
 
 
 def resultant(a: SparsePoly, b: SparsePoly, name: str) -> SparsePoly:
@@ -285,23 +276,27 @@ def resultant(a: SparsePoly, b: SparsePoly, name: str) -> SparsePoly:
         raise ValueError("resultant of two zero polynomials")
     if a.is_zero or b.is_zero:
         return SparsePoly.zero(rest)
-    da = a.degree(name)
-    db = b.degree(name)
+    # a's and b's numerators in the other variables, by ascending power of name
+    arow, brow = ([{} for _ in range(p.degree(name) + 1)] for p in (a, b))
+    for p, row in ((a, arow), (b, brow)):
+        for e, c in p.nums.items():
+            row[e[idx]][e[:idx] + e[idx + 1:]] = c
+    da, db = len(arow) - 1, len(brow) - 1
     if da < 1 and db < 1:
         return SparsePoly.constant(rest, 1)
     if da < 1:
-        return a.coefficients_in(name)[0] ** db
+        return SparsePoly._make(rest, arow[0], a.den) ** db
     if db < 1:
-        return b.coefficients_in(name)[0] ** da
-    zero = SparsePoly.zero(rest)
-    # the Sylvester matrix's rows without their zero padding, which adds to
-    # no radix, bound or denominator of _box; row 0 holds a's coefficients
-    # and row deg(b) b's, descending
-    arow, brow = _coefficient_row(a, name, zero), _coefficient_row(b, name, zero)
-    cleared, radices, width, den = _box([arow] * db + [brow] * da)
-    res = _subresultant([_pack(t, radices, width) for t in cleared[0][::-1]],
-                        [_pack(t, radices, width) for t in cleared[db][::-1]])
-    return SparsePoly._make(rest, _unpack(res, radices, width) if res else {}, den)
+        return SparsePoly._make(rest, brow[0], b.den) ** da
+    # the Sylvester matrix's box: db rows of a's coefficients and da of b's
+    radices = [1 + db * x + da * y for x, y in zip(_degrees(a.nums), _degrees(b.nums))]
+    del radices[idx]
+    width = _slot_width(sum(map(abs, a.nums.values())) ** db
+                        * sum(map(abs, b.nums.values())) ** da)
+    res = _subresultant([_pack(t, radices, width) for t in arow],
+                        [_pack(t, radices, width) for t in brow])
+    return SparsePoly._make(rest, _unpack(res, radices, width) if res else {},
+                            a.den ** db * b.den ** da)
 
 
 def _subresultant(a, b) -> int:

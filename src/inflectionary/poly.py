@@ -550,20 +550,12 @@ def _product_sum(products):
 
 # -- canonical JSON interchange ---------------------------------------------
 
-def poly_to_json_dict(p: SparsePoly) -> dict:
-    return {
-        "vars": list(p.vars),
-        "terms": [
-            {"e": list(e), "n": str(c.numerator), "d": str(c.denominator)}
-            for e, c in p.sorted_terms()
-        ],
-    }
-
-
 def poly_to_json(p: SparsePoly) -> str:
     """Canonical byte-stable JSON for a polynomial.
 
     Terms are emitted in graded lexicographic descending order with reduced
     fractions, so equal polynomials serialize to identical bytes.
     """
-    return json.dumps(poly_to_json_dict(p), separators=(",", ":"), sort_keys=False)
+    terms = [{"e": list(e), "n": str(c.numerator), "d": str(c.denominator)}
+             for e, c in p.sorted_terms()]
+    return json.dumps({"vars": list(p.vars), "terms": terms}, separators=(",", ":"))

@@ -201,12 +201,14 @@ def separability_check(mu: int, k: int, lambda0) -> CheckReport:
     """
     p = inflection_fiber(mu, k, lambda0)
     params = {"mu": int(mu), "k": int(k), "lambda0": as_fraction(lambda0)}
-    ok, details = _separability(gcd_univariate(p, p.derivative(VAR_X)))
-    if ok:
+    shared = gcd_univariate(p, p.derivative(VAR_X))
+    at_0, at_1, stray = _separability(shared)
+    details = {"gcd_degree": max(shared.degree(VAR_X), 0), "mult_at_0": at_0,
+               "mult_at_1": at_1, "stray_real_roots": len(stray)}
+    if not stray:
         return CheckReport("separability", params, PASS, data=details)
-    witness = details.pop("witness_interval")
     return CheckReport("separability", params, FAIL,
-                       witness={"interval": witness}, data=details)
+                       witness={"interval": stray[0]}, data=details)
 
 
 def test_criterion_08_separability(capsys):

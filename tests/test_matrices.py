@@ -21,7 +21,7 @@ from inflectionary.matrices import (
     resultant,
     sylvester_matrix,
 )
-from inflectionary.poly import SparsePoly
+from inflectionary.poly import SparsePoly, _cleared, _slot_width
 
 XL = ("x", "lambda")
 X = SparsePoly.variable(XL, "x")
@@ -337,7 +337,58 @@ def test_permuted_rows_only_sign_the_determinant(drawn):
     assert expand_by_minors(permuted) == expected
 
 
-# -- the minor box: every square submatrix fits, and it never exceeds _box's -----
+# -- the minor box: every square submatrix fits, in the lesser of two bounds -----
+
+def row_sum_box(rows):
+    """Each row's integer numerators over its least common denominator, the
+    radices and slot width that hold every minor of the cleared matrix (the
+    degree box and coefficient bound of the module docstring), and the
+    product of the row denominators."""
+    radices = [1] * len(rows[0][0].vars)
+    cleared, bound, den = [], 1, 1
+    for row in rows:
+        ints, row_den = _cleared(row)
+        exponents = [e for terms in ints for e in terms]
+        if exponents:
+            radices = [d + max(column) for d, column in zip(radices, zip(*exponents))]
+        bound *= sum(abs(c) for terms in ints for c in terms.values())
+        den *= row_den
+        cleared.append(ints)
+    return cleared, radices, _slot_width(bound), den
+
+
+def potential_box(cleared, arity):
+    """The radices and slot width of the potential bounds of ``matrices``'
+    docstring, by loops over the nonzero entries of ``cleared``, which has
+    no zero row or column: per variable 1 + sum u + sum v, and a slot for
+    n! prod r prod c."""
+    n = len(cleared)
+    cells = [(i, j) for i in range(n) for j in range(n) if cleared[i][j]]
+
+    def potentials(value, excess):
+        v = [min(value(i, j) for i, j in cells if j == col) for col in range(n)]
+        u = [max(excess(value(i, j), v[j]) for i, j in cells if i == row) for row in range(n)]
+        return u, v
+
+    radices = []
+    for k in range(arity):
+        u, v = potentials(lambda i, j: max(e[k] for e in cleared[i][j]), int.__sub__)
+        radices.append(1 + sum(u) + sum(v))
+    r, c = potentials(lambda i, j: sum(map(abs, cleared[i][j].values())),
+                      lambda a, b: math.ceil(Fraction(a, b)))
+    return radices, _slot_width(math.factorial(n) * math.prod(r) * math.prod(c))
+
+
+def fitted_box(rows):
+    """``_minor_box`` of the cleared ``rows``, asserted to be the elementwise
+    minimum of the row-sum and potential boxes, with both of those."""
+    arity = len(rows[0][0].vars)
+    cleared, radices, width, _ = row_sum_box(rows)
+    potentials, potential_width = potential_box(cleared, arity)
+    fitted = matrices._minor_box(cleared, arity)
+    assert fitted == ([*map(min, radices, potentials)], min(width, potential_width))
+    return fitted, (radices, width), (potentials, potential_width)
+
 
 VARIABLE_TUPLES = [("x",), XL, ("x", "lambda", "y")]
 
@@ -360,8 +411,8 @@ def graded_matrices(draw):
         for i in range(n)]
 
 
-# _box gives radices [16, 7] and 2-byte slots here; the minor box is [10, 4]
-# with 1-byte slots
+# the row sums give radices [16, 7] and 2-byte slots here; the minor box is
+# [10, 4] with 1-byte slots
 GRADED = [[X ** (i + 2 * j) + L ** j for j in range(3)] for i in range(3)]
 
 
@@ -393,12 +444,11 @@ def test_minor_box_holds_every_minor(rows, shape):
             r[-1] = zero
     det = det_polymatrix(rows)
     assert det == oracle_bareiss(rows) == det_cofactor(rows)
-    cleared, radices, width, _ = matrices._box(rows)
+    cleared = row_sum_box(rows)[0]
     if not all(map(any, cleared)) or not all(map(any, zip(*cleared))):
         assert det.is_zero
         return
-    fitted, fitted_width = matrices._minor_box(cleared, radices, width)
-    assert all(map(int.__le__, fitted, radices)) and fitted_width <= width
+    (fitted, fitted_width), _, _ = fitted_box(rows)
     half = 1 << (8 * fitted_width - 1)
     for minor in _square_submatrices([[SparsePoly(variables, t) for t in row]
                                       for row in cleared]):
@@ -409,21 +459,27 @@ def test_minor_box_holds_every_minor(rows, shape):
 
 
 def test_minor_box_is_strictly_smaller_on_graded_entries():
-    cleared, radices, width, _ = matrices._box(GRADED)
-    assert (radices, width) == ([16, 7], 2)
-    assert matrices._minor_box(cleared, radices, width) == ([10, 4], 1)
+    assert fitted_box(GRADED) == (([10, 4], 1), ([16, 7], 2), ([10, 4], 1))
 
 
 def test_minor_box_is_sharp_on_the_wronskian():
     # P(4, 5): deg_x of entry (i, j) is 2 (6 + j - i), so the minors reach
-    # x degree 48 and lambda degree 24 exactly; _box gives [61, 31] and 17
+    # x degree 48 and lambda degree 24 exactly; the row sums give [61, 31]
+    # and 17
     rows = [[math.perm(6 + j, i) * derivative_oracle(6 + j - i) for j in range(4)]
             for i in range(4)]
-    cleared, radices, width, _ = matrices._box(rows)
-    assert (radices, width) == ([61, 31], 17)
-    assert matrices._minor_box(cleared, radices, width) == ([49, 25], 14)
+    fitted, row_sums, _ = fitted_box(rows)
+    assert (fitted, row_sums) == (([49, 25], 14), ([61, 31], 17))
     det = det_polymatrix(rows)
     assert (det.degree("x"), det.degree("lambda")) == (48, 24)
+
+
+def test_minor_box_takes_the_row_sums_where_they_bind():
+    # two rows reach degree 10 in column 0 over a zero-degree entry below:
+    # the row sums give 26, the potentials 1 + (10 + 10 + 0) + (0 + 5 + 5)
+    rows = [[T ** d for d in degrees] for degrees in ([10, 5, 5], [10, 5, 5], [0, 5, 5])]
+    fitted, row_sums, potentials = fitted_box(rows)
+    assert (fitted[0], row_sums[0], potentials[0]) == ([26], [26], [31])
 
 
 # -- the subresultant resultant against the Sylvester determinant -----------------
@@ -481,6 +537,32 @@ def test_resultant_matches_sylvester_determinant(inputs):
     a, b, name = inputs
     assert resultant(a, b, name) == oracle_resultant(a, b, name)
     assert resultant(b, a, name) == oracle_resultant(b, a, name)
+
+
+@settings(max_examples=40)
+@given(resultant_inputs())
+def test_resultant_packs_in_the_row_sum_box_of_the_sylvester_rows(inputs):
+    a, b, name = inputs
+    boxes = []
+    pack = matrices._pack
+
+    def spy(ints, radices, width):
+        boxes.append((list(radices), width))
+        return pack(ints, radices, width)
+
+    for a, b in ((a, b), (b, a)):
+        boxes.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrices, "_pack", spy)
+            resultant(a, b, name)
+        da, db = a.degree(name), b.degree(name)
+        if min(da, db) < 1:
+            assert boxes == []
+            continue
+        rows = sylvester_matrix(a, b, name)
+        arow, brow = rows[0][:da + 1], rows[db][:db + 1]
+        _, radices, width, _ = row_sum_box([arow] * db + [brow] * da)
+        assert boxes == [(radices, width)] * (da + db + 2)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
